@@ -26,7 +26,6 @@ from .errors import (
 from .fields import (
     ExtensionField,
     FieldElement,
-    PrimeField,
     enumerate_elements,
     field_add,
     field_inv,

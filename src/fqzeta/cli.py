@@ -5,8 +5,10 @@ Subcommands: count | zeta | compare | find-pair | solve.
 Exit codes are a stable contract:
 
     0  success (for ``solve``: every trace difference is forced)
-    1  ``solve`` left unforced degrees, or an unclassified error
-    2  malformed variety spec
+    1  ``solve`` left unforced degrees, or an unclassified error (such as
+       a malformed profile)
+    2  malformed variety spec, or a command-line usage error (such as
+       ``count -n 0`` or ``zeta --extra-terms -1``)
     3  enumeration budget exceeded
     4  no consistent rational zeta fit for the given counts and profile
     5  duality (functional equation) violation
@@ -243,6 +245,17 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.fully_forced else EXIT_FAILURE
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", parents=[common], help="print N_1..N_n")
     p_count.add_argument("spec", help="variety spec JSON file")
-    p_count.add_argument("-n", "--terms", type=int, required=True)
+    p_count.add_argument("-n", "--terms", type=_int_at_least(1), required=True)
     p_count.set_defaults(func=_cmd_count)
 
     p_zeta = sub.add_parser(
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--profile", required=True, help="cohomology profile JSON file")
     p_zeta.add_argument(
         "--extra-terms",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help="extra counts beyond the minimum, used as consistency checks",
     )

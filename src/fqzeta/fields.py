@@ -9,12 +9,12 @@ Elements are coefficient vectors reduced mod p; all arithmetic is exact.
 Fields and elements are immutable, so they are safe to share between
 threads and to enumerate in parallel.
 
-Performance notes, none of which change semantics:
-
-* fields of order up to 2^16 lazily build discrete exp/log tables for
-  multiplication and inversion;
-* fields of order up to 1024 additionally expose flat numpy add/mul tables
-  (index i*order+j) used by the vectorized point counters.
+ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
+arrays of element indices (index_of: coefficients as base-p digits, c_0
+first).  Fields of order up to 1024 gather from flat order^2 tables; larger
+ones add digit-wise and multiply by convolution, then reduce mod m.  No
+intermediate exceeds k*(p-1)^2 + p or the order, so the kernel is exact in
+int64 for every p < 2^31 and order < 2^63.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from .errors import MixedFieldsError, NotPrimeError
 
 MAX_CHARACTERISTIC = 1 << 31
 
-_EXPLOG_MAX_ORDER = 1 << 16
 _NUMPY_TABLE_MAX_ORDER = 1024
+# Elements per vectorized step; digit-wise kernels work on k times as many
+# int64 values, so loops over index arrays step by _CHUNK // k.
+_CHUNK = 1 << 17
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -55,33 +57,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeField:
-    """The prime field F_p."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2:
-            raise NotPrimeError(f"characteristic must be an integer >= 2, got {p!r}")
-        if p >= MAX_CHARACTERISTIC:
-            raise ValueError(f"characteristic {p} exceeds supported bound 2^31")
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PrimeField is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +130,17 @@ def _is_irreducible(f: list[int], p: int, k: int) -> bool:
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
-    # A zero constant term means x divides the candidate, so start at c_0 = 1.
-    for c0 in range(1, p):
-        for rest in itertools.product(range(p), repeat=k - 1):
-            f = [c0, *rest, 1]
-            if _is_irreducible(f, p, k):
-                return tuple(f)
+    # Lex order on (c_0, ..., c_{k-1}) is numeric order on the base-p numeral
+    # c_0 c_1 ... c_{k-1}, decoded lazily since p may be close to 2^31.  A zero
+    # constant term means x divides the candidate, so start at c_0 = 1.
+    for numeral in range(p ** (k - 1), p**k):
+        f = [1]
+        for _ in range(k):
+            numeral, c = divmod(numeral, p)
+            f.append(c)
+        f.reverse()
+        if _is_irreducible(f, p, k):
+            return tuple(f)
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
@@ -171,14 +151,12 @@ class ExtensionField:
     single shared instance per (p, k).
     """
 
-    def __init__(self, base: PrimeField, k: int, modulus: tuple[int, ...]):
-        self.base = base
-        self.p = base.p
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        self.p = p
         self.k = k
         self.modulus = modulus
-        self.order = base.p**k
+        self.order = p**k
         # x^(k+j) mod m for j = 0..k-2, used during multiplication.
-        p = self.p
         red = []
         cur = [(-c) % p for c in modulus[:-1]]
         for _ in range(max(k - 1, 0)):
@@ -188,8 +166,6 @@ class ExtensionField:
             if lead:
                 cur = [(c - lead * m) % p for c, m in zip(cur, modulus[:-1])]
         self._reduction_rows = tuple(red)
-        self._exp: list[tuple[int, ...]] | None = None
-        self._log: dict[tuple[int, ...], int] | None = None
         self._np_tables = None
 
     # -- element constructors -------------------------------------------------
@@ -216,7 +192,8 @@ class ExtensionField:
             yield FieldElement(self, coeffs)
 
     def _tuples(self):
-        return itertools.product(range(self.p), repeat=self.k)
+        # Lazy: itertools.product would first materialize range(p).
+        return map(self.tuple_at, range(self.order))
 
     def index_of(self, coeffs: tuple[int, ...]) -> int:
         idx = 0
@@ -245,7 +222,7 @@ class ExtensionField:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def _mul_direct(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, k = self.p, self.k
         if k == 1:
             return (a[0] * b[0] % p,)
@@ -263,38 +240,10 @@ class ExtensionField:
                     out[t] = (out[t] + hi * row[t]) % p
         return tuple(out)
 
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        log = self._log
-        if log is None and self.order <= _EXPLOG_MAX_ORDER:
-            self._build_exp_log()
-            log = self._log
-        if log is not None:
-            la = log.get(a)
-            lb = log.get(b)
-            if la is None or lb is None:
-                return (0,) * self.k
-            return self._exp[(la + lb) % (self.order - 1)]
-        return self._mul_direct(a, b)
-
     def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
-        if self._log is None and self.order <= _EXPLOG_MAX_ORDER:
-            self._build_exp_log()
-        if self._log is not None:
-            la = self._log[a]
-            return self._exp[(-la) % (self.order - 1)]
-        return self._pow_direct(a, self.order - 2)
-
-    def _pow_direct(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = (1,) + (0,) * (self.k - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_direct(result, base)
-            base = self._mul_direct(base, base)
-            e >>= 1
-        return result
+        return self._pow(a, self.order - 2)
 
     def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         if e < 0:
@@ -308,39 +257,44 @@ class ExtensionField:
             e >>= 1
         return result
 
-    # -- multiplication tables ---------------------------------------------------
+    # -- vectorized kernel ------------------------------------------------------
 
-    def _build_exp_log(self):
-        g = self._find_generator()
-        exp = []
-        cur = (1,) + (0,) * (self.k - 1)
-        for _ in range(self.order - 1):
-            exp.append(cur)
-            cur = self._mul_direct(cur, g)
-        self._exp = exp
-        self._log = {t: i for i, t in enumerate(exp)}
+    def vector_ops(self):
+        """(add, mul) on equal-length int64 arrays of indices; see the module docstring."""
+        tables = self.numpy_tables()
+        if tables is None:
+            return self._digit_ops()
+        add_t, mul_t = tables
+        q = self.order
+        return (lambda a, b: add_t[a * q + b]), (lambda a, b: mul_t[a * q + b])
 
-    def _find_generator(self) -> tuple[int, ...]:
-        n = self.order - 1
-        prime_factors = []
-        m, f = n, 2
-        while f * f <= m:
-            if m % f == 0:
-                prime_factors.append(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            prime_factors.append(m)
-        for cand in self._tuples():
-            if not any(cand):
-                continue
-            if all(
-                self._pow_direct(cand, n // r) != (1,) + (0,) * (self.k - 1)
-                for r in prime_factors
-            ):
-                return cand
-        raise AssertionError("multiplicative group of a finite field is cyclic")
+    def _digit_ops(self):
+        import numpy as np
+
+        p, k = self.p, self.k
+        place = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+        # out[t] += rows[t, j] * c_{k+j}: x^(k+j) mod m, as a matrix.
+        rows = np.array(self._reduction_rows, dtype=np.int64).reshape(k - 1, k).T
+
+        def reduce(x):
+            x -= x // p * p  # x %= p; numpy divides by a scalar much faster
+            return x
+
+        def digits(a):
+            return reduce(a // place[:, None])  # (k, len(a)): row j holds c_j
+
+        def add(a, b):
+            return place @ reduce(digits(a) + digits(b))
+
+        def mul(a, b):
+            da, db = digits(a), digits(b)
+            conv = np.zeros((2 * k - 1, len(a)), dtype=np.int64)
+            for i in range(k):
+                conv[i : i + k] += da[i] * db
+            reduce(conv)
+            return place @ reduce(conv[:k] + rows @ conv[k:])
+
+        return add, mul
 
     def numpy_tables(self):
         """Flat (order*order,) int32 add and mul tables, or None if too large."""
@@ -350,28 +304,18 @@ class ExtensionField:
             import numpy as np
 
             n = self.order
-            if self._log is None:
-                self._build_exp_log()
-            log = np.full(n, -1, dtype=np.int64)
-            for t, i in self._log.items():
-                log[self.index_of(t)] = i
-            exp = np.array([self.index_of(t) for t in self._exp], dtype=np.int64)
-            mul = exp[(log[:, None] + log[None, :]) % (n - 1)]
-            mul[log < 0, :] = 0
-            mul[:, log < 0] = 0
-
-            place = np.array(
-                [self.p ** (self.k - 1 - j) for j in range(self.k)], dtype=np.int64
-            )
+            add, mul = self._digit_ops()
+            add_t = np.empty(n * n, dtype=np.int32)
+            mul_t = np.empty(n * n, dtype=np.int32)
             idx = np.arange(n, dtype=np.int64)
-            add = np.zeros((n, n), dtype=np.int64)
-            for j in range(self.k):
-                digit = (idx // place[j]) % self.p
-                add += ((digit[:, None] + digit[None, :]) % self.p) * place[j]
-            self._np_tables = (
-                add.reshape(-1).astype(np.int32),
-                mul.reshape(-1).astype(np.int32),
-            )
+            block = max(_CHUNK // (self.k * n), 1)
+            for r0 in range(0, n, block):
+                r1 = min(r0 + block, n)
+                a = np.repeat(idx[r0:r1], n)
+                b = np.tile(idx, r1 - r0)
+                add_t[r0 * n : r1 * n] = add(a, b)
+                mul_t[r0 * n : r1 * n] = mul(a, b)
+            self._np_tables = (add_t, mul_t)
         return self._np_tables
 
     # -- misc ---------------------------------------------------------------------
@@ -476,10 +420,15 @@ class FieldElement:
 @lru_cache(maxsize=None)
 def make_extension(p: int, k: int) -> ExtensionField:
     """F_{p^k} with the lexicographically smallest monic irreducible modulus."""
-    base = PrimeField(p)
+    if not isinstance(p, int) or p < 2:
+        raise NotPrimeError(f"characteristic must be an integer >= 2, got {p!r}")
+    if p >= MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic {p} exceeds supported bound 2^31")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
-    return ExtensionField(base, k, _smallest_irreducible(p, k))
+    return ExtensionField(p, k, _smallest_irreducible(p, k))
 
 
 def field_add(a: FieldElement, b: FieldElement) -> FieldElement:

@@ -13,10 +13,10 @@ lexicographic element order, last coordinate fastest.  count_points accepts a
 into disjoint blocks, count them independently (e.g. on separate workers),
 and sum the results.
 
-Two interchangeable evaluation backends exist: a pure-Python reference path,
-and a vectorized path using the field's flat numpy add/mul tables when the
-field is small enough.  Both are exact integer computations and return
-identical counts; the backend is chosen per call based on domain size.
+count_points has one evaluator: it walks the domain in chunks of int64
+element indices and evaluates the equations with the field's vectorized
+kernel (ExtensionField.vector_ops).  _count_pure is a pure-Python evaluation
+over coefficient tuples, kept as the tests' oracle for that kernel.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MalformedSpecError
-from .fields import ExtensionField, make_extension
+from .fields import _CHUNK, ExtensionField, make_extension
 
 DEFAULT_BUDGET = 10**8
-
-_NUMPY_MIN_POINTS = 1 << 13
-_CHUNK = 1 << 17
 
 Term = tuple[tuple[int, ...], tuple[int, ...]]  # (coefficient vector, exponents)
 
@@ -196,11 +193,7 @@ def count_points(
     lo, hi = max(lo, 0), min(hi, size)
     if lo >= hi:
         return 0
-
-    tables = field.numpy_tables() if hi - lo >= _NUMPY_MIN_POINTS else None
-    if tables is not None:
-        return _count_numpy(spec, field, equations, lo, hi, tables)
-    return _count_pure(spec, field, equations, lo, hi)
+    return _count_numpy(spec, field, equations, lo, hi)
 
 
 def count_series(
@@ -236,16 +229,7 @@ def _make_embedding(spec: VarietySpec, field: ExtensionField):
         return lambda coeff: coeff
     # Map the base generator to the lexicographically first root of the base
     # modulus in the larger field; a root exists because k divides field.k.
-    root = None
-    for cand in field._tuples():
-        acc = (0,) * field.k
-        for c in reversed(base.modulus):
-            acc = field._add(field._mul(acc, cand), field.element(c).coeffs)
-        if not any(acc):
-            root = cand
-            break
-    if root is None:
-        raise AssertionError("base modulus has no root in the extension")
+    root = field.tuple_at(_first_root(base.modulus, field))
     powers = [(1,) + (0,) * (field.k - 1)]
     for _ in range(k - 1):
         powers.append(field._mul(powers[-1], root))
@@ -258,6 +242,24 @@ def _make_embedding(spec: VarietySpec, field: ExtensionField):
         return acc
 
     return embed
+
+
+def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
+    """Index of the first root, in index order, of a polynomial over F_p."""
+    import numpy as np
+
+    add, mul = field.vector_ops()
+    coeffs = [field.index_of(field.element(c).coeffs) for c in reversed(poly)]
+    step = _CHUNK // field.k
+    for c0 in range(0, field.order, step):
+        x = np.arange(c0, min(c0 + step, field.order), dtype=np.int64)
+        acc = np.zeros_like(x)
+        for c in coeffs:
+            acc = add(mul(acc, x), np.full_like(x, c))
+        roots = np.flatnonzero(acc == 0)
+        if roots.size:
+            return c0 + int(roots[0])
+    raise AssertionError("base modulus has no root in the extension")
 
 
 def _blocks(spec: VarietySpec, field: ExtensionField):
@@ -330,63 +332,89 @@ def _count_pure(spec, field, equations, lo, hi) -> int:
     return count
 
 
-def _count_numpy(spec, field, equations, lo, hi, tables) -> int:
+def _count_numpy(spec, field, equations, lo, hi) -> int:
     import numpy as np
 
-    add_flat, mul_flat = tables
     q = field.order
-    one_idx = field.index_of((1,) + (0,) * (field.k - 1))
-
-    def mul_arr(a, b):
-        return mul_flat[a.astype(np.int64) * q + b]
-
+    one = field.one.coeffs
+    chunk = _CHUNK // field.k
+    ops = None
     count = 0
     for start, size, prefix, n_free in _blocks(spec, field):
         if start + size <= lo or start >= hi:
             continue
         block_lo, block_hi = max(lo - start, 0), min(hi - start, size)
-        prefix_idx = [0 if not any(t) else one_idx for t in prefix]
-        for c0 in range(block_lo, block_hi, _CHUNK):
-            c1 = min(c0 + _CHUNK, block_hi)
+        plan = _block_plan(field, equations, prefix)
+        if plan is None:
+            continue
+        if not plan:
+            count += block_hi - block_lo
+            continue
+        # Fetched only for blocks with free coordinates: a single point may
+        # live in a field whose indices overflow int64 (ambient dimension 0).
+        if ops is None:
+            ops = field.vector_ops()
+        add, mul = ops
+        for c0 in range(block_lo, block_hi, chunk):
+            c1 = min(c0 + chunk, block_hi)
             offs = np.arange(c0, c1, dtype=np.int64)
-            coords = []
-            for t in range(n_free):
-                stride = q ** (n_free - 1 - t)
-                coords.append(((offs // stride) % q).astype(np.int64))
+            coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
+            powers: dict[tuple[int, int], np.ndarray] = {}
+
+            def power(t, e):
+                if (t, e) not in powers:
+                    pw = coords[t]
+                    for _ in range(e - 1):
+                        pw = mul(pw, coords[t])
+                    powers[t, e] = pw
+                return powers[t, e]
+
             alive = np.ones(c1 - c0, dtype=bool)
-            for eq in equations:
-                acc = np.zeros(c1 - c0, dtype=np.int64)
-                pow_cache: dict[tuple[int, int], np.ndarray] = {}
-                for coeff, exps in eq:
-                    scalar = coeff
+            for const, terms in plan:
+                acc = None
+                for scalar, free in terms:
                     vec = None
-                    for i, e in enumerate(exps):
-                        if not e:
-                            continue
-                        if i < len(prefix):
-                            scalar = field._mul(
-                                scalar, field._pow(field.tuple_at(prefix_idx[i]), e)
-                            )
-                            continue
-                        key = (i, e)
-                        if key not in pow_cache:
-                            base = coords[i - len(prefix)]
-                            pw = base
-                            for _ in range(e - 1):
-                                pw = mul_arr(pw, base)
-                            pow_cache[key] = pw
-                        factor = pow_cache[key]
-                        vec = factor if vec is None else mul_arr(vec, factor)
-                    scalar_idx = field.index_of(scalar)
-                    if vec is None:
-                        term = np.full(c1 - c0, scalar_idx, dtype=np.int64)
-                    elif scalar_idx == one_idx:
-                        term = vec.astype(np.int64)
-                    else:
-                        term = mul_flat[np.int64(scalar_idx) * q + vec].astype(np.int64)
-                    acc = add_flat[acc * q + term].astype(np.int64)
+                    for t, e in free:
+                        vec = power(t, e) if vec is None else mul(vec, power(t, e))
+                    if scalar != one:
+                        vec = mul(np.full_like(vec, field.index_of(scalar)), vec)
+                    acc = vec if acc is None else add(acc, vec)
+                if any(const):
+                    acc = add(acc, np.full_like(acc, field.index_of(const)))
                 alive &= acc == 0
                 if not alive.any():
                     break
             count += int(alive.sum())
     return count
+
+
+def _block_plan(field, equations, prefix):
+    """Equations as (constant, [(scalar, ((free coordinate, exponent), ...))]).
+
+    The block's fixed prefix is folded into scalars and constants; None means
+    some equation is a nonzero constant on the block.
+    """
+    zero = field.zero.coeffs
+    plan = []
+    for eq in equations:
+        const, terms = zero, []
+        for coeff, exps in eq:
+            scalar, free = coeff, []
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                if i < len(prefix):
+                    scalar = field._mul(scalar, field._pow(prefix[i], e))
+                else:
+                    free.append((i - len(prefix), e))
+            if not any(scalar):
+                continue
+            if free:
+                terms.append((scalar, tuple(free)))
+            else:
+                const = field._add(const, scalar)
+        if terms:
+            plan.append((const, terms))
+        elif any(const):
+            return None
+    return plan

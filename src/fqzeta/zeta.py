@@ -92,7 +92,13 @@ class CohomologyProfile:
 
     @staticmethod
     def from_dict(data: dict) -> "CohomologyProfile":
-        return CohomologyProfile(data["d"], tuple(data["betti"]))
+        try:
+            d, betti = data["d"], tuple(int(b) for b in data["betti"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed profile: {type(exc).__name__}: {exc}") from None
+        if not isinstance(d, int):
+            raise ValueError(f"profile d must be an integer, got {d!r}")
+        return CohomologyProfile(d, betti)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "betti": list(self.betti)}

@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import fqzeta
 from fqzeta import cli
 from fqzeta.errors import DualityViolationError
 
@@ -107,6 +110,39 @@ def test_zeta_extra_terms_verification(capsys, fixtures_dir):
     )
     assert code == 0
     assert json.loads(out)["counts"] == [9, 27, 108]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "elliptic_f5.json", "-n", "-2"],
+        ["count", "elliptic_f5.json", "--terms", "0"],
+        ["zeta", "elliptic_f5.json", "--profile", "profile_curve.json", "--extra-terms", "-5"],
+    ],
+)
+def test_out_of_range_term_counts_are_usage_errors(capsys, fixtures_dir, argv):
+    argv = [fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer >=" in captured.err
+
+
+@pytest.mark.parametrize(
+    "profile",
+    ['{"d": 1}', '{"d": 1, "betti": 5}', '{"d": 1, "betti": [1, null, 1]}', '{"d": "1", "betti": [1, 2, 1]}', "[1, 2, 1]"],
+)
+def test_malformed_profile_is_a_one_line_error(capsys, fixtures_dir, tmp_path, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(profile)
+    code, out, err = run_cli(
+        capsys, "zeta", fx(fixtures_dir, "elliptic_f5.json"), "--profile", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_compare_equal_self(capsys, fixtures_dir):
@@ -214,10 +250,14 @@ def test_solve_d_out_of_range(capsys):
 
 
 def test_console_entry_point_subprocess():
+    # The child imports the same fqzeta as this process, installed or not.
+    src = str(pathlib.Path(fqzeta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fqzeta", "solve", "-d", "3", "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["forced"] == [0, 1, 2, 3, 4, 5, 6]

@@ -5,7 +5,6 @@ import pytest
 
 from fqzeta.errors import MixedFieldsError, NotPrimeError
 from fqzeta.fields import (
-    PrimeField,
     enumerate_elements,
     field_add,
     field_inv,
@@ -30,14 +29,14 @@ def test_is_prime_matches_trial_division():
 
 def test_prime_field_rejects_composites_and_bounds():
     with pytest.raises(NotPrimeError):
-        PrimeField(4)
+        make_extension(4, 1)
     with pytest.raises(NotPrimeError):
-        PrimeField(1)
+        make_extension(1, 1)
     with pytest.raises(NotPrimeError):
-        PrimeField(0)
+        make_extension(0, 1)
     with pytest.raises(ValueError):
-        PrimeField(2**31 + 11)
-    assert PrimeField(7).p == 7
+        make_extension(2**31 + 11, 1)
+    assert make_extension(7, 1).p == 7
 
 
 def test_make_extension_rejects_composite_p():
@@ -137,15 +136,6 @@ def test_multiplicative_group_order(p, k):
             assert a * a.inverse() == field.one
 
 
-def test_exp_log_multiplication_matches_direct():
-    field = make_extension(7, 2)
-    tuples = list(field._tuples())
-    field._build_exp_log()
-    for a in tuples:
-        for b in tuples:
-            assert field._mul(a, b) == field._mul_direct(a, b)
-
-
 def test_numpy_tables_match_direct():
     field = make_extension(3, 3)
     add_t, mul_t = field.numpy_tables()
@@ -154,7 +144,27 @@ def test_numpy_tables_match_direct():
         for bi in range(n):
             a, b = field.tuple_at(ai), field.tuple_at(bi)
             assert add_t[ai * n + bi] == field.index_of(field._add(a, b))
-            assert mul_t[ai * n + bi] == field.index_of(field._mul_direct(a, b))
+            assert mul_t[ai * n + bi] == field.index_of(field._mul(a, b))
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (1031, 1), (37, 2), (2, 11), (2**31 - 1, 2)])
+def test_vector_ops_match_scalar_arithmetic(p, k):
+    # Random indices cover both kernels (tables up to order 1024, digit-wise
+    # convolution above) and, at p = 2^31 - 1, digits whose products reach
+    # 2^62: the int64 headroom the convolution must respect.
+    import numpy as np
+
+    field = make_extension(p, k)
+    rng = random.Random(p * 100 + k)
+    a = [rng.randrange(field.order) for _ in range(300)] + [0, 1, field.order - 1]
+    b = [rng.randrange(field.order) for _ in range(300)] + [field.order - 1] * 3
+    add, mul = field.vector_ops()
+    got_add = add(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    got_mul = mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    for i, (x, y) in enumerate(zip(a, b)):
+        tx, ty = field.tuple_at(x), field.tuple_at(y)
+        assert got_add[i] == field.index_of(field._add(tx, ty))
+        assert got_mul[i] == field.index_of(field._mul(tx, ty))
 
 
 def test_numpy_tables_refused_for_large_fields():

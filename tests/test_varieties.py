@@ -25,6 +25,19 @@ def _projective_space(p, k, dim):
     )
 
 
+def _curve(p, a, b):
+    """y^2 z = x^3 + a x z^2 + b z^3 in P^2 over F_p."""
+    return VarietySpec.from_dict(
+        {
+            "label": f"E_{a},{b}",
+            "p": p,
+            "k": 1,
+            "ambient": {"type": "projective", "dim": 2},
+            "equations": [[[1, [0, 2, 1]], [-1, [3, 0, 0]], [-a, [1, 0, 2]], [-b, [0, 0, 3]]]],
+        }
+    )
+
+
 def _affine_space(p, dim):
     return VarietySpec.from_dict(
         {
@@ -138,6 +151,23 @@ def test_partition_additivity(elliptic, pieces):
         assert sum(parts) == total
 
 
+def test_partition_additivity_across_chunks():
+    # F_{37^2} has more than 1024 elements, so this runs the digit-wise
+    # kernel, in chunks of _CHUNK // 2 points.  The cuts fall inside chunks,
+    # so every piece starts and ends off the chunk grid of the full pass.
+    from fqzeta.fields import _CHUNK
+
+    p = 37
+    spec = _curve(p, 1, 1)
+    n1 = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - x - 1) % p == 0)
+    trace = p + 1 - n1
+    assert count_points(spec, 2) == p**2 + 1 - (trace**2 - 2 * p)  # genus-1 recursion
+    step = _CHUNK // 2
+    cuts = [0, step // 3, step + 17, 2 * step + step // 2, 3 * step + 5]
+    whole = count_points(spec, 2, span=(cuts[0], cuts[-1]))
+    assert sum(count_points(spec, 2, span=s) for s in zip(cuts, cuts[1:])) == whole
+
+
 def test_span_outside_domain_counts_nothing(elliptic):
     size = domain_size(elliptic, 1)
     assert count_points(elliptic, 1, span=(size, size + 50)) == 0
@@ -180,11 +210,17 @@ def test_embedding_root_is_actual_root():
     embed = _make_embedding(spec, big)
     base = make_extension(3, 2)
     g = embed((0, 1))
-    # g must satisfy the base modulus inside F_81.
-    acc = (0,) * big.k
-    for c in reversed(base.modulus):
-        acc = big._add(big._mul(acc, g), big.element(c).coeffs)
-    assert not any(acc)
+
+    def modulus_at(x):
+        acc = (0,) * big.k
+        for c in reversed(base.modulus):
+            acc = big._add(big._mul(acc, x), big.element(c).coeffs)
+        return acc
+
+    # g must satisfy the base modulus inside F_81, and be its
+    # lexicographically first root there.
+    assert not any(modulus_at(g))
+    assert g == next(t for t in big._tuples() if not any(modulus_at(t)))
 
 
 def test_malformed_specs_rejected():
@@ -242,12 +278,72 @@ def test_zero_coefficient_terms_dropped():
     assert count_points(spec, 1) == 5
 
 
-def test_pure_and_numpy_backends_agree(elliptic):
+def _binary_form_p1(p, terms):
+    return VarietySpec.from_dict(
+        {
+            "label": "form",
+            "p": p,
+            "k": 1,
+            "ambient": {"type": "projective", "dim": 1},
+            "equations": [terms],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,n,span,expected",
+    [
+        pytest.param(_curve(5, 1, 1), 2, None, 27, id="F5^2-tables"),
+        pytest.param(_curve(37, 1, 1), 2, (900_001, 904_097), 4, id="F37^2"),
+        # x^11 + x^2 + 1 is irreducible over F_2: 11 roots in F_{2^11}.
+        pytest.param(
+            _binary_form_p1(2, [[1, [11, 0]], [1, [9, 2]], [1, [0, 11]]]),
+            11, None, 11, id="F2^11",
+        ),
+        # Over F_{p^2} = F_p[t]/(t^2 + 1) the first 4096 points of A^1 are
+        # x = j t, j < 4096; x^4 = 16 holds only for j = 2.  The powers of x
+        # have digits near p, so their products reach 2^62.
+        pytest.param(
+            VarietySpec.from_dict(
+                {
+                    "label": "x^4 = 16",
+                    "p": 2**31 - 1,
+                    "k": 1,
+                    "ambient": {"type": "affine", "dim": 1},
+                    "equations": [[[1, [4]], [-16, [0]]]],
+                }
+            ),
+            2, (0, 4096), 1, id="F(2^31-1)^2-span",
+        ),
+    ],
+)
+def test_pure_and_numpy_backends_agree(spec, n, span, expected):
     from fqzeta.varieties import _count_numpy, _count_pure, _embedded_equations
 
-    field = make_extension(5, 2)
-    eqs = _embedded_equations(elliptic, field)
-    size = domain_size(elliptic, 2)
-    pure = _count_pure(elliptic, field, eqs, 0, size)
-    vec = _count_numpy(elliptic, field, eqs, 0, size, field.numpy_tables())
-    assert pure == vec == 27
+    field = make_extension(spec.p, spec.k * n)
+    eqs = _embedded_equations(spec, field)
+    lo, hi = span or (0, domain_size(spec, n))
+    pure = _count_pure(spec, field, eqs, lo, hi)
+    vec = _count_numpy(spec, field, eqs, lo, hi)
+    assert pure == vec == expected
+
+
+def test_single_point_over_field_beyond_int64():
+    # P^0 over F_{p^4}, p = 2^31 - 1: the field has about 2^124 elements, so
+    # the lone point [1] must be counted without indexing the field.
+    p = 2**31 - 1
+
+    def point(equations):
+        return VarietySpec.from_dict(
+            {
+                "label": "P^0",
+                "p": p,
+                "k": 1,
+                "ambient": {"type": "projective", "dim": 0},
+                "equations": equations,
+            }
+        )
+
+    assert count_points(point([]), 4) == 1
+    assert count_points(point([[[1, [1]]]]), 4) == 0
+    assert count_points(point([[[3, [1]], [-3, [1]]]]), 4) == 1
