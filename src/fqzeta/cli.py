@@ -7,8 +7,9 @@ Exit codes are a stable contract:
     0  success (for ``solve``: every trace difference is forced)
     1  ``solve`` left unforced degrees, or an unclassified error (such as
        a malformed profile)
-    2  malformed variety spec, or a command-line usage error (such as
-       ``count -n 0`` or ``zeta --extra-terms -1``)
+    2  malformed variety spec (including a composite or too large p), or a
+       command-line usage error (such as ``count -n 0``,
+       ``zeta --extra-terms -1`` or ``--tolerance -1``)
     3  enumeration budget exceeded
     4  no consistent rational zeta fit for the given counts and profile
     5  duality (functional equation) violation
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (
@@ -256,6 +258,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="relative tolerance for the numeric root-modulus checks",
     )

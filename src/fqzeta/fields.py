@@ -11,10 +11,13 @@ threads and to enumerate in parallel.
 
 ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
 arrays of element indices (index_of: coefficients as base-p digits, c_0
-first).  Fields of order up to 1024 gather from flat order^2 tables; larger
-ones add digit-wise and multiply by convolution, then reduce mod m.  No
-intermediate exceeds k*(p-1)^2 + p or the order, so the kernel is exact in
-int64 for every p < 2^31 and order < 2^63.
+first).  It gathers from flat order^2 tables when the field has at most 1024
+elements and the caller will evaluate at least order^2 elements, so the
+table build pays for itself (a curve in P^2 over F_{31^2}, not the 1025
+points of P^1 over F_{2^10}).  Otherwise it adds digit-wise and multiplies
+by convolution, then reduces mod m.  No intermediate exceeds k*(p-1)^2 + p
+or the order, so the kernel is exact in int64 for every p < 2^31 and
+order < 2^63.
 """
 
 from __future__ import annotations
@@ -259,12 +262,18 @@ class ExtensionField:
 
     # -- vectorized kernel ------------------------------------------------------
 
-    def vector_ops(self):
-        """(add, mul) on equal-length int64 arrays of indices; see the module docstring."""
-        tables = self.numpy_tables()
-        if tables is None:
+    def vector_ops(self, work: int):
+        """(add, mul) on equal-length int64 arrays of indices; see the module docstring.
+
+        ``work`` is the number of elements the caller will evaluate.  The
+        order^2 tables are built only if that is at least as many as they
+        hold entries; cached tables are always used.
+        """
+        if self._np_tables is None and (
+            self.order > _NUMPY_TABLE_MAX_ORDER or work < self.order**2
+        ):
             return self._digit_ops()
-        add_t, mul_t = tables
+        add_t, mul_t = self.numpy_tables()
         q = self.order
         return (lambda a, b: add_t[a * q + b]), (lambda a, b: mul_t[a * q + b])
 

@@ -101,10 +101,12 @@ def _count_tables(p: int):
         chi1[s] = 1 if s in squares else -1
 
     field = make_extension(p, 2)
-    elems = list(field._tuples())
-    sq2 = {field._mul(t, t) for t in elems if any(t)}
+    # Lexicographic order on coefficient vectors, as in field.elements().
+    elems = [(x0, x1) for x0 in range(p) for x1 in range(p)]
+    squares2 = [field._mul(t, t) for t in elems]
+    sq2 = set(squares2[1:])  # elems[0] is zero
     chi2 = {t: (0 if not any(t) else (1 if t in sq2 else -1)) for t in elems}
-    cubes = [field._mul(field._mul(t, t), t) for t in elems]
+    cubes = [field._mul(s, t) for s, t in zip(squares2, elems)]
     return chi1, chi2, elems, cubes
 
 

@@ -25,12 +25,17 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, MalformedSpecError
+from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
 from .fields import _CHUNK, ExtensionField, make_extension
 
 DEFAULT_BUDGET = 10**8
 
 Term = tuple[tuple[int, ...], tuple[int, ...]]  # (coefficient vector, exponents)
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int; a spec means neither.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,7 @@ class Ambient:
     def __post_init__(self):
         if self.kind not in ("affine", "projective"):
             raise MalformedSpecError(f"unknown ambient type {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 0:
+        if not _is_int(self.dim) or self.dim < 0:
             raise MalformedSpecError(f"ambient dimension must be >= 0, got {self.dim!r}")
 
     @property
@@ -65,23 +70,34 @@ class VarietySpec:
 
     @staticmethod
     def from_dict(data: dict) -> "VarietySpec":
+        if not isinstance(data, dict):
+            raise MalformedSpecError("variety spec must be a JSON object")
         try:
             label = data["label"]
             p = data["p"]
             k = data["k"]
             ambient_raw = data["ambient"]
             equations_raw = data["equations"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise MalformedSpecError(f"missing field in variety spec: {exc}") from None
         if not isinstance(label, str):
             raise MalformedSpecError("label must be a string")
-        if not isinstance(p, int) or not isinstance(k, int) or k < 1:
+        if not _is_int(p) or not _is_int(k) or k < 1:
             raise MalformedSpecError("p must be an int and k a positive int")
-        make_extension(p, k)  # validates primality of p
+        try:
+            make_extension(p, k)  # validates primality and size of p
+        except (NotPrimeError, ValueError) as exc:
+            raise MalformedSpecError(str(exc)) from None
+        if not isinstance(ambient_raw, dict):
+            raise MalformedSpecError('ambient must be an object {"type": ..., "dim": ...}')
         ambient = Ambient(ambient_raw.get("type"), ambient_raw.get("dim"))
         nvars = ambient.nvars
+        if not isinstance(equations_raw, list):
+            raise MalformedSpecError("equations must be a list of equations")
         equations = []
         for eq_idx, eq in enumerate(equations_raw):
+            if not isinstance(eq, list):
+                raise MalformedSpecError(f"equation {eq_idx} must be a list of terms")
             terms = []
             for term in eq:
                 try:
@@ -91,22 +107,26 @@ class VarietySpec:
                         f"equation {eq_idx}: each term must be [coeff, exponents]"
                     ) from None
                 if k == 1:
-                    if not isinstance(coeff_raw, int):
+                    if not _is_int(coeff_raw):
                         raise MalformedSpecError(
                             f"equation {eq_idx}: coefficient must be an int when k=1"
                         )
                     coeff = (coeff_raw % p,)
                 else:
-                    if not isinstance(coeff_raw, list) or len(coeff_raw) != k:
+                    if (
+                        not isinstance(coeff_raw, list)
+                        or len(coeff_raw) != k
+                        or not all(_is_int(c) for c in coeff_raw)
+                    ):
                         raise MalformedSpecError(
-                            f"equation {eq_idx}: coefficient must be a length-{k} list"
+                            f"equation {eq_idx}: coefficient must be a length-{k} list of ints"
                         )
-                    coeff = tuple(int(c) % p for c in coeff_raw)
+                    coeff = tuple(c % p for c in coeff_raw)
                 if not isinstance(exps_raw, list) or len(exps_raw) != nvars:
                     raise MalformedSpecError(
                         f"equation {eq_idx}: exponent vector must have length {nvars}"
                     )
-                if any(not isinstance(e, int) or e < 0 for e in exps_raw):
+                if any(not _is_int(e) or e < 0 for e in exps_raw):
                     raise MalformedSpecError(
                         f"equation {eq_idx}: exponents must be nonnegative integers"
                     )
@@ -248,7 +268,7 @@ def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
     """Index of the first root, in index order, of a polynomial over F_p."""
     import numpy as np
 
-    add, mul = field.vector_ops()
+    add, mul = field.vector_ops(field.order)
     coeffs = [field.index_of(field.element(c).coeffs) for c in reversed(poly)]
     step = _CHUNK // field.k
     for c0 in range(0, field.order, step):
@@ -353,7 +373,7 @@ def _count_numpy(spec, field, equations, lo, hi) -> int:
         # Fetched only for blocks with free coordinates: a single point may
         # live in a field whose indices overflow int64 (ambient dimension 0).
         if ops is None:
-            ops = field.vector_ops()
+            ops = field.vector_ops(hi - lo)
         add, mul = ops
         for c0 in range(block_lo, block_hi, chunk):
             c1 = min(c0 + chunk, block_hi)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fqzeta
 from fqzeta import cli
@@ -130,6 +135,22 @@ def test_out_of_range_term_counts_are_usage_errors(capsys, fixtures_dir, argv):
     assert "must be an integer >=" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "-1e-12", "nan", "inf"])
+def test_bad_tolerance_is_a_usage_error(capsys, fixtures_dir, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            [
+                "zeta", fx(fixtures_dir, "elliptic_f5.json"),
+                "--profile", fx(fixtures_dir, "profile_curve.json"),
+                f"--tolerance={tolerance}",
+            ]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance: must be a finite number >= 0" in captured.err
+
+
 @pytest.mark.parametrize(
     "profile",
     ['{"d": 1}', '{"d": 1, "betti": 5}', '{"d": 1, "betti": [1, null, 1]}', '{"d": "1", "betti": [1, 2, 1]}', "[1, 2, 1]"],
@@ -249,15 +270,108 @@ def test_solve_d_out_of_range(capsys):
     assert code2 == 1  # runs, but d=9 leaves residuals
 
 
-def test_console_entry_point_subprocess():
+def _run_module(*argv):
     # The child imports the same fqzeta as this process, installed or not.
     src = str(pathlib.Path(fqzeta.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fqzeta", "solve", "-d", "3", "--format", "json"],
+    return subprocess.run(
+        [sys.executable, "-m", "fqzeta", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point_subprocess():
+    proc = _run_module("solve", "-d", "3", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["forced"] == [0, 1, 2, 3, 4, 5, 6]
+
+
+# Malformed spec JSON: a valid curve spec with one field replaced by a value
+# of the wrong type or shape.  Every such spec must exit 2 with a one-line
+# message, before any counting starts.
+
+_VALID_SPEC = {
+    "label": "y^2 z = x^3 + z^3 over F_5",
+    "p": 5,
+    "k": 1,
+    "ambient": {"type": "projective", "dim": 2},
+    "equations": [[[1, [0, 2, 1]], [-1, [3, 0, 0]], [-1, [0, 0, 3]]]],
+}
+
+
+def test_composite_p_exits_2_without_traceback(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**_VALID_SPEC, "p": 6}))
+    proc = _run_module("count", str(spec), "-n", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "malformed spec: 6 is not prime\n"
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4))
+_not_int = st.one_of(
+    _scalars,
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_not_list = st.one_of(
+    _scalars, st.integers(), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+)
+_not_prime = st.one_of(
+    st.integers(max_value=1),
+    st.tuples(st.integers(2, 10**4), st.integers(2, 10**4)).map(lambda t: t[0] * t[1]),
+    st.integers(min_value=2**31),
+)
+_bad_exponents = st.one_of(
+    _not_list,
+    st.lists(st.integers(0, 3), max_size=5).filter(lambda e: len(e) != 3),
+    st.tuples(st.integers(0, 2), _not_int).map(lambda t: [t[0], t[1], 3 - t[0]]),
+    st.integers(max_value=-1).map(lambda e: [0, 3 - e, e]),
+)
+_bad_term = st.one_of(
+    _not_list,
+    st.lists(st.integers(), max_size=4).filter(lambda t: len(t) != 2),
+    _not_int.map(lambda c: [c, [3, 0, 0]]),
+    _bad_exponents.map(lambda e: [1, e]),
+)
+
+
+def _with_term(term):
+    return {**_VALID_SPEC, "equations": [[[1, [0, 2, 1]], term]]}
+
+
+_malformed_specs = st.one_of(
+    _not_int.map(lambda v: {**_VALID_SPEC, "p": v}),
+    _not_prime.map(lambda v: {**_VALID_SPEC, "p": v}),
+    _not_int.map(lambda v: {**_VALID_SPEC, "k": v}),
+    st.integers(max_value=0).map(lambda v: {**_VALID_SPEC, "k": v}),
+    st.one_of(_not_list, st.lists(st.integers(), max_size=2)).map(
+        lambda v: {**_VALID_SPEC, "ambient": v}
+    ),
+    st.one_of(_not_int, st.text(max_size=10)).map(
+        lambda v: {**_VALID_SPEC, "ambient": {"type": v, "dim": 2}}
+    ),
+    st.one_of(_not_int, st.integers(max_value=-1)).map(
+        lambda v: {**_VALID_SPEC, "ambient": {"type": "affine", "dim": v}}
+    ),
+    _not_list.map(lambda v: {**_VALID_SPEC, "equations": v}),
+    _not_list.map(lambda v: {**_VALID_SPEC, "equations": [v]}),
+    _bad_term.map(_with_term),
+)
+
+
+@given(_malformed_specs)
+def test_malformed_spec_json_exits_2_with_one_line(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["count", str(path), "-n", "1"])
+    assert code == 2
+    assert out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith("malformed spec: ") and message.count("\n") == 1
+    assert "Traceback" not in message

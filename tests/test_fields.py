@@ -147,24 +147,47 @@ def test_numpy_tables_match_direct():
             assert mul_t[ai * n + bi] == field.index_of(field._mul(a, b))
 
 
-@pytest.mark.parametrize("p,k", [(3, 3), (1031, 1), (37, 2), (2, 11), (2**31 - 1, 2)])
-def test_vector_ops_match_scalar_arithmetic(p, k):
-    # Random indices cover both kernels (tables up to order 1024, digit-wise
-    # convolution above) and, at p = 2^31 - 1, digits whose products reach
-    # 2^62: the int64 headroom the convolution must respect.
+@pytest.mark.parametrize(
+    "p,k,work,tables",
+    [
+        pytest.param(3, 3, 27, False, id="3-3-digit-kernel"),
+        pytest.param(3, 3, 27**2, True, id="3-3"),
+        pytest.param(1031, 1, 1031**2, False, id="1031-1"),
+        pytest.param(37, 2, 37**4, False, id="37-2"),
+        pytest.param(2, 11, 2**22, False, id="2-11"),
+        pytest.param(2**31 - 1, 2, 2**40, False, id="2147483647-2"),
+    ],
+)
+def test_vector_ops_match_scalar_arithmetic(p, k, work, tables, fresh_tables):
+    # Random indices cover both kernels in F_27 (gather tables once the work
+    # reaches order^2, digit-wise convolution below it), the convolution in
+    # fields above the table cap and, at p = 2^31 - 1, digits whose products
+    # reach 2^62: the int64 headroom the convolution must respect.
     import numpy as np
 
-    field = make_extension(p, k)
+    field = fresh_tables(make_extension(p, k))
     rng = random.Random(p * 100 + k)
     a = [rng.randrange(field.order) for _ in range(300)] + [0, 1, field.order - 1]
     b = [rng.randrange(field.order) for _ in range(300)] + [field.order - 1] * 3
-    add, mul = field.vector_ops()
+    add, mul = field.vector_ops(work)
+    assert (field._np_tables is not None) == tables
     got_add = add(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     got_mul = mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     for i, (x, y) in enumerate(zip(a, b)):
         tx, ty = field.tuple_at(x), field.tuple_at(y)
         assert got_add[i] == field.index_of(field._add(tx, ty))
         assert got_mul[i] == field.index_of(field._mul(tx, ty))
+
+
+def test_vector_ops_reuses_cached_tables_for_any_work(monkeypatch):
+    field = make_extension(3, 3)
+    field.numpy_tables()
+
+    def no_digit_kernel():
+        raise AssertionError("cached tables were not used")
+
+    monkeypatch.setattr(field, "_digit_ops", no_digit_kernel)
+    field.vector_ops(1)
 
 
 def test_numpy_tables_refused_for_large_fields():

@@ -2,9 +2,11 @@ from collections import defaultdict
 
 import pytest
 
+from fqzeta.fields import make_extension
 from fqzeta.pairsearch import (
     CurveModel,
     _canonical_class,
+    _count_tables,
     curve_zeta,
     find_pairs,
     weierstrass_spec,
@@ -123,3 +125,23 @@ def test_curve_model_serialization():
     assert d["counts"] == [4, 32]
     assert d["zeta"]["num"] == [1, -2, 5]
     assert CurveModel(**d["curve_b"]) == r.curve_b
+
+
+def _count_tables_reference(p):
+    """Oracle: elements from the field's own enumeration, squares and cubes
+    by scalar multiplication, nothing shared between them."""
+    chi1 = [0] * p
+    squares = {x * x % p for x in range(1, p)}
+    for s in range(1, p):
+        chi1[s] = 1 if s in squares else -1
+    field = make_extension(p, 2)
+    elems = list(field._tuples())
+    sq2 = {field._mul(t, t) for t in elems if any(t)}
+    chi2 = {t: (0 if not any(t) else (1 if t in sq2 else -1)) for t in elems}
+    cubes = [field._mul(field._mul(t, t), t) for t in elems]
+    return chi1, chi2, elems, cubes
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 29])
+def test_count_tables_match_reference(p):
+    assert _count_tables(p) == _count_tables_reference(p)

@@ -247,6 +247,38 @@ def test_malformed_specs_rejected():
         VarietySpec.from_dict({**base, "equations": [[[[1, 0], [2, 0]]]]})
     with pytest.raises(MalformedSpecError, match="length-2 list"):
         VarietySpec.from_dict({**base, "k": 2, "equations": [[[3, [2, 0]]]]})
+    with pytest.raises(MalformedSpecError, match="list of ints"):
+        VarietySpec.from_dict({**base, "k": 2, "equations": [[[[1, None], [1, 0]]]]})
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"ambient": "projective"}, "ambient must be an object"),
+        ({"ambient": None}, "ambient must be an object"),
+        ({"equations": 5}, "equations must be a list"),
+        ({"equations": {"a": 1}}, "equations must be a list"),
+        ({"equations": [5]}, "equation 0 must be a list"),
+        ({"p": 6}, "6 is not prime"),
+        ({"p": 1}, "integer >= 2"),
+        ({"p": 2**31 + 11}, "exceeds supported bound"),
+        ({"p": True}, "p must be an int"),
+        ({"k": True}, "k a positive int"),
+        ({"ambient": {"type": "affine", "dim": True}}, "dimension"),
+        ({"equations": [[[True, [1, 0]]]]}, "int when k=1"),
+        ({"equations": [[[1, [1, False]]]]}, "nonnegative integers"),
+    ],
+)
+def test_spec_shape_errors_are_malformed(change, message):
+    base = {
+        "label": "bad",
+        "p": 3,
+        "k": 1,
+        "ambient": {"type": "projective", "dim": 1},
+        "equations": [],
+    }
+    with pytest.raises(MalformedSpecError, match=message):
+        VarietySpec.from_dict({**base, **change})
 
 
 def test_load_spec_bad_json(tmp_path):
@@ -347,3 +379,51 @@ def test_single_point_over_field_beyond_int64():
     assert count_points(point([]), 4) == 1
     assert count_points(point([[[1, [1]]]]), 4) == 0
     assert count_points(point([[[3, [1]], [-3, [1]]]]), 4) == 1
+
+
+# The point counter builds a field's order^2 tables only for a count that
+# evaluates at least order^2 points.  fresh_tables clears the session-wide
+# cached tables first, so these checks do not depend on test order.
+
+
+def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    # x^5 + x^2 y^3 + y^5 = 0 in P^1 over F_{2^10}: 1025 points, far fewer
+    # than the 2^20 table entries.
+    spec = _binary_form_p1(2, [[1, [5, 0]], [1, [2, 3]], [1, [0, 5]]])
+    field = fresh_tables(make_extension(2, 10))
+    got = count_points(spec, 10)
+    assert field._np_tables is None
+    eqs = _embedded_equations(spec, field)
+    assert got == _count_pure(spec, field, eqs, 0, domain_size(spec, 10))
+
+
+def test_plane_curve_count_builds_tables(fresh_tables):
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    # P^2 over F_31 has 993 points, more than the 961 table entries.
+    spec = _curve(31, 1, 1)
+    field = fresh_tables(make_extension(31, 1))
+    got = count_points(spec, 1)
+    assert field._np_tables is not None
+    eqs = _embedded_equations(spec, field)
+    assert got == _count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+
+
+def test_first_root_builds_no_tables(fixtures_dir, fresh_tables):
+    from fqzeta.varieties import _first_root
+
+    spec = load_spec(fixtures_dir / "line_f4.json")
+    base = make_extension(spec.p, spec.k)
+    field = fresh_tables(make_extension(spec.p, spec.k * 5))
+    root = _first_root(base.modulus, field)
+    assert field._np_tables is None
+
+    def value_at(x):
+        acc = (0,) * field.k
+        for c in reversed(base.modulus):
+            acc = field._add(field._mul(acc, x), field.element(c).coeffs)
+        return acc
+
+    assert root == next(i for i, t in enumerate(field._tuples()) if not any(value_at(t)))
