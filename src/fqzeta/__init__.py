@@ -9,7 +9,6 @@ systems whose solution spaces the solver analyzes (tracesolver).
 
 from .errors import (
     BudgetExceededError,
-    DegenerateQError,
     DimensionMismatchError,
     DualityViolationError,
     FqZetaError,
@@ -20,7 +19,6 @@ from .errors import (
     NonIntegralCountError,
     NoRationalFitError,
     NotPrimeError,
-    RoundingMismatchError,
     WeightSeparationError,
 )
 from .fields import (

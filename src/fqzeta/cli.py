@@ -34,7 +34,6 @@ from .errors import (
     MalformedSpecError,
     NonIntegralCoefficientsError,
     NoRationalFitError,
-    RoundingMismatchError,
     WeightSeparationError,
 )
 from .pairsearch import find_pairs
@@ -63,7 +62,6 @@ _FIT_ERRORS = (
     NonIntegralCoefficientsError,
     InsufficientCountsError,
     WeightSeparationError,
-    RoundingMismatchError,
 )
 
 
@@ -125,7 +123,7 @@ def _cmd_zeta(args) -> int:
     spec = load_spec(args.spec)
     profile = _load_profile(args.profile)
     series, zeta = _reconstruct_zeta(spec, profile, args.budget, args.extra_terms)
-    factorization = factor_by_weights(zeta, profile, tol=args.tolerance)
+    factorization = factor_by_weights(zeta, profile)
     duality = check_functional_equation(factorization)
     rh = check_riemann_hypothesis(factorization, tol=args.tolerance)
     if args.format == "json":
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=_tolerance,
         default=1e-9,
-        help="relative tolerance for the numeric root-modulus checks",
+        help="relative tolerance for the advisory root-modulus check",
     )
 
     parser = argparse.ArgumentParser(

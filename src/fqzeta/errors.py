@@ -53,11 +53,7 @@ class NonIntegralCountError(FqZetaError):
 
 
 class WeightSeparationError(FqZetaError):
-    """Roots could not be assigned unambiguously to weight classes."""
-
-
-class RoundingMismatchError(FqZetaError):
-    """Rounded weight factors fail the exact product identity."""
+    """The zeta function does not split into factors of the profile's weights."""
 
 
 class DualityViolationError(FqZetaError):
@@ -66,10 +62,6 @@ class DualityViolationError(FqZetaError):
     def __init__(self, message: str, *, degrees: tuple[int, ...]):
         super().__init__(message)
         self.degrees = degrees
-
-
-class DegenerateQError(FqZetaError):
-    """Defensive: a symbolic pivot vanished identically during elimination."""
 
 
 class DimensionMismatchError(FqZetaError):

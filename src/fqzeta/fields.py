@@ -426,15 +426,20 @@ class FieldElement:
         return f"FieldElement({self.coeffs!r} over F_{self.field.p}^{self.field.k})"
 
 
-@lru_cache(maxsize=None)
-def make_extension(p: int, k: int) -> ExtensionField:
-    """F_{p^k} with the lexicographically smallest monic irreducible modulus."""
+def check_characteristic(p) -> None:
+    """Raise unless p is a prime below MAX_CHARACTERISTIC; builds no field."""
     if not isinstance(p, int) or p < 2:
         raise NotPrimeError(f"characteristic must be an integer >= 2, got {p!r}")
     if p >= MAX_CHARACTERISTIC:
         raise ValueError(f"characteristic {p} exceeds supported bound 2^31")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
+
+
+@lru_cache(maxsize=None)
+def make_extension(p: int, k: int) -> ExtensionField:
+    """F_{p^k} with the lexicographically smallest monic irreducible modulus."""
+    check_characteristic(p)
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
     return ExtensionField(p, k, _smallest_irreducible(p, k))

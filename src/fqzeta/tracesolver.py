@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, polys
-from .errors import DegenerateQError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .ratfunc import ONE, RationalFunctionQ, render_int_poly
 from .zeta import TraceVector
 
@@ -184,25 +184,6 @@ def build_constraint_system(
     )
 
 
-def _clear_rows(system: TraceConstraintSystem):
-    """Scale each row by its denominator lcm so entries are polynomial in q.
-
-    Multiplying a row by a nonzero element of Q(q) does not change the
-    solution set; it keeps the elimination free of nested fractions.
-    """
-    cleared = []
-    for row in system.rows:
-        common = polys.ONE
-        for c in row.coeffs:
-            g = polys.gcd(common, c.den)
-            common = polys.div_mod(polys.mul(common, c.den), g)[0]
-        scale = RationalFunctionQ(common)
-        if not scale:
-            raise DegenerateQError(f"row {row.label} cleared to zero")
-        cleared.append([c * scale for c in row.coeffs])
-    return cleared
-
-
 def _relation_from_row(row, pivot_col: int) -> Relation:
     """Integer-cleared form of a nonzero RREF row, pivot coefficient positive."""
     entries = [(i, c) for i, c in enumerate(row) if c]
@@ -231,12 +212,13 @@ def _relation_from_row(row, pivot_col: int) -> Relation:
     return Relation(tuple(sorted(out)))
 
 
-def solve_forced(system: TraceConstraintSystem) -> ForcedReport:
-    """Row-reduce over Q(q); degree i is forced iff D_i = 0 in every solution."""
-    n = system.unknowns
-    matrix = _clear_rows(system)
-    col_order = list(range(n - 1, -1, -1))
-    rows, pivots = linalg.rref(matrix, col_order=col_order)
+def _reduce(matrix, n: int) -> tuple[tuple[int, ...], tuple[Relation, ...]]:
+    """RREF with columns from degree n - 1 down to 0.
+
+    Returns the degrees whose pivot row is the lone entry D_i = 0, and one
+    relation per other pivot row.
+    """
+    rows, pivots = linalg.rref(matrix, col_order=range(n - 1, -1, -1))
     forced = []
     residual = []
     for r, col in pivots:
@@ -245,9 +227,18 @@ def solve_forced(system: TraceConstraintSystem) -> ForcedReport:
             forced.append(col)
         else:
             residual.append(_relation_from_row(rows[r], col))
-    return ForcedReport(
-        system.d, system.flags, tuple(sorted(forced)), tuple(residual)
-    )
+    return tuple(sorted(forced)), tuple(residual)
+
+
+def solve_forced(system: TraceConstraintSystem) -> ForcedReport:
+    """Row-reduce over Q(q); degree i is forced iff D_i = 0 in every solution.
+
+    The rows are reduced as given: scaling a row by a nonzero element of Q(q)
+    keeps the row space, and the RREF of a row space for a fixed column order
+    is unique.
+    """
+    forced, residual = _reduce([row.coeffs for row in system.rows], system.unknowns)
+    return ForcedReport(system.d, system.flags, forced, residual)
 
 
 def instantiate_at_q(system: TraceConstraintSystem, q0) -> NumericTraceSystem:
@@ -306,12 +297,7 @@ def solve_forced_numeric(nsys: NumericTraceSystem) -> ForcedReport:
             forced.append(i)
     # Residual relations are presentation only; reuse the shared RREF.
     sym_rows = [[RationalFunctionQ((c,)) for c in row] for row in nsys.rows]
-    rows, pivots = linalg.rref(sym_rows, col_order=range(n - 1, -1, -1))
-    residual = []
-    for r, col in pivots:
-        support = [j for j, c in enumerate(rows[r]) if c]
-        if support != [col]:
-            residual.append(_relation_from_row(rows[r], col))
+    _, residual = _reduce(sym_rows, n)
     flags = SolverFlags(
         "ALBANESE" in nsys.labels,
         any(lbl.startswith("HL(") for lbl in nsys.labels),

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
-from .fields import _CHUNK, ExtensionField, make_extension
+from .fields import _CHUNK, ExtensionField, check_characteristic, make_extension
 
 DEFAULT_BUDGET = 10**8
 
@@ -85,7 +85,7 @@ class VarietySpec:
         if not _is_int(p) or not _is_int(k) or k < 1:
             raise MalformedSpecError("p must be an int and k a positive int")
         try:
-            make_extension(p, k)  # validates primality and size of p
+            check_characteristic(p)
         except (NotPrimeError, ValueError) as exc:
             raise MalformedSpecError(str(exc)) from None
         if not isinstance(ambient_raw, dict):

@@ -6,15 +6,14 @@ function in t with integer coefficients and constant term 1 in numerator and
 denominator.  This module converts exactly between:
 
 * point-count series and zeta functions (both directions),
-* a zeta function and its factors P_0..P_{2d} grouped by root modulus
-  q^(-i/2), one factor per cohomological degree,
+* a zeta function and its factors P_0..P_{2d} by the weight of their inverse
+  roots, one factor per cohomological degree, split by exact polynomial gcds,
 * factor coefficients and the traces of the q^n-power Frobenius per degree,
   via Newton's identities.
 
-All reported objects are integer polynomials verified by exact identities;
-floating point appears only as a guide when grouping roots by modulus, and in
-the advisory modulus check (check_riemann_hypothesis), never as a source of
-truth.
+All reported objects are integer polynomials computed exactly; floating point
+appears only in the advisory root-modulus check (check_riemann_hypothesis),
+never as a source of truth.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from .errors import (
     NonIntegralCoefficientsError,
     NonIntegralCountError,
     NoRationalFitError,
-    RoundingMismatchError,
     WeightSeparationError,
 )
-from .varieties import PointCountSeries
+from .varieties import PointCountSeries, _is_int
 
 DEFAULT_RH_TOLERANCE = 1e-9
 
@@ -93,12 +91,17 @@ class CohomologyProfile:
     @staticmethod
     def from_dict(data: dict) -> "CohomologyProfile":
         try:
-            d, betti = data["d"], tuple(int(b) for b in data["betti"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            d, betti = data["d"], data["betti"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed profile: {type(exc).__name__}: {exc}") from None
-        if not isinstance(d, int):
+        if not _is_int(d):
             raise ValueError(f"profile d must be an integer, got {d!r}")
-        return CohomologyProfile(d, betti)
+        # Integral floats such as 1.0 are Betti numbers too; 2.5 or true is not.
+        if not isinstance(betti, list) or not all(
+            _is_int(b) or isinstance(b, float) and b.is_integer() for b in betti
+        ):
+            raise ValueError(f"profile betti must be a list of integers, got {betti!r}")
+        return CohomologyProfile(d, tuple(int(b) for b in betti))
 
     def to_dict(self) -> dict:
         return {"d": self.d, "betti": list(self.betti)}
@@ -324,16 +327,31 @@ def _roots_with_multiplicity(int_poly) -> list[complex]:
 
 
 def factor_by_weights(
-    zeta: ZetaFunction, profile: CohomologyProfile, tol: float = DEFAULT_RH_TOLERANCE
+    zeta: ZetaFunction, profile: CohomologyProfile
 ) -> WeilFactorization:
-    """Split zeta into factors P_i grouped by root modulus q^(-i/2).
+    """Split zeta into integer factors P_i whose inverse roots have weight i.
 
-    Roots are located numerically and grouped by modulus within relative
-    tolerance tol; a root matching zero or several weight classes is an
-    error, never a guess.  The regrouped integer factors are verified against
-    the input by exact polynomial multiplication.
+    Every inverse root of a variety's zeta function is a q-Weil number
+    (Deligne, Weil I): an algebraic integer alpha of weight i, all of whose
+    conjugates have modulus q^(i/2), so that conj(alpha) = q^i / alpha.  The
+    factors are therefore peeled exactly, weight 0 first, from the numerator
+    (odd i) or the denominator (even i), here called F:
+
+        P_i = gcd(F, F_i),  F_i(t) = sum_m F[deg F - m] q^(im) t^m,
+
+    scaled to constant term 1, then divided out of F.  F_i has the inverse
+    roots q^i / alpha, so the gcd keeps every weight-i root with its
+    multiplicity.  A root of weight j > i would need a partner of weight
+    2i - j < i, which is already peeled.  Degrees with b_i = 0 are peeled too,
+    so that no root is absorbed at a weight the profile has no slot for.
+    Inverse roots that are not q-Weil numbers may still pair up and be split;
+    check_riemann_hypothesis reports them.
+
+    Each P_i divides an integer polynomial with constant term 1, so by Gauss's
+    lemma it has integer coefficients, and once every deg P_i = b_i the
+    degree checks below leave nothing unpeeled.
     """
-    d, betti = profile.d, profile.betti
+    d, betti, q = profile.d, profile.betti, zeta.q
     if polys.degree(zeta.num) != profile.odd_total:
         raise ValueError(
             f"numerator degree {polys.degree(zeta.num)} != sum of odd betti "
@@ -345,57 +363,20 @@ def factor_by_weights(
             f"numbers {profile.even_total}"
         )
 
-    pools = {
-        0: _roots_with_multiplicity(zeta.den),
-        1: _roots_with_multiplicity(zeta.num),
-    }
-    assigned: dict[int, list[complex]] = {i: [] for i in range(2 * d + 1)}
-    for parity, pool in pools.items():
-        targets = [i for i in range(parity, 2 * d + 1, 2) if betti[i] > 0]
-        for root in pool:
-            matches = [
-                i
-                for i in targets
-                if abs(abs(root) - zeta.q ** (-i / 2)) <= tol * zeta.q ** (-i / 2)
-            ]
-            if len(matches) != 1:
-                raise WeightSeparationError(
-                    f"root {root} of modulus {abs(root):.12g} matches weight "
-                    f"classes {matches} at tolerance {tol}"
-                )
-            assigned[matches[0]].append(root)
-    for i in range(2 * d + 1):
-        if len(assigned[i]) != betti[i]:
-            raise WeightSeparationError(
-                f"degree {i}: expected {betti[i]} roots of modulus "
-                f"q^(-{i}/2), found {len(assigned[i])}"
-            )
-
+    rest = [polys.from_ints(zeta.den), polys.from_ints(zeta.num)]
     factors = []
     for i in range(2 * d + 1):
-        coeffs = [complex(1)]
-        for root in assigned[i]:
-            alpha = 1 / root
-            coeffs = [
-                (coeffs[j] if j < len(coeffs) else 0)
-                - alpha * (coeffs[j - 1] if j >= 1 else 0)
-                for j in range(len(coeffs) + 1)
-            ]
-        factors.append(tuple(int(round(c.real)) for c in coeffs))
-
-    even = (1,)
-    odd = (1,)
-    for i, f in enumerate(factors):
-        if i % 2 == 0:
-            even = polys.to_ints(polys.mul(even, f))
-        else:
-            odd = polys.to_ints(polys.mul(odd, f))
-    if even != zeta.den or odd != zeta.num:
-        raise RoundingMismatchError(
-            "rounded weight factors fail the exact product identity: "
-            f"even {even} vs {zeta.den}, odd {odd} vs {zeta.num}"
-        )
-    return WeilFactorization(zeta.q, d, tuple(factors))
+        f = rest[i % 2]
+        g = polys.gcd(f, [c * q ** (i * m) for m, c in enumerate(reversed(f))])
+        p_i = polys.scale(g, 1 / g[0])
+        if polys.degree(p_i) != betti[i]:
+            raise WeightSeparationError(
+                f"degree {i}: expected {betti[i]} inverse roots of weight {i}, "
+                f"found the factor {polys.to_ints(p_i)}"
+            )
+        rest[i % 2] = polys.div_mod(f, p_i)[0]
+        factors.append(polys.to_ints(p_i))
+    return WeilFactorization(q, d, tuple(factors))
 
 
 def traces_from_factorization(w: WeilFactorization, depth: int) -> TraceVector:

@@ -153,7 +153,17 @@ def test_bad_tolerance_is_a_usage_error(capsys, fixtures_dir, tolerance):
 
 @pytest.mark.parametrize(
     "profile",
-    ['{"d": 1}', '{"d": 1, "betti": 5}', '{"d": 1, "betti": [1, null, 1]}', '{"d": "1", "betti": [1, 2, 1]}', "[1, 2, 1]"],
+    [
+        '{"d": 1}',
+        '{"d": 1, "betti": 5}',
+        '{"d": 1, "betti": [1, null, 1]}',
+        '{"d": "1", "betti": [1, 2, 1]}',
+        "[1, 2, 1]",
+        '{"d": true, "betti": [1, 2, 1]}',
+        '{"d": 1, "betti": "121"}',
+        '{"d": 1, "betti": [1, 2.5, 1]}',
+        '{"d": 1, "betti": [true, 2, true]}',
+    ],
 )
 def test_malformed_profile_is_a_one_line_error(capsys, fixtures_dir, tmp_path, profile):
     path = tmp_path / "profile.json"
@@ -164,6 +174,25 @@ def test_malformed_profile_is_a_one_line_error(capsys, fixtures_dir, tmp_path, p
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_over_a_huge_extension_exits_3(capsys, tmp_path):
+    spec = tmp_path / "point.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "label": "P^0 over F_2^160",
+                "p": 2,
+                "k": 160,
+                "ambient": {"type": "projective", "dim": 0},
+                "equations": [],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "count", str(spec), "-n", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ")
 
 
 def test_compare_equal_self(capsys, fixtures_dir):
@@ -374,4 +403,45 @@ def test_malformed_spec_json_exits_2_with_one_line(spec):
     assert out.getvalue() == ""
     message = err.getvalue()
     assert message.startswith("malformed spec: ") and message.count("\n") == 1
+    assert "Traceback" not in message
+
+
+# Malformed profile JSON: every such profile exits 1 with a one-line error
+# before any counting starts.  Integral floats such as 2.0 are valid entries.
+
+_FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+_bad_entry = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+_malformed_profiles = st.one_of(
+    st.one_of(_bad_entry, st.floats()).map(lambda d: {"d": d, "betti": [1, 2, 1]}),
+    st.one_of(_bad_entry, st.integers()).map(lambda b: {"d": 1, "betti": b}),
+    st.tuples(_bad_entry, st.sampled_from([0, 1, 2])).map(
+        lambda t: {"d": 1, "betti": [t[0] if i == t[1] else b for i, b in enumerate([1, 2, 1])]}
+    ),
+    st.lists(st.integers(0, 3), max_size=6)
+    .filter(lambda b: len(b) != 3 or b[0] != 1 or b[2] != 1)
+    .map(lambda b: {"d": 1, "betti": b}),
+    st.integers(-3, 3).filter(lambda d: d != 1).map(lambda d: {"d": d, "betti": [1, 2, 1]}),
+    st.sampled_from(["d", "betti"]).map(lambda k: {k: 1}),
+    st.one_of(st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=3)),
+)
+
+
+@given(_malformed_profiles)
+def test_malformed_profile_json_exits_1_with_one_line(profile):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "profile.json"
+        path.write_text(json.dumps(profile))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["zeta", str(_FIXTURES / "elliptic_f5.json"), "--profile", str(path)])
+    assert code == 1
+    assert out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1
     assert "Traceback" not in message

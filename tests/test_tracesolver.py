@@ -286,6 +286,20 @@ def test_row_evaluation_uses_qn_for_power_n():
             assert c.value == expected
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+def test_report_invariant_under_row_scaling(d):
+    # Scaling a row by a nonzero element of Q(q) keeps the row space, and
+    # with it the RREF, the forced set and the residual relations.
+    scale = RationalFunctionQ((1, 0, 1), (0, 0, 0, 1))  # (q^2 + 1) / q^3
+    for alb, hl, triv in ALL_FLAGS:
+        base = system(d, alb, hl, triv)
+        rows = tuple(
+            ConstraintRow(r.label, tuple(c * scale for c in r.coeffs)) for r in base.rows
+        )
+        scaled = TraceConstraintSystem(d, rows, base.flags)
+        assert solve_forced(scaled).to_dict() == solve_forced(base).to_dict()
+
+
 def test_scaling_differences_preserves_satisfaction():
     tx = traces_from_factorization(ELLIPTIC_W5, 3)
     ty = traces_from_factorization(P1_W5, 3)

@@ -281,6 +281,14 @@ def test_spec_shape_errors_are_malformed(change, message):
         VarietySpec.from_dict({**base, **change})
 
 
+def test_loading_a_spec_builds_no_field():
+    # Validating p must not search for a degree-k modulus: that search takes
+    # about a minute at k = 512, for a field no budget admits.
+    misses = make_extension.cache_info().misses
+    _projective_space(2, 160, 0)
+    assert make_extension.cache_info().misses == misses
+
+
 def test_load_spec_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,12 +245,119 @@ def test_weight_separation_failure_on_wrong_moduli():
         factor_by_weights(z, CohomologyProfile(1, (1, 0, 1)))
 
 
-def test_weight_separation_fails_loudly_on_ambiguity():
-    # A huge tolerance makes every root match several weight classes; the
-    # split must refuse rather than guess.
-    z = ZetaFunction(2, (1,), (1, -7, 14, -8))
-    with pytest.raises(WeightSeparationError, match="classes"):
-        factor_by_weights(z, CohomologyProfile(2, (1, 0, 1, 0, 1)), tol=0.9)
+def projective_space_zeta(q, d):
+    return ZetaFunction(q, (1,), product_poly(*((1, -(q**i)) for i in range(d + 1))))
+
+
+@pytest.mark.parametrize("q, d", [(10007, 5), (2**31 - 1, 3)])
+def test_projective_space_splits_beyond_float_precision(q, d):
+    # Coefficients beyond 2^53 once broke a float-rounding split.
+    z = projective_space_zeta(q, d)
+    assert max(abs(c) for c in z.den).bit_length() > 53
+    w = factor_by_weights(z, CohomologyProfile(d, (1, 0) * d + (1,)))
+    assert w.factors[0::2] == tuple((1, -(q**i)) for i in range(d + 1))
+    assert set(w.factors[1::2]) == {(1,)}
+    assert check_riemann_hypothesis(w)["ok"]
+
+
+def test_non_weil_roots_are_split_and_flagged():
+    # 1 - 11t + 25t^2 has real inverse roots (11 +- sqrt 21)/2, not 5-Weil
+    # numbers of weight 2, yet they pair under alpha -> 25/alpha.  The split
+    # assumes Deligne's theorem; the advisory check reports the violation.
+    z = ZetaFunction(5, (1,), product_poly((1, -1), (1, -11, 25), (1, -25)))
+    w = factor_by_weights(z, CohomologyProfile(2, (1, 0, 2, 0, 1)))
+    assert w.factors == ((1, -1), (1,), (1, -11, 25), (1,), (1, -25))
+    report = check_riemann_hypothesis(w)
+    assert not report["ok"]
+    assert [v["degree"] for v in report["violations"]] == [2, 2]
+
+
+def test_weight_separation_peels_empty_degrees():
+    # Inverse roots q and q^3 pair under alpha -> q^4/alpha, so they would
+    # pass for the two weight-4 roots the profile asks for if degree 2, where
+    # the profile expects nothing, were not peeled first.
+    q = 3
+    z = ZetaFunction(q, (1,), product_poly((1, -1), (1, -q), (1, -(q**3)), (1, -(q**4))))
+    with pytest.raises(WeightSeparationError, match="degree 2"):
+        factor_by_weights(z, CohomologyProfile(4, (1, 0, 0, 0, 2, 0, 0, 0, 1)))
+
+
+def random_weil_factors(rng, d, q, terms):
+    """P_0..P_{2d} from genus-1 Weil factors 1 - a t + q t^2, |a| <= 2 sqrt(q),
+    with the point counts N_1..N_terms that Lefschetz's formula gives.
+
+    Weight 2j+1 takes the factor twisted by q^j; weight 2j >= 2 takes 1 - q^j t
+    or the symmetric square twisted by q^(j-1).  The power sums of the inverse
+    roots come from the Lucas recursion, not from the factor coefficients.
+    Weights above d are the q^(i-d) twists that the functional equation asks.
+    Returns None when some N_n is negative.
+    """
+    bound = math.isqrt(4 * q)
+    factors = [(1, -1)]
+    sums = [[1] * terms]
+    for i in range(1, d + 1):
+        j = i // 2
+        factor, power_sums = (1,), [0] * terms
+        for _ in range(rng.randint(1, 2)):
+            a = rng.randint(-bound, bound)
+            s = frobenius_power_sums(a, q, 2 * terms)
+            if i % 2:
+                part = (1, -a * q**j, q**i)
+                ps = [q ** (j * n) * s[n - 1] for n in range(1, terms + 1)]
+            elif rng.random() < 0.5:
+                part = (1, -(q**j))
+                ps = [q ** (j * n) for n in range(1, terms + 1)]
+            else:
+                part = (1, -(a * a - 2 * q) * q ** (j - 1), q**i)
+                ps = [q ** ((j - 1) * n) * s[2 * n - 1] for n in range(1, terms + 1)]
+            factor = product_poly(factor, part)
+            power_sums = [x + y for x, y in zip(power_sums, ps)]
+        factors.append(factor)
+        sums.append(power_sums)
+    for i in range(d + 1, 2 * d + 1):
+        scale = q ** (i - d)
+        factors.append(tuple(c * scale**m for m, c in enumerate(factors[2 * d - i])))
+        sums.append([x * scale**n for n, x in enumerate(sums[2 * d - i], 1)])
+    counts = tuple(sum((-1) ** i * s[n] for i, s in enumerate(sums)) for n in range(terms))
+    return (tuple(factors), counts) if min(counts) >= 0 else None
+
+
+# Prime powers q whose zeta coefficients pass 2^53 in dimension d.
+LARGE_Q = {
+    1: [(2**31 - 1) ** 2, 3**38, 10007**4],
+    2: [2**31 - 1, 3**19, 10007**2],
+    3: [10007, 65537],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_weil_products_split_exactly_beyond_float_precision(d, seed):
+    rng = random.Random(1000 * d + seed)
+    q = rng.choice(LARGE_Q[d])
+    for _ in range(3):
+        while True:
+            drawn = random_weil_factors(rng, d, q, 24)
+            if drawn:
+                break
+        factors, lefschetz = drawn
+        profile = CohomologyProfile(d, tuple(len(f) - 1 for f in factors))
+        num, den = product_poly(*factors[1::2]), product_poly(*factors[0::2])
+        assert max(abs(c) for c in num + den).bit_length() > 53
+        zeta = ZetaFunction(q, num, den)
+        assert factor_by_weights(zeta, profile).factors == factors
+        # The fit needs sum(betti) - 2 counts; two more check it.
+        terms = sum(profile.betti)
+        series = counts_from_zeta(zeta, terms)
+        assert series.counts == lefschetz[:terms]
+        fitted = zeta_from_counts(
+            series,
+            profile.odd_total,
+            profile.even_total,
+            known_denominator=connected_denominator(q, d),
+        )
+        assert fitted == zeta
+        assert factor_by_weights(fitted, profile).factors == factors
 
 
 def test_factorization_degree_preconditions():
