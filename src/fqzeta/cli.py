@@ -10,7 +10,8 @@ Exit codes are a stable contract:
     2  malformed variety spec (including a composite or too large p), or a
        command-line usage error (such as ``count -n 0``,
        ``zeta --extra-terms -1`` or ``--tolerance -1``)
-    3  enumeration budget exceeded
+    3  enumeration budget exceeded (for ``find-pair``: the primes in range
+       may need more than ``--budget`` points of F_{p^2}, (2p+6)p^2 each)
     4  no consistent rational zeta fit for the given counts and profile
     5  duality (functional equation) violation
     6  the compared varieties live over different fields
@@ -197,7 +198,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_find_pair(args) -> int:
-    results = find_pairs(args.p_min, args.p_max)
+    results = find_pairs(args.p_min, args.p_max, budget=args.budget)
     if args.format == "json":
         _emit_json([r.to_dict() for r in results])
     else:
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max ambient points to enumerate (default 10^8)",
+        help="max ambient points to enumerate; for find-pair, max F_{p^2} "
+        "points its N_2 sums may evaluate, (2p+6)p^2 per prime (default 10^8)",
     )
     common.add_argument(
         "--format", choices=("human", "json"), default="human", help="output format"

@@ -1,28 +1,36 @@
 """Search for non-isomorphic elliptic curves over F_p with equal zeta functions.
 
 Short Weierstrass curves y^2 = x^3 + ax + b over F_p (p > 3, nonzero
-discriminant) are swept exhaustively.  N_1 and N_2 are both computed by
-exhaustive character sums (the number of y with y^2 = s is 1 + chi(s)), then
-cross-checked against the genus-1 trace recursion
+discriminant) are swept exhaustively.  Models related by
+(a, b) -> (u^4 a, u^6 b) for u in F_p^* are the same curve; visiting the
+models in lex order meets each such class first at its smallest member,
+which becomes the class representative.  j-invariant equality is
+deliberately not used: it ignores twists.
 
-    a_p = p + 1 - N_1,      N_2 = p^2 + 1 - (a_p^2 - 2p).
+Counts are exhaustive character sums (the number of y with y^2 = s is
+1 + chi(s)).  N_2 is summed over F_{p^2} once per class, at its
+representative: about 2p sums of p^2 terms per prime instead of p^2 of them.
+N_1 is summed over F_p for every model, and every model's N_1 is
+cross-checked against its class's N_2 by the genus-1 trace recursion
 
-Curves are bucketed by (N_1, N_2); within a bucket, models related by
-(a, b) -> (u^4 a, u^6 b) for u in F_p^* are the same curve, so each model is
-reduced to the lexicographically smallest member of its orbit.  j-invariant
-equality is deliberately not used: it ignores twists.  A bucket holding two
-or more distinct classes witnesses an equal-zeta pair of non-isomorphic
-curves; since equality of zeta functions is transitive, one witness pair per
-bucket carries the complete finding.  Equal (N_1, N_2) pins the whole zeta
-function in genus 1, so every emitted pair is an equal-zeta pair.
+    a_p = p + 1 - N_1,      N_2 = p^2 + 1 - (a_p^2 - 2p),
+
+so a model mapped to a class of another |a_p| fails the check too.
+
+Classes are bucketed by (N_1, N_2).  A bucket holding two or more classes
+witnesses an equal-zeta pair of non-isomorphic curves; since equality of
+zeta functions is transitive, one witness pair per bucket carries the
+complete finding.  Equal (N_1, N_2) pins the whole zeta function in genus 1,
+so every emitted pair is an equal-zeta pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import is_prime, make_extension
-from .varieties import VarietySpec
+from .errors import BudgetExceededError
+from .fields import check_characteristic, is_prime, make_extension
+from .varieties import DEFAULT_BUDGET, VarietySpec
 from .zeta import ZetaFunction
 
 
@@ -80,17 +88,40 @@ def curve_zeta(p: int, trace: int) -> ZetaFunction:
     return ZetaFunction(p, (1, -trace, p), (1, -(p + 1), p))
 
 
-def _canonical_class(p: int, a: int, b: int) -> tuple[int, int]:
-    """Smallest model in the twisting orbit (a, b) ~ (u^4 a, u^6 b)."""
-    best = (a, b)
-    for u in range(2, p):
-        u2 = u * u % p
-        u4 = u2 * u2 % p
-        u6 = u4 * u2 % p
-        cand = (a * u4 % p, b * u6 % p)
-        if cand < best:
-            best = cand
-    return best
+def _class_representatives(p: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each nonsingular model (a, b) mapped to the smallest member of its
+    orbit (u^4 a, u^6 b), u in F_p^*: lex order meets every orbit first there."""
+    multipliers = {(pow(u, 4, p), pow(u, 6, p)) for u in range(1, p)}
+    rep: dict[tuple[int, int], tuple[int, int]] = {}
+    for a in range(p):
+        for b in range(p):
+            if (4 * a * a * a + 27 * b * b) % p == 0 or (a, b) in rep:
+                continue
+            for u4, u6 in multipliers:
+                rep[a * u4 % p, b * u6 % p] = (a, b)
+    return rep
+
+
+def _sweep_primes(p_min: int, p_max: int, budget: int) -> list[int]:
+    """The primes in [max(p_min, 5), p_max], refused before any table is built
+    once the points their N_2 sums may evaluate pass ``budget``."""
+    primes, work = [], 0
+    for p in range(max(p_min, 5), p_max + 1):
+        if not is_prime(p):
+            continue
+        # At most 2p + 6 classes over F_p, each summed over all of F_{p^2};
+        # this also bounds the p^3 terms of the N_1 sums.
+        work += (2 * p + 6) * p * p
+        if work > budget:
+            raise BudgetExceededError(
+                f"the N_2 sums for primes {max(p_min, 5)}..{p} evaluate up to "
+                f"{work} points, exceeds budget {budget}",
+                required=work,
+                budget=budget,
+            )
+        check_characteristic(p)
+        primes.append(p)
+    return primes
 
 
 def _count_tables(p: int):
@@ -110,32 +141,36 @@ def _count_tables(p: int):
     return chi1, chi2, elems, cubes
 
 
-def find_pairs(p_min: int = 5, p_max: int = 31) -> list[PairSearchResult]:
-    """One witness pair per (p, N_1, N_2) bucket holding >= 2 curve classes."""
+def find_pairs(
+    p_min: int = 5, p_max: int = 31, *, budget: int = DEFAULT_BUDGET
+) -> list[PairSearchResult]:
+    """One witness pair per (p, N_1, N_2) bucket holding >= 2 curve classes.
+
+    Raises BudgetExceededError, before any counting, when the primes in range
+    need more than ``budget`` points of F_{p^2}, reckoned as (2p + 6) p^2 each.
+    """
     results = []
-    for p in range(max(p_min, 5), p_max + 1):
-        if not is_prime(p):
-            continue
+    for p in _sweep_primes(p_min, p_max, budget):
         chi1, chi2, elems, cubes = _count_tables(p)
+        n2_of: dict[tuple[int, int], int] = {}
         buckets: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        for a in range(p):
-            for b in range(p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    continue
-                s1 = 0
-                for x in range(p):
-                    s1 += chi1[(x * x * x + a * x + b) % p]
-                n1 = p + 1 + s1
+        for (a, b), cls in sorted(_class_representatives(p).items()):
+            if cls == (a, b):
                 s2 = 0
                 for (x0, x1), (c0, c1) in zip(elems, cubes):
                     s2 += chi2[((c0 + a * x0 + b) % p, (c1 + a * x1) % p)]
-                n2 = p * p + 1 + s2
-                trace = p + 1 - n1
-                if n2 != p * p + 1 - (trace * trace - 2 * p):
-                    raise AssertionError(
-                        f"count inconsistency for y^2=x^3+{a}x+{b} over F_{p}"
-                    )
-                buckets.setdefault((n1, n2), set()).add(_canonical_class(p, a, b))
+                n2_of[cls] = p * p + 1 + s2
+            n2 = n2_of[cls]
+            s1 = 0
+            for x in range(p):
+                s1 += chi1[(x * x * x + a * x + b) % p]
+            n1 = p + 1 + s1
+            trace = p + 1 - n1
+            if n2 != p * p + 1 - (trace * trace - 2 * p):
+                raise AssertionError(
+                    f"count inconsistency for y^2=x^3+{a}x+{b} over F_{p}"
+                )
+            buckets.setdefault((n1, n2), set()).add(cls)
         for (n1, n2), classes in sorted(buckets.items()):
             if len(classes) < 2:
                 continue

@@ -70,6 +70,13 @@ class CohomologyProfile:
     betti: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_int(self.d):
+            raise ValueError(f"profile d must be an integer, got {self.d!r}")
+        # Integral floats such as 1.0 are Betti numbers too; 2.5 or True is not.
+        if not isinstance(self.betti, (list, tuple)) or not all(
+            _is_int(b) or isinstance(b, float) and b.is_integer() for b in self.betti
+        ):
+            raise ValueError(f"profile betti must be a list of integers, got {self.betti!r}")
         object.__setattr__(self, "betti", tuple(int(b) for b in self.betti))
         if len(self.betti) != 2 * self.d + 1:
             raise ValueError(f"expected {2 * self.d + 1} betti numbers, got {len(self.betti)}")
@@ -94,14 +101,7 @@ class CohomologyProfile:
             d, betti = data["d"], data["betti"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed profile: {type(exc).__name__}: {exc}") from None
-        if not _is_int(d):
-            raise ValueError(f"profile d must be an integer, got {d!r}")
-        # Integral floats such as 1.0 are Betti numbers too; 2.5 or true is not.
-        if not isinstance(betti, list) or not all(
-            _is_int(b) or isinstance(b, float) and b.is_integer() for b in betti
-        ):
-            raise ValueError(f"profile betti must be a list of integers, got {betti!r}")
-        return CohomologyProfile(d, tuple(int(b) for b in betti))
+        return CohomologyProfile(d, betti)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "betti": list(self.betti)}

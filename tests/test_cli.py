@@ -299,7 +299,7 @@ def test_solve_d_out_of_range(capsys):
     assert code2 == 1  # runs, but d=9 leaves residuals
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=None):
     # The child imports the same fqzeta as this process, installed or not.
     src = str(pathlib.Path(fqzeta.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -308,6 +308,7 @@ def _run_module(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 
@@ -445,3 +446,49 @@ def test_malformed_profile_json_exits_1_with_one_line(profile):
     message = err.getvalue()
     assert message.startswith("error: ") and message.count("\n") == 1
     assert "Traceback" not in message
+
+
+# find-pair arguments: any integers for the prime range and the budget end in
+# a result (0), a usage error (2) or a budget refusal (3), never a traceback.
+# Budgets stay small, so every admitted sweep is short.
+
+
+@given(
+    st.integers(),
+    st.one_of(st.integers(), st.integers(min_value=2**31)),
+    st.integers(max_value=10**5),
+)
+def test_find_pair_arguments_exit_0_2_or_3(p_min, p_max, budget):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["find-pair", f"--p-min={p_min}", f"--p-max={p_max}", f"--budget={budget}"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3)
+    message = err.getvalue()
+    assert message.count("\n") <= 1
+    assert "Traceback" not in message
+    if code == 3:
+        assert out.getvalue() == "" and message.startswith("budget exceeded: ")
+
+
+def test_find_pair_up_to_the_largest_prime_exits_3_promptly():
+    proc = _run_module("find-pair", "--p-max", "2147483647", timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1
+
+
+def test_find_pair_budget_admits_or_refuses_the_sweep(capsys):
+    # 5 and 7 need (2*5+6)*25 + (2*7+6)*49 = 1380 points of F_{p^2} at most.
+    argv = ("find-pair", "--p-min", "5", "--p-max", "7", "--budget")
+    code, out, _ = run_cli(capsys, *argv, "1380")
+    assert code == 0 and out.startswith("p=5")
+    code, out, err = run_cli(capsys, *argv, "1379")
+    assert code == 3 and out == ""
+    assert err == (
+        "budget exceeded: the N_2 sums for primes 5..7 evaluate up to 1380 points, "
+        "exceeds budget 1379\n"
+    )

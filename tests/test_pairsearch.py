@@ -1,17 +1,21 @@
+import re
 from collections import defaultdict
 
 import pytest
 
+from fqzeta import pairsearch
+from fqzeta.errors import BudgetExceededError
 from fqzeta.fields import make_extension
 from fqzeta.pairsearch import (
     CurveModel,
-    _canonical_class,
+    _class_representatives,
     _count_tables,
+    _sweep_primes,
     curve_zeta,
     find_pairs,
     weierstrass_spec,
 )
-from fqzeta.varieties import count_points, count_series
+from fqzeta.varieties import DEFAULT_BUDGET, count_points, count_series
 from fqzeta.zeta import counts_from_zeta
 
 
@@ -44,7 +48,7 @@ def test_p5_pairs_frozen():
     ]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23])
 def test_pairs_against_naive_oracle(p):
     # Oracle: sweep all nonsingular (a, b), count N_1 by brute force, bucket
     # by N_1 (which pins the genus-1 zeta), and reduce mod twisting classes.
@@ -98,10 +102,81 @@ def test_weierstrass_spec_matches_naive_count():
         assert count_points(spec, 1) == naive_affine_count(p, a, b)
 
 
-def test_canonical_class_is_orbit_minimum():
-    for p, a, b in ((5, 4, 3), (7, 2, 5), (13, 11, 7)):
-        assert _canonical_class(p, a, b) == min(orbit(p, a, b))
-        assert _canonical_class(p, a, b) in orbit(p, a, b)
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_class_representative_is_orbit_minimum(p):
+    nonsingular = {
+        (a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p
+    }
+    reps = _class_representatives(p)
+    assert set(reps) == nonsingular
+    for (a, b), rep in reps.items():
+        assert rep == min(orbit(p, a, b))
+
+
+def test_each_class_sums_n2_once(monkeypatch):
+    # Only class representatives reach the F_{p^2} sum; counted through the
+    # cube table, which that sum alone reads.
+    p = 13
+    reads = []
+
+    def tables(q):
+        chi1, chi2, elems, cubes = _count_tables(q)
+
+        class Cubes(list):
+            def __iter__(self):
+                reads.append(q)
+                return super().__iter__()
+
+        return chi1, chi2, elems, Cubes(cubes)
+
+    monkeypatch.setattr(pairsearch, "_count_tables", tables)
+    find_pairs(p, p)
+    assert len(reads) == len(set(_class_representatives(p).values()))
+    assert len(reads) <= 2 * p + 6
+
+
+def test_corrupted_n2_table_fails_the_recursion_check(monkeypatch):
+    def corrupted(p):
+        chi1, chi2, elems, cubes = _count_tables(p)
+        chi2 = {**chi2, (1, 0): -chi2[1, 0]}  # 1 is a square in F_{p^2}
+        return chi1, chi2, elems, cubes
+
+    monkeypatch.setattr(pairsearch, "_count_tables", corrupted)
+    with pytest.raises(AssertionError, match="count inconsistency"):
+        find_pairs(5, 5)
+
+
+def test_wrong_class_map_fails_the_per_model_check(monkeypatch):
+    # A model that is no representative, sent to an earlier class whose
+    # N_2 differs: only the check on that model itself can notice.
+    p = 7
+    reps = _class_representatives(p)
+
+    def n2(m):
+        trace = p + 1 - naive_affine_count(p, *m)
+        return p * p + 1 - (trace * trace - 2 * p)
+
+    model = max(m for m, r in reps.items() if m != r)
+    wrong = min(r for r in reps.values() if n2(r) != n2(model))
+    assert wrong < model
+    monkeypatch.setattr(
+        pairsearch, "_class_representatives", lambda q: {**reps, model: wrong}
+    )
+    message = f"y^2=x^3+{model[0]}x+{model[1]} over F_{p}"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        find_pairs(p, p)
+
+
+def test_budget_is_checked_before_any_table(monkeypatch):
+    monkeypatch.setattr(pairsearch, "_count_tables", None)  # never reached
+    with pytest.raises(BudgetExceededError) as exc:
+        find_pairs(2147483629, 2147483647)
+    assert exc.value.required > exc.value.budget
+
+
+def test_default_budget_admits_the_benchmark_range():
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert _sweep_primes(-3, 47, DEFAULT_BUDGET) == primes
 
 
 def test_results_sorted_and_deterministic():

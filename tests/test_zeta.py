@@ -381,6 +381,32 @@ def test_profile_validation():
         CohomologyProfile(1, (1, -2, 1))
 
 
+@pytest.mark.parametrize(
+    "d, betti",
+    [
+        (1, (1, 2.5, 1)),
+        (1, (1, True, 1)),
+        (True, (1, 1, 1)),
+        (True, (1, True, 1)),
+        (1.0, (1, 2, 1)),
+        ("1", (1, 2, 1)),
+        (1, "121"),
+        (1, (1, None, 1)),
+        (1, (1, float("nan"), 1)),
+        (1, (1, float("inf"), 1)),
+    ],
+)
+def test_profile_constructor_rejects_non_integers(d, betti):
+    with pytest.raises(ValueError, match="must be"):
+        CohomologyProfile(d, betti)
+
+
+def test_profile_constructor_reads_integral_floats():
+    assert CohomologyProfile(1, (1.0, 2.0, 1)).betti == (1, 2, 1)
+    assert CohomologyProfile(1, [1, 2, 1]) == CohomologyProfile(1, (1, 2, 1))
+    assert CohomologyProfile.from_dict({"d": 1, "betti": [1, 2.0, 1]}).betti == (1, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # traces and exact checks
 # ---------------------------------------------------------------------------
