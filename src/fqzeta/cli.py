@@ -2,6 +2,10 @@
 
 Subcommands: count | zeta | compare | find-pair | solve.
 
+Every subcommand takes ``--format``.  ``count``, ``zeta``, ``compare`` and
+``find-pair`` take ``--budget``; only ``zeta`` takes ``--tolerance``.  An
+option a subcommand does not take is a usage error.
+
 Exit codes are a stable contract:
 
     0  success (for ``solve``: every trace difference is forced)
@@ -9,7 +13,8 @@ Exit codes are a stable contract:
        a malformed profile)
     2  malformed variety spec (including a composite or too large p), or a
        command-line usage error (such as ``count -n 0``,
-       ``zeta --extra-terms -1`` or ``--tolerance -1``)
+       ``zeta --extra-terms -1``, ``--tolerance -1``, ``solve -d 9`` outside
+       1..``--max-d``, or ``solve --budget``), reported in one line
     3  enumeration budget exceeded (for ``find-pair``: the primes in range
        may need more than ``--budget`` points of F_{p^2}, (2p+6)p^2 each)
     4  no consistent rational zeta fit for the given counts and profile
@@ -53,6 +58,7 @@ from .zeta import (
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_MALFORMED_SPEC = 2
+EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_NO_FIT = 4
 EXIT_DUALITY = 5
@@ -215,9 +221,6 @@ def _cmd_find_pair(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if not 1 <= args.d <= args.max_d:
-        print(f"d must be in 1..{args.max_d}", file=sys.stderr)
-        return EXIT_FAILURE
     system = build_constraint_system(
         args.d,
         include_albanese=args.albanese,
@@ -267,39 +270,42 @@ def _tolerance(text: str) -> float:
 _tolerance.__name__ = "float"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="max ambient points to enumerate; for find-pair, max F_{p^2} "
-        "points its N_2 sums may evaluate, (2p+6)p^2 per prime (default 10^8)",
-    )
-    common.add_argument(
-        "--format", choices=("human", "json"), default="human", help="output format"
-    )
-    common.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=1e-9,
-        help="relative tolerance for the advisory root-modulus check",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line on stderr, like every other error."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="fqzeta",
         description="Zeta functions over finite fields and forced trace equalities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[common], help="print N_1..N_n")
+    def command(name, func, help, budget=None):
+        # Each subcommand takes only the options it honours; any other is a
+        # usage error.
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument(
+            "--format", choices=("human", "json"), default="human", help="output format"
+        )
+        if budget:
+            cmd.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    counting = (
+        "max size of each counting domain (candidate points over F_{q^n}; "
+        "counting by fibres evaluates fewer of them), default 10^8"
+    )
+
+    p_count = command("count", _cmd_count, "print N_1..N_n", counting)
     p_count.add_argument("spec", help="variety spec JSON file")
     p_count.add_argument("-n", "--terms", type=_int_at_least(1), required=True)
-    p_count.set_defaults(func=_cmd_count)
 
-    p_zeta = sub.add_parser(
-        "zeta", parents=[common], help="zeta function, weight factors, checks"
-    )
+    p_zeta = command("zeta", _cmd_zeta, "zeta function, weight factors, checks", counting)
     p_zeta.add_argument("spec", help="variety spec JSON file")
     p_zeta.add_argument("--profile", required=True, help="cohomology profile JSON file")
     p_zeta.add_argument(
@@ -308,25 +314,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="extra counts beyond the minimum, used as consistency checks",
     )
-    p_zeta.set_defaults(func=_cmd_zeta)
+    p_zeta.add_argument(
+        "--tolerance",
+        type=_tolerance,
+        default=1e-9,
+        help="relative tolerance for the advisory root-modulus check",
+    )
 
-    p_cmp = sub.add_parser("compare", parents=[common], help="EQUAL or DIFFER")
+    p_cmp = command("compare", _cmd_compare, "EQUAL or DIFFER", counting)
     p_cmp.add_argument("spec_a")
     p_cmp.add_argument("spec_b")
     p_cmp.add_argument("--profile", required=True)
-    p_cmp.set_defaults(func=_cmd_compare)
 
-    p_find = sub.add_parser(
-        "find-pair", parents=[common], help="equal-zeta non-isomorphic curve pairs"
+    p_find = command(
+        "find-pair",
+        _cmd_find_pair,
+        "equal-zeta non-isomorphic curve pairs",
+        "max F_{p^2} points the N_2 sums may evaluate, (2p+6)p^2 per prime "
+        "(default 10^8)",
     )
     p_find.add_argument("--p-min", type=int, default=5)
     p_find.add_argument("--p-max", type=int, default=31)
-    p_find.set_defaults(func=_cmd_find_pair)
 
-    p_solve = sub.add_parser(
-        "solve", parents=[common], help="forced trace equalities in dimension d"
-    )
-    p_solve.add_argument("-d", type=int, required=True, help="dimension")
+    p_solve = command("solve", _cmd_solve, "forced trace equalities in dimension d")
+    p_solve.add_argument("-d", type=int, required=True, help="dimension, 1..--max-d")
     p_solve.add_argument(
         "--albanese", action=argparse.BooleanOptionalAction, default=True
     )
@@ -337,13 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--trivial", action=argparse.BooleanOptionalAction, default=True
     )
     p_solve.add_argument("--max-d", type=int, default=8)
-    p_solve.set_defaults(func=_cmd_solve)
 
     return parser
 
 
+def _parse_args(argv):
+    # Returns only the namespace, so the parser is garbage before the
+    # command runs instead of adding to its peak memory.
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and not 1 <= args.d <= args.max_d:
+        parser.error(f"argument -d: must be in 1..{args.max_d}, got {args.d}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except MalformedSpecError as exc:

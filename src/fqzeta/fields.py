@@ -13,8 +13,10 @@ ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
 arrays of element indices (index_of: coefficients as base-p digits, c_0
 first).  It gathers from flat order^2 tables when the field has at most 1024
 elements and the caller will evaluate at least order^2 elements, so the
-table build pays for itself (a curve in P^2 over F_{31^2}, not the 1025
-points of P^1 over F_{2^10}).  Otherwise it adds digit-wise and multiplies
+table build pays for itself (the 992 points evaluated for x^3 + y^3 + z^3
+in P^2 over F_31; not the 1922 that fibre counting evaluates for a
+Weierstrass curve in P^2 over F_{31^2}, nor the 1025 points of P^1 over
+F_{2^10}).  Otherwise it adds digit-wise and multiplies
 by convolution, then reduces mod m.  No intermediate exceeds k*(p-1)^2 + p
 or the order, so the kernel is exact in int64 for every p < 2^31 and
 order < 2^63.

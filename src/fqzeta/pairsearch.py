@@ -7,9 +7,11 @@ models in lex order meets each such class first at its smallest member,
 which becomes the class representative.  j-invariant equality is
 deliberately not used: it ignores twists.
 
-Counts are exhaustive character sums (the number of y with y^2 = s is
-1 + chi(s)).  N_2 is summed over F_{p^2} once per class, at its
-representative: about 2p sums of p^2 terms per prime instead of p^2 of them.
+Counts are exhaustive character sums: the number of y with y^2 = s is
+1 + chi(s).  varieties.count_points counts fibres by the same identity,
+with chi from Euler's criterion on numpy arrays; here chi is a table, so
+the search stays pure Python.  N_2 is summed over F_{p^2} once per class, at
+its representative: about 2p sums of p^2 terms per prime instead of p^2.
 N_1 is summed over F_p for every model, and every model's N_1 is
 cross-checked against its class's N_2 by the genus-1 trace recursion
 

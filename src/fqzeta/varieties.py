@@ -1,8 +1,8 @@
-"""Varieties as explicit polynomial systems, counted by exhaustive enumeration.
+"""Varieties as explicit polynomial systems, counted exactly over F_{q^n}.
 
 A variety is described by polynomial equations over F_q (q = p^k) in an
-affine or projective ambient space.  Counting over F_{q^n} enumerates every
-candidate point and tests all equations; projective points are enumerated as
+affine or projective ambient space.  Counting over F_{q^n} runs over a
+domain of candidate points and tests all equations; projective points are
 normalized representatives whose first nonzero coordinate is 1, so no orbit
 bookkeeping is needed.
 
@@ -11,12 +11,23 @@ of the leading 1 (ascending), and free coordinates run through the field in
 lexicographic element order, last coordinate fastest.  count_points accepts a
 ``span`` of positions in this order, so a caller may partition the domain
 into disjoint blocks, count them independently (e.g. on separate workers),
-and sum the results.
+and sum the results.  The budget bounds the size of this domain.
 
-count_points has one evaluator: it walks the domain in chunks of int64
-element indices and evaluates the equations with the field's vectorized
-kernel (ExtensionField.vector_ops).  _count_pure is a pure-Python evaluation
-over coefficient tuples, kept as the tests' oracle for that kernel.
+count_points evaluates with the field's vectorized kernel
+(ExtensionField.vector_ops) on chunks of int64 element indices, in one of
+two ways per block (one position of the leading 1):
+
+* by fibres, for a block wholly inside ``span`` of a one-equation spec with
+  a free coordinate y of degree at most 2 (at most 1 if p = 2).  The
+  equation reads A y^2 + B y + C with A, B, C in the other free
+  coordinates, which are evaluated at the q^(m-1) other points only; the
+  number of y in each fibre follows from #{y : y^2 = s} = 1 + chi(s), with
+  the quadratic character chi read off by Euler's criterion.
+* directly, at every point, for every other block: partial blocks,
+  several equations, or every free coordinate of degree 3 or more.
+
+_count_pure is a pure-Python evaluation at every point over coefficient
+tuples, kept as the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -181,7 +192,7 @@ class PointCountSeries:
 
 
 def domain_size(spec: VarietySpec, n: int) -> int:
-    """Number of candidate points enumerated over F_{q^n}."""
+    """Number of candidate points over F_{q^n}: the size the budget bounds."""
     qn = spec.q**n
     m = spec.ambient.dim
     if spec.ambient.kind == "affine":
@@ -353,13 +364,9 @@ def _count_pure(spec, field, equations, lo, hi) -> int:
 
 
 def _count_numpy(spec, field, equations, lo, hi) -> int:
-    import numpy as np
-
     q = field.order
-    one = field.one.coeffs
-    chunk = _CHUNK // field.k
-    ops = None
     count = 0
+    jobs = []
     for start, size, prefix, n_free in _blocks(spec, field):
         if start + size <= lo or start >= hi:
             continue
@@ -370,42 +377,144 @@ def _count_numpy(spec, field, equations, lo, hi) -> int:
         if not plan:
             count += block_hi - block_lo
             continue
-        # Fetched only for blocks with free coordinates: a single point may
-        # live in a field whose indices overflow int64 (ambient dimension 0).
-        if ops is None:
-            ops = field.vector_ops(hi - lo)
-        add, mul = ops
-        for c0 in range(block_lo, block_hi, chunk):
-            c1 = min(c0 + chunk, block_hi)
-            offs = np.arange(c0, c1, dtype=np.int64)
-            coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
-            powers: dict[tuple[int, int], np.ndarray] = {}
-
-            def power(t, e):
-                if (t, e) not in powers:
-                    pw = coords[t]
-                    for _ in range(e - 1):
-                        pw = mul(pw, coords[t])
-                    powers[t, e] = pw
-                return powers[t, e]
-
-            alive = np.ones(c1 - c0, dtype=bool)
-            for const, terms in plan:
-                acc = None
-                for scalar, free in terms:
-                    vec = None
-                    for t, e in free:
-                        vec = power(t, e) if vec is None else mul(vec, power(t, e))
-                    if scalar != one:
-                        vec = mul(np.full_like(vec, field.index_of(scalar)), vec)
-                    acc = vec if acc is None else add(acc, vec)
-                if any(const):
-                    acc = add(acc, np.full_like(acc, field.index_of(const)))
-                alive &= acc == 0
-                if not alive.any():
-                    break
-            count += int(alive.sum())
+        # A partial block stays on the direct path, so partitions of a span
+        # cross-check the two strategies.
+        whole = len(equations) == 1 and block_hi - block_lo == size
+        parts = _fibre_split(field, plan[0], n_free) if whole else None
+        jobs.append((plan, n_free, block_lo, block_hi, parts))
+    if not jobs:
+        return count
+    # Fetched only for blocks with free coordinates: a single point may
+    # live in a field whose indices overflow int64 (ambient dimension 0).
+    work = sum(b - a if parts is None else b // q for _, _, a, b, parts in jobs)
+    ops = field.vector_ops(work)
+    for plan, n_free, block_lo, block_hi, parts in jobs:
+        if parts is None:
+            count += _count_direct(field, ops, plan, n_free, block_lo, block_hi)
+        else:
+            count += _count_fibres(field, ops, parts, n_free - 1)
     return count
+
+
+def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
+    """Points of the block offsets block_lo..block_hi where every equation vanishes."""
+    chunk = _CHUNK // field.k
+    count = 0
+    for c0 in range(block_lo, block_hi, chunk):
+        c1 = min(c0 + chunk, block_hi)
+        evaluate = _evaluator(field, ops, n_free, c0, c1)
+        alive = None
+        for const, terms in plan:
+            zero = evaluate(const, terms) == 0
+            alive = zero if alive is None else alive & zero
+            if not alive.any():
+                break
+        count += int(alive.sum())
+    return count
+
+
+def _count_fibres(field, ops, parts, n_other) -> int:
+    """Points of a whole block whose one equation reads A y^2 + B y + C.
+
+    ``parts`` holds C, B, A (as far as y occurs) over the other n_other free
+    coordinates.  Each of their q^n_other points is the fibre of q values of
+    y, and the fibre holds q points if A = B = C = 0, none if only C != 0,
+    one if A = 0 != B, and 1 + chi(B^2 - 4AC) if A != 0 (p odd), where chi
+    is the quadratic character, read off by Euler's criterion.
+    """
+    import numpy as np
+
+    add, mul = ops
+    q = field.order
+    one = field.index_of(field.one.coeffs)
+    minus_four = field.index_of(field.element(-4).coeffs)
+    chunk = _CHUNK // field.k
+    count = 0
+    for c0 in range(0, q**n_other, chunk):
+        c1 = min(c0 + chunk, q**n_other)
+        evaluate = _evaluator(field, ops, n_other, c0, c1)
+        values = [evaluate(const, terms) for const, terms in parts]
+        c, b, a = values + [np.zeros_like(values[0])] * (3 - len(values))
+        count += q * int(np.count_nonzero((a == 0) & (b == 0) & (c == 0)))
+        count += int(np.count_nonzero((a == 0) & (b != 0)))
+        quad = a != 0
+        if quad.any():
+            a, b, c = a[quad], b[quad], c[quad]
+            disc = add(mul(b, b), mul(mul(a, c), np.full_like(a, minus_four)))
+            # chi(disc) = disc^((q-1)/2): 1, -1, or 0 for disc = 0.
+            power, base, e = None, disc, (q - 1) // 2
+            while e:
+                if e & 1:
+                    power = base if power is None else mul(power, base)
+                e >>= 1
+                if e:
+                    base = mul(base, base)
+            count += 2 * int(np.count_nonzero(power == one))
+            count += int(np.count_nonzero(disc == 0))
+    return count
+
+
+def _evaluator(field, ops, n_free, c0, c1):
+    """Evaluates block polynomials at the block offsets c0..c1 (see _block_plan)."""
+    import numpy as np
+
+    add, mul = ops
+    q = field.order
+    one = field.one.coeffs
+    offs = np.arange(c0, c1, dtype=np.int64)
+    coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
+    powers: dict[tuple[int, int], np.ndarray] = {}
+
+    def power(t, e):
+        if (t, e) not in powers:
+            pw = coords[t]
+            for _ in range(e - 1):
+                pw = mul(pw, coords[t])
+            powers[t, e] = pw
+        return powers[t, e]
+
+    def evaluate(const, terms):
+        acc = None
+        for scalar, free in terms:
+            vec = None
+            for t, e in free:
+                vec = power(t, e) if vec is None else mul(vec, power(t, e))
+            if scalar != one:
+                vec = mul(np.full_like(vec, field.index_of(scalar)), vec)
+            acc = vec if acc is None else add(acc, vec)
+        if acc is None:
+            return np.full(c1 - c0, field.index_of(const), dtype=np.int64)
+        if any(const):
+            acc = add(acc, np.full_like(acc, field.index_of(const)))
+        return acc
+
+    return evaluate
+
+
+def _fibre_split(field, poly, n_free):
+    """The block polynomial as [C, B, A] with poly = A y^2 + B y + C, or None.
+
+    y is a free coordinate of least degree, which must be at most 2 (at most
+    1 in characteristic 2, where B^2 - 4AC says nothing); C, B, A are block
+    polynomials in the other free coordinates, listed up to y's degree.
+    """
+    const, terms = poly
+    degree = [0] * n_free
+    for _, free in terms:
+        for t, e in free:
+            degree[t] = max(degree[t], e)
+    y = min(range(n_free), key=degree.__getitem__)
+    if degree[y] > (1 if field.p == 2 else 2):
+        return None
+    parts = [[const, []]] + [[field.zero.coeffs, []] for _ in range(degree[y])]
+    for scalar, free in terms:
+        part = parts[dict(free).get(y, 0)]
+        rest = tuple((t - (t > y), e) for t, e in free if t != y)
+        if rest:
+            part[1].append((scalar, rest))
+        else:
+            part[0] = field._add(part[0], scalar)
+    return [(c, tuple(ts)) for c, ts in parts]
 
 
 def _block_plan(field, equations, prefix):

@@ -292,11 +292,37 @@ def test_solve_output_byte_identical(capsys):
 
 
 def test_solve_d_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "solve", "-d", "9")
-    assert code == 1
-    assert "1..8" in err
+    for d in ("0", "9"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "-d", d])
+        assert exc.value.code == 2  # a usage error
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fqzeta: error: argument -d: must be in 1..8, got {d}\n"
     code2, _, _ = run_cli(capsys, "solve", "-d", "9", "--max-d", "9")
     assert code2 == 1  # runs, but d=9 leaves residuals
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "-d", "3", "--budget", "-1", "--tolerance", "5"],
+        ["solve", "-d", "3", "--budget", "100"],
+        ["solve", "-d", "3", "--tolerance", "5"],
+        ["find-pair", "--tolerance", "99"],
+        ["count", "p1_f3.json", "-n", "1", "--tolerance", "1"],
+        ["compare", "p1_f3.json", "p1_f3.json", "--profile", "profile_p1.json", "--tolerance", "1"],
+    ],
+)
+def test_options_a_subcommand_ignores_are_usage_errors(capsys, fixtures_dir, argv):
+    argv = [fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fqzeta: error: unrecognized arguments: --")
+    assert captured.err.count("\n") == 1
 
 
 def _run_module(*argv, timeout=None):
@@ -448,6 +474,22 @@ def test_malformed_profile_json_exits_1_with_one_line(profile):
     assert "Traceback" not in message
 
 
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of cli.main, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    message = err.getvalue()
+    assert message.count("\n") <= 1
+    assert "Traceback" not in message
+    if code == 2:
+        assert out.getvalue() == ""
+    return code, out.getvalue(), message
+
+
 # find-pair arguments: any integers for the prime range and the budget end in
 # a result (0), a usage error (2) or a budget refusal (3), never a traceback.
 # Budgets stay small, so every admitted sweep is short.
@@ -459,19 +501,90 @@ def test_malformed_profile_json_exits_1_with_one_line(profile):
     st.integers(max_value=10**5),
 )
 def test_find_pair_arguments_exit_0_2_or_3(p_min, p_max, budget):
-    out, err = io.StringIO(), io.StringIO()
     argv = ["find-pair", f"--p-min={p_min}", f"--p-max={p_max}", f"--budget={budget}"]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+    code, out, message = _run_captured(argv)
     assert code in (0, 2, 3)
-    message = err.getvalue()
-    assert message.count("\n") <= 1
-    assert "Traceback" not in message
     if code == 3:
-        assert out.getvalue() == "" and message.startswith("budget exceeded: ")
+        assert out == "" and message.startswith("budget exceeded: ")
+
+
+# count, zeta, compare and solve arguments: numbers in and out of range, and
+# text where a number belongs, on the committed fixtures.  Every run ends in
+# one of the subcommand's documented exit codes, with at most one line on
+# stderr and no traceback.  Budgets stay small, so every admitted count is
+# short.
+
+_SPECS = sorted(p.name for p in _FIXTURES.glob("*.json") if not p.name.startswith("profile"))
+_PROFILES = sorted(p.name for p in _FIXTURES.glob("profile*.json"))
+
+
+def _value(numbers):
+    # Text where a number belongs in about one draw of eight, so that most
+    # runs get past argument parsing.
+    return st.tuples(st.integers(0, 7), numbers, st.text(max_size=4)).map(
+        lambda t: t[2] if t[0] == 7 else t[1]
+    )
+
+
+def _budget():
+    return _value(st.one_of(st.just(10**5), st.integers(-10, 10**5)))
+
+
+@given(st.sampled_from(_SPECS), _value(st.sampled_from([1, 2, 3, 4, 0, -1])), _budget(), st.booleans())
+def test_count_arguments_exit_0_2_or_3(spec, terms, budget, as_json):
+    argv = ["count", str(_FIXTURES / spec), f"--terms={terms}", f"--budget={budget}"]
+    code, out, message = _run_captured(argv + ["--format=json"] * as_json)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert out.count("\n") == (1 if as_json else terms)
+    elif code == 3:
+        assert message.startswith("budget exceeded: ")
+
+
+@given(
+    st.sampled_from(_SPECS),
+    st.sampled_from(_PROFILES),
+    _value(st.sampled_from([0, 1, 2, -1])),
+    _value(st.one_of(st.floats(0, 1), st.floats())),
+    _budget(),
+)
+def test_zeta_arguments_exit_with_a_documented_code(spec, profile, extra, tolerance, budget):
+    argv = [
+        "zeta", str(_FIXTURES / spec), f"--profile={_FIXTURES / profile}",
+        f"--extra-terms={extra}", f"--tolerance={tolerance}", f"--budget={budget}",
+    ]
+    code, _, message = _run_captured(argv)
+    # 1: a fitted zeta function whose degrees the profile does not fit.
+    assert code in (0, 1, 2, 3, 4, 5)
+    if code == 1:
+        assert message.startswith("error: ") and "betti" in message
+
+
+@given(
+    st.sampled_from(_SPECS), st.sampled_from(_SPECS), st.sampled_from(_PROFILES), _budget()
+)
+def test_compare_arguments_exit_with_a_documented_code(spec_a, spec_b, profile, budget):
+    argv = [
+        "compare", str(_FIXTURES / spec_a), str(_FIXTURES / spec_b),
+        f"--profile={_FIXTURES / profile}", f"--budget={budget}",
+    ]
+    code, out, _ = _run_captured(argv)
+    assert code in (0, 2, 3, 4, 5, 6)
+    if code == 0:
+        assert out.splitlines()[0] in ("EQUAL", "DIFFER")
+
+
+@given(
+    _value(st.sampled_from([*range(1, 11), 0, -1])),
+    st.one_of(st.none(), _value(st.sampled_from([*range(1, 7), 0, -1]))),
+    st.lists(st.sampled_from(["--no-albanese", "--no-hard-lefschetz", "--no-trivial"])),
+)
+def test_solve_arguments_exit_0_1_or_2(d, max_d, flags):
+    argv = ["solve", f"-d{d}", *flags] + ([] if max_d is None else [f"--max-d={max_d}"])
+    code, out, message = _run_captured(argv)
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert message == "" and out.startswith("d=")
 
 
 def test_find_pair_up_to_the_largest_prime_exits_3_promptly():

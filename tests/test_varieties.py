@@ -1,6 +1,9 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqzeta.errors import BudgetExceededError, MalformedSpecError
 from fqzeta.fields import make_extension
@@ -137,9 +140,9 @@ def test_product_rule_on_affine_pieces():
 
 @pytest.mark.parametrize("pieces", [1, 2, 4])
 def test_partition_additivity(elliptic, pieces):
-    # n=3 crosses the vectorized/pure backend threshold: the full pass is
-    # vectorized while quarter spans run the pure path, so agreement of the
-    # partition sums also cross-validates the two backends.
+    # The full pass counts the chart z = 1 fibre by fibre, while every piece
+    # that cuts a block evaluates that block point by point, so agreement of
+    # the partition sums also cross-validates the two strategies.
     for n in (2, 3):
         total = count_points(elliptic, n)
         size = domain_size(elliptic, n)
@@ -165,6 +168,20 @@ def test_partition_additivity_across_chunks():
     step = _CHUNK // 2
     cuts = [0, step // 3, step + 17, 2 * step + step // 2, 3 * step + 5]
     whole = count_points(spec, 2, span=(cuts[0], cuts[-1]))
+    assert sum(count_points(spec, 2, span=s) for s in zip(cuts, cuts[1:])) == whole
+
+
+def test_split_blocks_match_the_fibre_count():
+    # Cutting every block of P^2 over F_{37^2} in two sends each half down
+    # the direct path; the halves must add up to the fibre-counted whole.
+    p = 37
+    spec = _curve(p, 2, 9)
+    q = p**2
+    whole = count_points(spec, 2)
+    n1 = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - 2 * x - 9) % p == 0)
+    assert whole == q + 1 - ((p + 1 - n1) ** 2 - 2 * p)  # genus-1 recursion
+    cuts = [0, q * q // 2, q * q, q * q + q // 2, q * q + q, q * q + q + 1]
+    assert cuts[-1] == domain_size(spec, 2)
     assert sum(count_points(spec, 2, span=s) for s in zip(cuts, cuts[1:])) == whole
 
 
@@ -410,13 +427,41 @@ def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
 def test_plane_curve_count_builds_tables(fresh_tables):
     from fqzeta.varieties import _count_pure, _embedded_equations
 
-    # P^2 over F_31 has 993 points, more than the 961 table entries.
-    spec = _curve(31, 1, 1)
+    # Every coordinate of x^3 + y^3 + z^3 has degree 3, so all 992 points of
+    # the charts x = 1 and x = 0, y = 1 are evaluated: more than the 961
+    # table entries of F_31.
+    spec = VarietySpec.from_dict(
+        {
+            "label": "Fermat cubic",
+            "p": 31,
+            "k": 1,
+            "ambient": {"type": "projective", "dim": 2},
+            "equations": [[[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]]]],
+        }
+    )
     field = fresh_tables(make_extension(31, 1))
     got = count_points(spec, 1)
     assert field._np_tables is not None
     eqs = _embedded_equations(spec, field)
     assert got == _count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+
+
+def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    # Counted by fibres over y, the 923,521 points of the chart x = 1 cost
+    # 961 evaluations, far fewer than the 961^2 table entries.  _count_pure
+    # over all of P^2(F_{31^2}) would take about 40 s, so it counts N_1 and
+    # the genus-1 trace recursion gives N_2.
+    p = 31
+    spec = _curve(p, 2, 9)  # smooth: 4*2^3 + 27*9^2 is 18 mod 31
+    field = fresh_tables(make_extension(p, 2))
+    got = count_points(spec, 2)
+    assert field._np_tables is None
+    base = make_extension(p, 1)
+    n1 = _count_pure(spec, base, _embedded_equations(spec, base), 0, domain_size(spec, 1))
+    trace = p + 1 - n1
+    assert got == p**2 + 1 - (trace**2 - 2 * p)
 
 
 def test_first_root_builds_no_tables(fixtures_dir, fresh_tables):
@@ -435,3 +480,94 @@ def test_first_root_builds_no_tables(fixtures_dir, fresh_tables):
         return acc
 
     assert root == next(i for i, t in enumerate(field._tuples()) if not any(value_at(t)))
+
+
+# Fibre counting against the oracle.  One-equation specs in A^2, A^3 and P^2
+# over F_{p^k}, p <= 7, k <= 2: count_points (fibre path on whole blocks with
+# a coordinate of degree <= 2, <= 1 in characteristic 2) must equal
+# _count_pure, which evaluates every point.
+
+
+def _one_equation(p, k, kind, dim, terms):
+    return VarietySpec.from_dict(
+        {
+            "label": "one equation",
+            "p": p,
+            "k": k,
+            "ambient": {"type": kind, "dim": dim},
+            "equations": [[[c, list(e)] for c, e in terms]],
+        }
+    )
+
+
+def _assert_matches_oracle(spec):
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    field = make_extension(spec.p, spec.k)
+    eqs = _embedded_equations(spec, field)
+    assert count_points(spec, 1) == _count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+
+
+@st.composite
+def _one_equation_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 2]))
+    # A^3 only over fields of at most 9 elements, to keep the oracle fast.
+    ambients = [("affine", 2), ("projective", 2)] + [("affine", 3)] * (p**k <= 9)
+    kind, dim = draw(st.sampled_from(ambients))
+    if kind == "projective":
+        degree = draw(st.integers(1, 3))
+        monomials = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+    else:
+        caps = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+        monomials = list(itertools.product(*(range(c + 1) for c in caps)))
+    exponents = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    coeff = st.integers(1, p - 1) if k == 1 else st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    terms = [(draw(coeff), e) for e in exponents]
+    return _one_equation(p, k, kind, dim, terms)
+
+
+@settings(max_examples=80)
+@given(_one_equation_specs())
+def test_fibre_count_matches_oracle(spec):
+    _assert_matches_oracle(spec)
+
+
+@pytest.mark.parametrize(
+    "spec,fibres",
+    [
+        # x^2 = 2 over F_25, y absent: every fibre is A = B = 0, with q
+        # points where C = 0.
+        pytest.param(
+            _one_equation(5, 2, "affine", 2, [([1, 0], (2, 0)), ([3, 0], (0, 0))]),
+            True, id="absent",
+        ),
+        # x + y^3 + 1 over F_4: x is linear in characteristic 2.
+        pytest.param(
+            _one_equation(2, 2, "affine", 2, [([1, 0], (1, 0)), ([0, 1], (0, 3)), ([1, 0], (0, 0))]),
+            True, id="linear-char-2",
+        ),
+        # x^2 + y^3 + 1 over F_4: no coordinate of degree <= 1 in characteristic 2.
+        pytest.param(
+            _one_equation(2, 2, "affine", 2, [([1, 0], (2, 0)), ([0, 1], (0, 3)), ([1, 0], (0, 0))]),
+            False, id="square-char-2",
+        ),
+        # x^3 + y^3 + z^3 + 2xyz over F_7: every coordinate has degree 3.
+        pytest.param(
+            _one_equation(7, 1, "affine", 3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3)), (2, (1, 1, 1))]),
+            False, id="all-cubic",
+        ),
+        # y^2 z = x^3 + 2 x z^2 + 3 z^3 over F_49: a quadratic fibre per z in the chart x = 1.
+        pytest.param(_curve(7, 2, 3), True, id="weierstrass-quadratic"),
+    ],
+)
+def test_fibre_or_direct_path_matches_oracle(spec, fibres):
+    from fqzeta.varieties import _block_plan, _blocks, _embedded_equations, _fibre_split
+
+    field = make_extension(spec.p, spec.k)
+    eqs = _embedded_equations(spec, field)
+    _, _, prefix, n_free = next(_blocks(spec, field))
+    plan = _block_plan(field, eqs, prefix)
+    assert (_fibre_split(field, plan[0], n_free) is not None) == fibres
+    _assert_matches_oracle(spec)
+
