@@ -16,7 +16,8 @@ Exit codes are a stable contract:
        ``zeta --extra-terms -1``, ``--tolerance -1``, ``solve -d 9`` outside
        1..``--max-d``, or ``solve --budget``), reported in one line
     3  enumeration budget exceeded (for ``find-pair``: the primes in range
-       may need more than ``--budget`` points of F_{p^2}, (2p+6)p^2 each)
+       may need more than ``--budget`` points of F_{p^2}, (2p+6)p^2 each),
+       or a count would have to index a field of 2^63 or more elements
     4  no consistent rational zeta fit for the given counts and profile
     5  duality (functional equation) violation
     6  the compared varieties live over different fields

@@ -19,7 +19,12 @@ Weierstrass curve in P^2 over F_{31^2}, nor the 1025 points of P^1 over
 F_{2^10}).  Otherwise it adds digit-wise and multiplies
 by convolution, then reduces mod m.  No intermediate exceeds k*(p-1)^2 + p
 or the order, so the kernel is exact in int64 for every p < 2^31 and
-order < 2^63.
+order < 2^63.  A larger field has indices int64 cannot hold: vector_ops
+refuses it with BudgetExceededError before any array is built, so a count
+that would evaluate there exits like one over budget.  Counting fetches the
+kernel only for blocks with free coordinates and to embed the coefficients
+of a spec over F_{p^k}, k > 1, into a larger field, so the lone point of P^0
+over F_p is counted over any F_{p^n}.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import MixedFieldsError, NotPrimeError
+from .errors import BudgetExceededError, MixedFieldsError, NotPrimeError
 
 MAX_CHARACTERISTIC = 1 << 31
 
 _NUMPY_TABLE_MAX_ORDER = 1024
+# Element indices are int64 values.
+_MAX_INDEXED_ORDER = (1 << 63) - 1
 # Elements per vectorized step; digit-wise kernels work on k times as many
 # int64 values, so loops over index arrays step by _CHUNK // k.
 _CHUNK = 1 << 17
@@ -271,6 +278,13 @@ class ExtensionField:
         order^2 tables are built only if that is at least as many as they
         hold entries; cached tables are always used.
         """
+        if self.order > _MAX_INDEXED_ORDER:
+            raise BudgetExceededError(
+                f"indexing the {self.order} elements of F_{self.p}^{self.k} "
+                f"exceeds the int64 limit {_MAX_INDEXED_ORDER}",
+                required=self.order,
+                budget=_MAX_INDEXED_ORDER,
+            )
         if self._np_tables is None and (
             self.order > _NUMPY_TABLE_MAX_ORDER or work < self.order**2
         ):

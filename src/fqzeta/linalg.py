@@ -1,7 +1,11 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
 Entries only need +, -, *, / and truthiness (zero is falsy), which both
-fractions.Fraction and fqzeta.ratfunc.RationalFunctionQ provide.
+fractions.Fraction and fqzeta.ratfunc.RationalFunctionQ provide.  The
+program reduces only Fraction entries: the zeta fit's linear systems, and
+the trace solver's rows over Q after their weight grading takes the powers
+of q out.  The tests also reduce RationalFunctionQ rows, as the reference
+the graded reduction must match.
 """
 
 from __future__ import annotations

@@ -15,12 +15,18 @@ identical coefficients on both sides.  The rows, over the field Q(q):
 * TRIVIAL(i):   D_i = 0 for i in {0, 2d}          (connectedness)
 * ALBANESE:     D_1 = 0                           (isogenous Albanese varieties)
 
-solve_forced row-reduces the system over Q(q) and reports which D_i vanish
-in every solution ("forced": the zeta-relevant traces agree for every prime
-power q at once), plus one explicit relation per unforced pivot.  Columns are
-eliminated from degree 2d down to 0, so free parameters sit in the lowest
-unforced degrees and residual relations express higher traces in terms of
-lower ones.
+solve_forced reports which D_i vanish in every solution over Q(q)
+("forced": the zeta-relevant traces agree for every prime power q at once),
+plus one explicit relation per unforced pivot.  Columns are eliminated from
+degree 2d down to 0, so free parameters sit in the lowest unforced degrees
+and residual relations express higher traces in terms of lower ones.
+
+Every row is homogeneous once D_i has weight i/2 and q weight 1: its entry
+i is c_i * q^(e - i/2) up to one factor of the whole row, with c_i rational.
+The Q(q) reduction is then a reduction over Q of the c_i, with the powers
+of q put back from the grading (see solve_forced), so Q(q) arithmetic runs
+only where rows are built, graded once and evaluated.  A row that is not
+homogeneous is refused with a ValueError.
 
 instantiate_at_q specializes the system at a rational q0 > 1, and
 solve_forced_numeric re-derives the forced set there by an independent
@@ -31,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from . import linalg, polys
+from . import linalg
 from .errors import DimensionMismatchError
 from .ratfunc import ONE, RationalFunctionQ, render_int_poly
 from .zeta import TraceVector
@@ -184,60 +191,84 @@ def build_constraint_system(
     )
 
 
-def _relation_from_row(row, pivot_col: int) -> Relation:
-    """Integer-cleared form of a nonzero RREF row, pivot coefficient positive."""
-    entries = [(i, c) for i, c in enumerate(row) if c]
-    common_den = polys.ONE
-    for _, c in entries:
-        g = polys.gcd(common_den, c.den)
-        common_den = polys.div_mod(polys.mul(common_den, c.den), g)[0]
-    cleared = []
-    for i, c in entries:
-        multiplier = polys.div_mod(common_den, c.den)[0]
-        cleared.append((i, polys.mul(c.num, multiplier)))
-    # One integer scaling across all coefficients keeps the relation primitive.
-    flat_num = []
-    splits = []
-    for _, poly in cleared:
-        splits.append((len(flat_num), len(poly)))
-        flat_num.extend(poly)
-    ints, _ = polys.clear_integer_pair(tuple(flat_num), ())
-    padded = list(ints) + [0] * (len(flat_num) - len(ints))
-    out = []
-    for (i, _), (ofs, ln) in zip(cleared, splits):
-        out.append((i, polys.normalize(padded[ofs : ofs + ln])))
-    pivot_poly = dict(out)[pivot_col]
-    if pivot_poly and pivot_poly[-1] < 0:
-        out = [(i, tuple(-c for c in poly)) for i, poly in out]
-    return Relation(tuple(sorted(out)))
+def _monomial(c: RationalFunctionQ) -> tuple[Fraction, int] | None:
+    """(a, e) if c = a * q^e, else None; read off the canonical num/den."""
+    top = len(c.num) - 1
+    if any(c.num[:top]) or any(c.den[:-1]):
+        return None
+    return c.num[top], top - (len(c.den) - 1)
 
 
-def _reduce(matrix, n: int) -> tuple[tuple[int, ...], tuple[Relation, ...]]:
-    """RREF with columns from degree n - 1 down to 0.
+def _graded_row(row: ConstraintRow) -> list[Fraction]:
+    """The rational coefficients c_i of a row whose entry i is f * c_i * q^(-i/2).
+
+    f is any nonzero element of Q(q) (times a power of q^(1/2)), shared by
+    the whole row; the c_i are determined up to one rational factor.
+    """
+    support = [(i, c) for i, c in enumerate(row.coeffs) if c]
+    terms = [_monomial(c) for _, c in support]
+    if None in terms:
+        # A graded row times a non-monomial f: divide f out first.
+        ref = support[0][1]
+        terms = [_monomial(c / ref) for _, c in support]
+    if None in terms or len({2 * e + i for (i, _), (_, e) in zip(support, terms)}) > 1:
+        raise ValueError(
+            f"constraint row {row.label} is not homogeneous for the weight "
+            "grading (D_i of weight i/2, q of weight 1)"
+        )
+    out = [Fraction(0)] * len(row.coeffs)
+    for (i, _), (a, _) in zip(support, terms):
+        out[i] = a
+    return out
+
+
+def _reduce(
+    matrix, n: int, graded: bool
+) -> tuple[tuple[int, ...], tuple[Relation, ...]]:
+    """RREF over Q with columns from degree n - 1 down to 0.
 
     Returns the degrees whose pivot row is the lone entry D_i = 0, and one
-    relation per other pivot row.
+    primitive integer relation per other pivot row, pivot coefficient
+    positive.  If ``graded``, the entry in column i of the row with pivot p
+    stands for the Q(q) entry times q^((p - i)/2); p is the row's highest
+    column, and a graded row's support has one parity, so the exponent is a
+    nonnegative integer.
     """
     rows, pivots = linalg.rref(matrix, col_order=range(n - 1, -1, -1))
     forced = []
     residual = []
-    for r, col in pivots:
-        support = [i for i, c in enumerate(rows[r]) if c]
-        if support == [col]:
-            forced.append(col)
-        else:
-            residual.append(_relation_from_row(rows[r], col))
+    for r, p in pivots:
+        row = rows[r]
+        support = [i for i in range(n) if row[i]]
+        if support == [p]:
+            forced.append(p)
+            continue
+        scale = lcm(*(row[i].denominator for i in support))
+        ints = [int(row[i] * scale) for i in support]
+        g = gcd(*ints)
+        coeffs = tuple(
+            (i, (0,) * ((p - i) // 2 if graded else 0) + (c // g,))
+            for i, c in zip(support, ints)
+        )
+        residual.append(Relation(coeffs))
     return tuple(sorted(forced)), tuple(residual)
 
 
 def solve_forced(system: TraceConstraintSystem) -> ForcedReport:
-    """Row-reduce over Q(q); degree i is forced iff D_i = 0 in every solution.
+    """Row-reduce by the weight grading; D_i is forced iff it is 0 in every solution.
 
-    The rows are reduced as given: scaling a row by a nonzero element of Q(q)
-    keeps the row space, and the RREF of a row space for a fixed column order
-    is unique.
+    Give D_i weight i/2 and q weight 1.  Every row the builder makes is
+    homogeneous for this grading, and so is any Q(q)-multiple of one: entry
+    i of row r is f_r * c_(r,i) * q^(-i/2) with f_r in Q(q) (times a power
+    of q^(1/2)) and c_(r,i) rational.  The Q(q) row space is then that of
+    C * diag(q^(-i/2)), C = (c_(r,i)), so its RREF (unique for the fixed
+    column order) is RREF(C) over Q with entry (r, i) times q^((p_r - i)/2),
+    p_r the pivot of row r.  C is reduced over Q and the forced degrees and
+    relations are read off it.  A row that is not homogeneous raises
+    ValueError naming its label.
     """
-    forced, residual = _reduce([row.coeffs for row in system.rows], system.unknowns)
+    matrix = [_graded_row(row) for row in system.rows]
+    forced, residual = _reduce(matrix, system.unknowns, graded=True)
     return ForcedReport(system.d, system.flags, forced, residual)
 
 
@@ -296,8 +327,7 @@ def solve_forced_numeric(nsys: NumericTraceSystem) -> ForcedReport:
         if _rank(base + [extra]) == base_rank:
             forced.append(i)
     # Residual relations are presentation only; reuse the shared RREF.
-    sym_rows = [[RationalFunctionQ((c,)) for c in row] for row in nsys.rows]
-    _, residual = _reduce(sym_rows, n)
+    _, residual = _reduce(nsys.rows, n, graded=False)
     flags = SolverFlags(
         "ALBANESE" in nsys.labels,
         any(lbl.startswith("HL(") for lbl in nsys.labels),

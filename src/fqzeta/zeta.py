@@ -353,12 +353,12 @@ def factor_by_weights(
     """
     d, betti, q = profile.d, profile.betti, zeta.q
     if polys.degree(zeta.num) != profile.odd_total:
-        raise ValueError(
+        raise WeightSeparationError(
             f"numerator degree {polys.degree(zeta.num)} != sum of odd betti "
             f"numbers {profile.odd_total}"
         )
     if polys.degree(zeta.den) != profile.even_total:
-        raise ValueError(
+        raise WeightSeparationError(
             f"denominator degree {polys.degree(zeta.den)} != sum of even betti "
             f"numbers {profile.even_total}"
         )

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from fqzeta import linalg, polys
 from fqzeta.errors import DimensionMismatchError
 from fqzeta.ratfunc import ONE, RationalFunctionQ
 from fqzeta.tracesolver import (
     ConstraintRow,
+    ForcedReport,
+    Relation,
     SolverFlags,
     TraceConstraintSystem,
+    _rank,
     build_constraint_system,
     instantiate_at_q,
     solve_forced,
@@ -298,6 +302,109 @@ def test_report_invariant_under_row_scaling(d):
         )
         scaled = TraceConstraintSystem(d, rows, base.flags)
         assert solve_forced(scaled).to_dict() == solve_forced(base).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The graded reduction against a reduction over Q(q)
+# ---------------------------------------------------------------------------
+
+
+def _relation_over_qq(row, pivot_col):
+    """Integer-cleared form of a nonzero RREF row over Q(q), pivot coefficient positive."""
+    entries = [(i, c) for i, c in enumerate(row) if c]
+    common_den = polys.ONE
+    for _, c in entries:
+        g = polys.gcd(common_den, c.den)
+        common_den = polys.div_mod(polys.mul(common_den, c.den), g)[0]
+    cleared = []
+    for i, c in entries:
+        multiplier = polys.div_mod(common_den, c.den)[0]
+        cleared.append((i, polys.mul(c.num, multiplier)))
+    flat_num = []
+    splits = []
+    for _, poly in cleared:
+        splits.append((len(flat_num), len(poly)))
+        flat_num.extend(poly)
+    ints, _ = polys.clear_integer_pair(tuple(flat_num), ())
+    padded = list(ints) + [0] * (len(flat_num) - len(ints))
+    out = []
+    for (i, _), (ofs, ln) in zip(cleared, splits):
+        out.append((i, polys.normalize(padded[ofs : ofs + ln])))
+    pivot_poly = dict(out)[pivot_col]
+    if pivot_poly and pivot_poly[-1] < 0:
+        out = [(i, tuple(-c for c in poly)) for i, poly in out]
+    return Relation(tuple(sorted(out)))
+
+
+def _report_over_qq(d, flags, rows, q0=None):
+    """The forced set and relations read off the RREF of Q(q) rows."""
+    n = 2 * d + 1
+    reduced, pivots = linalg.rref(rows, col_order=range(n - 1, -1, -1))
+    forced = []
+    residual = []
+    for r, col in pivots:
+        if [i for i, c in enumerate(reduced[r]) if c] == [col]:
+            forced.append(col)
+        else:
+            residual.append(_relation_over_qq(reduced[r], col))
+    return ForcedReport(d, flags, tuple(sorted(forced)), tuple(residual), q0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_graded_reduction_matches_reduction_over_qq(d):
+    scale = RationalFunctionQ((1, 0, 1), (0, 0, 0, 1))  # (q^2 + 1) / q^3
+    for alb, hl, triv in ALL_FLAGS:
+        base = system(d, alb, hl, triv)
+        for factor in (ONE, scale):
+            rows = tuple(
+                ConstraintRow(r.label, tuple(c * factor for c in r.coeffs))
+                for r in base.rows
+            )
+            got = solve_forced(TraceConstraintSystem(d, rows, base.flags)).to_dict()
+            want = _report_over_qq(d, base.flags, [r.coeffs for r in rows]).to_dict()
+            assert got == want, (d, alb, hl, triv, factor)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_numeric_report_matches_reduction_over_qq(d):
+    for alb, hl, triv in ALL_FLAGS:
+        base = system(d, alb, hl, triv)
+        for q0 in (2, 3, Fraction(5, 2)):
+            nsys = instantiate_at_q(base, q0)
+            rows = [[RationalFunctionQ((c,)) for c in row] for row in nsys.rows]
+            want = _report_over_qq(d, base.flags, rows, nsys.q0).to_dict()
+            assert solve_forced_numeric(nsys).to_dict() == want, (d, alb, hl, triv, q0)
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_large_d_relations_hold_at_q0(d):
+    # Each residual relation, evaluated at q0 = 2, lies in the row space of
+    # the instantiated system, and the symbolic forced set is the numeric one.
+    for alb, hl, triv in ALL_FLAGS:
+        base = system(d, alb, hl, triv)
+        report = solve_forced(base)
+        nsys = instantiate_at_q(base, 2)
+        rows = [list(r) for r in nsys.rows]
+        rank = _rank(rows)
+        for rel in report.residual:
+            extra = [Fraction(0)] * base.unknowns
+            for i, poly in rel.coeffs:
+                extra[i] = Fraction(polys.evaluate(poly, 2))
+            assert _rank(rows + [extra]) == rank, (d, alb, hl, triv, str(rel))
+        assert report.forced == solve_forced_numeric(nsys).forced
+
+
+def test_row_not_homogeneous_for_the_grading_is_refused():
+    zero = RationalFunctionQ((0,))
+    even = ConstraintRow("EVEN_MUKAI", (ONE, zero, qp(-1)))
+    mixed = ConstraintRow("MIXED", (ONE, ONE, zero))  # D_0 + D_1 = 0
+    with pytest.raises(ValueError, match="MIXED") as exc:
+        solve_forced(TraceConstraintSystem(1, (even, mixed), SolverFlags()))
+    assert "\n" not in str(exc.value)
+    # A non-monomial entry that no common factor explains is refused as well.
+    summed = ConstraintRow("SUM", (ONE + qp(1), zero, ONE))
+    with pytest.raises(ValueError, match="SUM"):
+        solve_forced(TraceConstraintSystem(1, (summed,), SolverFlags()))
 
 
 def test_scaling_differences_preserves_satisfaction():

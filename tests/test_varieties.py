@@ -406,6 +406,31 @@ def test_single_point_over_field_beyond_int64():
     assert count_points(point([[[3, [1]], [-3, [1]]]]), 4) == 1
 
 
+def test_field_beyond_int64_is_indexed_only_where_a_count_must():
+    one, g = [1] + [0] * 69, [0, 1] + [0] * 68
+
+    def projective(dim, equations):
+        return VarietySpec.from_dict(
+            {
+                "label": "over F_2^70",
+                "p": 2,
+                "k": 70,
+                "ambient": {"type": "projective", "dim": dim},
+                "equations": equations,
+            }
+        )
+
+    budget = 10**24
+    line = projective(1, [[[one, [1, 0]], [g, [0, 1]]]])
+    with pytest.raises(BudgetExceededError, match="int64"):
+        count_points(line, 1, budget=budget)
+    # The one-point block [0:1], P^0 and a space with no equations need no index.
+    size = 2**70 + 1
+    assert count_points(line, 1, budget=budget, span=(size - 1, size)) == 0
+    assert count_points(projective(0, [[[g, [1]]]]), 1, budget=budget) == 0
+    assert count_points(projective(1, []), 1, budget=budget) == size
+
+
 # The point counter builds a field's order^2 tables only for a count that
 # evaluates at least order^2 points.  fresh_tables clears the session-wide
 # cached tables first, so these checks do not depend on test order.

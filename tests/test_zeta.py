@@ -362,9 +362,9 @@ def test_weil_products_split_exactly_beyond_float_precision(d, seed):
 
 def test_factorization_degree_preconditions():
     z = ZetaFunction(5, (1, 3, 5), (1, -6, 5))
-    with pytest.raises(ValueError, match="numerator degree"):
+    with pytest.raises(WeightSeparationError, match="numerator degree"):
         factor_by_weights(z, CohomologyProfile(1, (1, 0, 1)))
-    with pytest.raises(ValueError, match="denominator degree"):
+    with pytest.raises(WeightSeparationError, match="denominator degree"):
         factor_by_weights(
             ZetaFunction(5, (1, 3, 5), (1, -1)), CohomologyProfile(1, (1, 2, 1))
         )
