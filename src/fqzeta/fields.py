@@ -15,16 +15,18 @@ first).  It gathers from flat order^2 tables when the field has at most 1024
 elements and the caller will evaluate at least order^2 elements, so the
 table build pays for itself (the 992 points evaluated for x^3 + y^3 + z^3
 in P^2 over F_31; not the 1922 that fibre counting evaluates for a
-Weierstrass curve in P^2 over F_{31^2}, nor the 1025 points of P^1 over
-F_{2^10}).  Otherwise it adds digit-wise and multiplies
-by convolution, then reduces mod m.  No intermediate exceeds k*(p-1)^2 + p
-or the order, so the kernel is exact in int64 for every p < 2^31 and
-order < 2^63.  A larger field has indices int64 cannot hold: vector_ops
-refuses it with BudgetExceededError before any array is built, so a count
-that would evaluate there exits like one over budget.  Counting fetches the
-kernel only for blocks with free coordinates and to embed the coefficients
-of a spec over F_{p^k}, k > 1, into a larger field, so the lone point of P^0
-over F_p is counted over any F_{p^n}.
+Weierstrass curve in P^2 over F_{31^2}).  Otherwise it adds digit-wise and
+multiplies by convolution, then reduces mod m.  No intermediate exceeds
+k*(p-1)^2 + p or the order, so the kernel is exact in int64 for every
+p < 2^31 and order < 2^63.  A larger field has indices int64 cannot hold:
+vector_ops refuses it with BudgetExceededError before any array is built, so
+a count that would evaluate there exits like one over budget.  Counting
+fetches the kernel, and embeds the coefficients of a spec over F_{p^k},
+k > 1, into a larger field, only for blocks with two or more free
+coordinates or cut by a span.  A whole block with at most one free
+coordinate is counted over the spec's own field, with the _fq_* polynomial
+helpers below, so a line in P^1 or the lone point of P^0 is counted over
+any F_{p^n}.
 """
 
 from __future__ import annotations
@@ -123,6 +125,63 @@ def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
             result = _fp_mod(_fp_mul(result, base, p), m, p)
         base = _fp_mod(_fp_mul(base, base, p), m, p)
         e >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Polynomial helpers over F_q = field; coefficients are the field's tuples.
+# ---------------------------------------------------------------------------
+
+
+def _fq_trim(a: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    while a and not any(a[-1]):
+        a.pop()
+    return a
+
+
+def _fq_mod(a: list, m: list, field: "ExtensionField") -> list:
+    """a mod m, for a monic m."""
+    sub, mul, tail = field._sub, field._mul, m[:-1]
+    a = _fq_trim(list(a))
+    while len(a) >= len(m):
+        lead = a.pop()
+        shift = len(a) - len(tail)
+        for i, cm in enumerate(tail):
+            a[shift + i] = sub(a[shift + i], mul(lead, cm))
+        _fq_trim(a)
+    return a
+
+
+def _fq_mulmod(a: list, b: list, m: list, field: "ExtensionField") -> list:
+    """a * b mod m, for a monic m."""
+    if not a or not b:
+        return []
+    add, mul = field._add, field._mul
+    out = [(0,) * field.k] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if any(ca):
+            for j, cb in enumerate(b):
+                out[i + j] = add(out[i + j], mul(ca, cb))
+    return _fq_mod(out, m, field)
+
+
+def _fq_gcd(a: list, b: list, field: "ExtensionField") -> list:
+    """The monic gcd, or [] if a = b = 0."""
+    a, b = _fq_trim(list(a)), _fq_trim(list(b))
+    while b:
+        inv_lead = field._inv(b[-1])
+        b = [field._mul(c, inv_lead) for c in b]
+        a, b = b, _fq_mod(a, b, field)
+    return a
+
+
+def _fq_ypow(e: int, m: list, field: "ExtensionField") -> list:
+    """y^e mod a monic m, squaring from the top bit down; times y is a shift."""
+    result = _fq_mod([field.one.coeffs], m, field)
+    for bit in bin(e)[2:]:
+        result = _fq_mulmod(result, result, m, field)
+        if bit == "1":
+            result = _fq_mod([(0,) * field.k] + result, m, field)
     return result
 
 

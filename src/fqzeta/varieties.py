@@ -13,21 +13,30 @@ lexicographic element order, last coordinate fastest.  count_points accepts a
 into disjoint blocks, count them independently (e.g. on separate workers),
 and sum the results.  The budget bounds the size of this domain.
 
-count_points evaluates with the field's vectorized kernel
-(ExtensionField.vector_ops) on chunks of int64 element indices, in one of
-two ways per block (one position of the leading 1):
+count_points first plans each block (one position of the leading 1) over
+F_q itself: folding the fixed 0s and 1 into the equations decides, with no
+field built, that a block is empty or wholly on the variety.  Every other
+block is counted in one of three ways:
 
+* by roots, for a block wholly inside ``span`` with one free coordinate y,
+  whatever the number of equations.  With g the gcd of their polynomials
+  in y over F_q, the block holds deg gcd(g, y^(q^n) - y) points, since
+  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}; y^(q^n) mod g
+  takes square-and-multiply over F_q[y], and F_{q^n} is never built.
 * by fibres, for a block wholly inside ``span`` of a one-equation spec with
-  a free coordinate y of degree at most 2 (at most 1 if p = 2).  The
-  equation reads A y^2 + B y + C with A, B, C in the other free
-  coordinates, which are evaluated at the q^(m-1) other points only; the
-  number of y in each fibre follows from #{y : y^2 = s} = 1 + chi(s), with
-  the quadratic character chi read off by Euler's criterion.
-* directly, at every point, for every other block: partial blocks,
-  several equations, or every free coordinate of degree 3 or more.
+  two or more free coordinates, one of them y of degree at most 2 (at most
+  1 if p = 2).  The equation reads A y^2 + B y + C with A, B, C in the
+  other free coordinates, which are evaluated at the q^(n(m-1)) other
+  points only; the number of y in each fibre follows from
+  #{y : y^2 = s} = 1 + chi(s), with the quadratic character chi read off by
+  Euler's criterion.
+* directly, at every point, for every other block: partial blocks, several
+  equations, or every free coordinate of degree 3 or more.
 
-_count_pure is a pure-Python evaluation at every point over coefficient
-tuples, kept as the tests' oracle for both.
+Only the last two build F_{q^n}, embed the coefficients into it and
+evaluate with its vectorized kernel (ExtensionField.vector_ops) on chunks of
+int64 element indices.  _count_pure is a pure-Python evaluation at every
+point over coefficient tuples, kept as the tests' oracle for all three.
 """
 
 from __future__ import annotations
@@ -37,7 +46,14 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
-from .fields import _CHUNK, ExtensionField, check_characteristic, make_extension
+from .fields import (
+    _CHUNK,
+    ExtensionField,
+    _fq_gcd,
+    _fq_ypow,
+    check_characteristic,
+    make_extension,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -211,20 +227,32 @@ def count_points(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     size = domain_size(spec, n)
-    required = max(size, spec.p ** (spec.k * n) if spec.k > 1 else 0)
-    if required > budget:
+    if size > budget:
         raise BudgetExceededError(
-            f"enumeration of {required} points exceeds budget {budget}",
-            required=required,
+            f"enumeration of {size} points exceeds budget {budget}",
+            required=size,
             budget=budget,
         )
-    field = make_extension(spec.p, spec.k * n)
-    equations = _embedded_equations(spec, field)
     lo, hi = span if span is not None else (0, size)
-    lo, hi = max(lo, 0), min(hi, size)
-    if lo >= hi:
-        return 0
-    return _count_numpy(spec, field, equations, lo, hi)
+    order = spec.q**n
+    count, rest = 0, []
+    for block in _blocks(spec, order, lo, hi):
+        prefix, n_free, block_lo, block_hi, whole = block
+        # 0 and 1 fold alike in F_q and F_{q^n}, and the embedding is
+        # injective, so the plan over F_q decides empty and whole blocks.
+        plan = _block_plan(spec.p, spec.equations, prefix)
+        if plan is None:
+            continue
+        if not plan:
+            count += block_hi - block_lo
+        elif n_free == 1 and whole:
+            count += _count_roots(make_extension(spec.p, spec.k), plan, order)
+        else:
+            rest.append(block)
+    if rest:
+        field = make_extension(spec.p, spec.k * n)
+        count += _count_numpy(field, _embedded_equations(spec, field), rest)
+    return count
 
 
 def count_series(
@@ -293,24 +321,27 @@ def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
     raise AssertionError("base modulus has no root in the extension")
 
 
-def _blocks(spec: VarietySpec, field: ExtensionField):
-    """(start, size, fixed_prefix, n_free) for each enumeration block.
+def _blocks(spec: VarietySpec, order: int, lo: int, hi: int):
+    """(prefix, n_free, block_lo, block_hi, whole) for each block meeting lo..hi.
 
     Affine space is one block with all coordinates free.  Projective space
     has one block per position of the leading 1: coordinates before it are
-    0, the position itself is 1, later coordinates are free.
+    0, the position itself is 1, later coordinates are free.  The prefix
+    holds these fixed values as the ints 0 and 1; block_lo..block_hi are the
+    offsets of the span within a block of order^n_free points, and whole
+    says the span covers it.
     """
-    q = field.order
     m = spec.ambient.dim
-    zero = (0,) * field.k
-    one = (1,) + (0,) * (field.k - 1)
     if spec.ambient.kind == "affine":
-        yield 0, q**m, (), m
-        return
+        shapes = [((), m)]
+    else:
+        shapes = [((0,) * j + (1,), m - j) for j in range(m + 1)]
     start = 0
-    for j in range(m + 1):
-        size = q ** (m - j)
-        yield start, size, (zero,) * j + (one,), m - j
+    for prefix, n_free in shapes:
+        size = order**n_free
+        block_lo, block_hi = max(lo - start, 0), min(hi - start, size)
+        if block_lo < block_hi:
+            yield prefix, n_free, block_lo, block_hi, block_hi - block_lo == size
         start += size
 
 
@@ -323,10 +354,9 @@ def _count_pure(spec, field, equations, lo, hi) -> int:
     one = (1,) + (0,) * (field.k - 1)
     elems = None
     count = 0
-    for start, size, prefix, n_free in _blocks(spec, field):
-        if start + size <= lo or start >= hi:
-            continue
-        block_lo, block_hi = max(lo - start, 0), min(hi - start, size)
+    fixed = (field.zero.coeffs, one)
+    for prefix, n_free, block_lo, block_hi, _ in _blocks(spec, field.order, lo, hi):
+        prefix = tuple(fixed[c] for c in prefix)
         if n_free <= 1:
             # One free coordinate may range over a huge field; stay lazy.
             points = ((t,) for t in field._tuples()) if n_free else iter([()])
@@ -363,29 +393,24 @@ def _count_pure(spec, field, equations, lo, hi) -> int:
     return count
 
 
-def _count_numpy(spec, field, equations, lo, hi) -> int:
+def _count_numpy(field, equations, blocks) -> int:
+    """Points over ``field`` = F_{q^n} in ``blocks`` (as _blocks yields them)."""
     q = field.order
     count = 0
     jobs = []
-    for start, size, prefix, n_free in _blocks(spec, field):
-        if start + size <= lo or start >= hi:
-            continue
-        block_lo, block_hi = max(lo - start, 0), min(hi - start, size)
-        plan = _block_plan(field, equations, prefix)
+    for prefix, n_free, block_lo, block_hi, whole in blocks:
+        plan = _block_plan(field.p, equations, prefix)
         if plan is None:
             continue
         if not plan:
             count += block_hi - block_lo
             continue
         # A partial block stays on the direct path, so partitions of a span
-        # cross-check the two strategies.
-        whole = len(equations) == 1 and block_hi - block_lo == size
-        parts = _fibre_split(field, plan[0], n_free) if whole else None
+        # cross-check the strategies.
+        parts = _fibre_split(field, plan[0], n_free) if whole and len(equations) == 1 else None
         jobs.append((plan, n_free, block_lo, block_hi, parts))
     if not jobs:
         return count
-    # Fetched only for blocks with free coordinates: a single point may
-    # live in a field whose indices overflow int64 (ambient dimension 0).
     work = sum(b - a if parts is None else b // q for _, _, a, b, parts in jobs)
     ops = field.vector_ops(work)
     for plan, n_free, block_lo, block_hi, parts in jobs:
@@ -394,6 +419,31 @@ def _count_numpy(spec, field, equations, lo, hi) -> int:
         else:
             count += _count_fibres(field, ops, parts, n_free - 1)
     return count
+
+
+def _count_roots(field, plan, order) -> int:
+    """Points of a whole block with one free coordinate y, over F_order.
+
+    ``plan`` is the block's plan over ``field`` = F_q, a subfield of F_order.
+    With g the gcd of its equations' polynomials in y, the count is
+    deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
+    on F_order (g = 0 means every y is a point).  y^order mod g takes
+    log2(order) squarings mod g.
+    """
+    zero = field.zero.coeffs
+    g = []
+    for const, terms in plan:
+        poly = [const]
+        for scalar, ((_, e),) in terms:
+            poly += [zero] * (e + 1 - len(poly))
+            poly[e] = field._add(poly[e], scalar)
+        g = _fq_gcd(g, poly, field)
+    if not g:
+        return order
+    frobenius = _fq_ypow(order, g, field)
+    frobenius += [zero] * (2 - len(frobenius))
+    frobenius[1] = field._sub(frobenius[1], field.one.coeffs)
+    return len(_fq_gcd(g, frobenius, field)) - 1
 
 
 def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
@@ -517,31 +567,27 @@ def _fibre_split(field, poly, n_free):
     return [(c, tuple(ts)) for c, ts in parts]
 
 
-def _block_plan(field, equations, prefix):
+def _block_plan(p, equations, prefix):
     """Equations as (constant, [(scalar, ((free coordinate, exponent), ...))]).
 
-    The block's fixed prefix is folded into scalars and constants; None means
-    some equation is a nonzero constant on the block.
+    The block's fixed prefix of 0s and 1 is folded into scalars and
+    constants, which takes only coefficient addition over F_p, so no field
+    is built; None means some equation is a nonzero constant on the block.
     """
-    zero = field.zero.coeffs
     plan = []
+    j = len(prefix)
     for eq in equations:
-        const, terms = zero, []
+        if not eq:
+            continue
+        const, terms = (0,) * len(eq[0][0]), []
         for coeff, exps in eq:
-            scalar, free = coeff, []
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i < len(prefix):
-                    scalar = field._mul(scalar, field._pow(prefix[i], e))
-                else:
-                    free.append((i - len(prefix), e))
-            if not any(scalar):
+            if any(e and not fixed for e, fixed in zip(exps, prefix)):
                 continue
+            free = tuple((i - j, e) for i, e in enumerate(exps) if e and i >= j)
             if free:
-                terms.append((scalar, tuple(free)))
+                terms.append((coeff, free))
             else:
-                const = field._add(const, scalar)
+                const = tuple((a + b) % p for a, b in zip(const, coeff))
         if terms:
             plan.append((const, terms))
         elif any(const):

@@ -188,41 +188,65 @@ def test_malformed_profile_is_a_one_line_error(capsys, fixtures_dir, tmp_path, p
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_count_over_a_huge_extension_exits_3(capsys, tmp_path):
-    spec = tmp_path / "point.json"
+def _write_spec(tmp_path, label, p, k, kind, dim, equations):
+    spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps(
             {
-                "label": "P^0 over F_2^160",
-                "p": 2,
-                "k": 160,
-                "ambient": {"type": "projective", "dim": 0},
-                "equations": [],
+                "label": label,
+                "p": p,
+                "k": k,
+                "ambient": {"type": kind, "dim": dim},
+                "equations": equations,
             }
         )
     )
-    code, out, err = run_cli(capsys, "count", str(spec), "-n", "1")
+    return str(spec)
+
+
+def test_count_over_a_huge_extension_exits_3(capsys, tmp_path):
+    # The 2^160 + 1 points of P^1 over F_2^160 exceed the default budget,
+    # which refuses them before any field is built.
+    spec = _write_spec(tmp_path, "P^1 over F_2^160", 2, 160, "projective", 1, [])
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1")
     assert code == 3
     assert out == ""
     assert err.startswith("budget exceeded: ")
 
 
-def test_count_over_a_field_beyond_int64_exits_3(capsys, tmp_path):
-    # The budget admits F_{2^70}, but its element indices do not fit in int64.
+def test_spaces_over_large_extensions_need_no_field(capsys, tmp_path):
+    # The budget bounds the domain: P^0 has one point whatever the field.
+    point = _write_spec(tmp_path, "P^0 over F_2^40", 2, 40, "projective", 0, [])
+    assert run_cli(capsys, "count", point, "-n", "1") == (0, "1\n", "")
+    # A space with no equations is counted without indexing F_2^80.
+    plane = _write_spec(tmp_path, "A^2 over F_2^40", 2, 40, "affine", 2, [])
+    code, out, _ = run_cli(capsys, "count", plane, "-n", "2", "--budget", str(10**49))
+    assert code == 0
+    assert out == f"{2**80}\n{2**160}\n"
+
+
+def test_count_of_a_line_over_a_field_beyond_int64(capsys, tmp_path):
+    # x_0 + g x_1 = 0 over F_2^70: _count_pure would find the one point
+    # [1 : 1/g] in the chart x_0 = 1 and none at [0 : 1], where g != 0.  Its
+    # one free coordinate is counted by a gcd over F_2^70, with no index.
     one, g = [1] + [0] * 69, [0, 1] + [0] * 68
-    spec = tmp_path / "line.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "label": "x_0 + g x_1 = 0 over F_2^70",
-                "p": 2,
-                "k": 70,
-                "ambient": {"type": "projective", "dim": 1},
-                "equations": [[[one, [1, 0]], [g, [0, 1]]]],
-            }
-        )
+    spec = _write_spec(
+        tmp_path, "x_0 + g x_1 = 0 over F_2^70", 2, 70, "projective", 1,
+        [[[one, [1, 0]], [g, [0, 1]]]],
     )
-    code, out, err = run_cli(capsys, "count", str(spec), "-n", "1", "--budget", str(10**24))
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--budget", str(10**24))
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_count_over_a_field_beyond_int64_exits_3(capsys, tmp_path):
+    # The budget admits P^2 over F_{2^70}, but the conic's chart x_0 = 1 has
+    # two free coordinates, whose element indices do not fit in int64.
+    one = [1] + [0] * 69
+    spec = _write_spec(
+        tmp_path, "x_0^2 + x_1 x_2 = 0 over F_2^70", 2, 70, "projective", 2,
+        [[[one, [2, 0, 0]], [one, [0, 1, 1]]]],
+    )
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--budget", str(10**43))
     assert code == 3
     assert out == ""
     assert err.startswith("budget exceeded: ") and "int64" in err

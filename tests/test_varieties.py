@@ -375,13 +375,13 @@ def _binary_form_p1(p, terms):
     ],
 )
 def test_pure_and_numpy_backends_agree(spec, n, span, expected):
-    from fqzeta.varieties import _count_numpy, _count_pure, _embedded_equations
+    from fqzeta.varieties import _blocks, _count_numpy, _count_pure, _embedded_equations
 
     field = make_extension(spec.p, spec.k * n)
     eqs = _embedded_equations(spec, field)
     lo, hi = span or (0, domain_size(spec, n))
     pure = _count_pure(spec, field, eqs, lo, hi)
-    vec = _count_numpy(spec, field, eqs, lo, hi)
+    vec = _count_numpy(field, eqs, _blocks(spec, field.order, lo, hi))
     assert pure == vec == expected
 
 
@@ -422,8 +422,14 @@ def test_field_beyond_int64_is_indexed_only_where_a_count_must():
 
     budget = 10**24
     line = projective(1, [[[one, [1, 0]], [g, [0, 1]]]])
+    # _count_pure would find the one point [1 : 1/g] in the chart x_0 = 1
+    # and none at [0 : 1], where g != 0.  A whole block with one free
+    # coordinate is counted by a gcd over F_2^70, with no index.
+    assert count_points(line, 1, budget=budget) == 1
+    # The chart x_0 = 1 of a conic has two free coordinates: it must index.
+    conic = projective(2, [[[one, [2, 0, 0]], [one, [0, 1, 1]]]])
     with pytest.raises(BudgetExceededError, match="int64"):
-        count_points(line, 1, budget=budget)
+        count_points(conic, 1, budget=10**43)
     # The one-point block [0:1], P^0 and a space with no equations need no index.
     size = 2**70 + 1
     assert count_points(line, 1, budget=budget, span=(size - 1, size)) == 0
@@ -440,13 +446,16 @@ def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
     from fqzeta.varieties import _count_pure, _embedded_equations
 
     # x^5 + x^2 y^3 + y^5 = 0 in P^1 over F_{2^10}: 1025 points, far fewer
-    # than the 2^20 table entries.
+    # than the 2^20 table entries.  The whole chart x = 1 is counted by a
+    # gcd; its two halves are evaluated point by point.
     spec = _binary_form_p1(2, [[1, [5, 0]], [1, [2, 3]], [1, [0, 5]]])
     field = fresh_tables(make_extension(2, 10))
     got = count_points(spec, 10)
+    size = domain_size(spec, 10)
+    halves = count_points(spec, 10, span=(0, 512)) + count_points(spec, 10, span=(512, size))
     assert field._np_tables is None
     eqs = _embedded_equations(spec, field)
-    assert got == _count_pure(spec, field, eqs, 0, domain_size(spec, 10))
+    assert got == halves == _count_pure(spec, field, eqs, 0, size)
 
 
 def test_plane_curve_count_builds_tables(fresh_tables):
@@ -591,8 +600,118 @@ def test_fibre_or_direct_path_matches_oracle(spec, fibres):
 
     field = make_extension(spec.p, spec.k)
     eqs = _embedded_equations(spec, field)
-    _, _, prefix, n_free = next(_blocks(spec, field))
-    plan = _block_plan(field, eqs, prefix)
+    prefix, n_free, *_ = next(_blocks(spec, field.order, 0, domain_size(spec, 1)))
+    plan = _block_plan(field.p, eqs, prefix)
     assert (_fibre_split(field, plan[0], n_free) is not None) == fibres
     _assert_matches_oracle(spec)
 
+
+# The gcd path against the oracle.  A whole block with one free coordinate y
+# is counted as deg gcd(g, y^Q - y) over F_q, with g the gcd of its
+# equations; _count_pure evaluates every point over F_Q, and two partial
+# spans send the same blocks down the direct evaluator.  Fields hold at most
+# 7^4 elements, to keep the oracle fast.
+
+
+def _poly_mul(field, a, b):
+    out = [field.zero.coeffs] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = field._add(out[i + j], field._mul(ca, cb))
+    return out
+
+
+@st.composite
+def _univariate_factors(draw, field):
+    """A product of factors over F_q, low degree first; may repeat roots."""
+    p = field.p
+    elem = st.integers(0, field.order - 1).map(field.tuple_at)
+    one = field.one.coeffs
+    zero = field.zero.coeffs
+    kinds = st.sampled_from(["linear", "square", "artin-schreier", "inseparable", "any"])
+    poly = [draw(elem.filter(any))]
+    for _ in range(draw(st.integers(1, 3))):
+        kind, a = draw(kinds), draw(elem)
+        minus_a = field._neg(a)
+        if kind == "linear":  # y - a
+            factor = [minus_a, one]
+        elif kind == "square":  # (y - a)^2
+            factor = _poly_mul(field, [minus_a, one], [minus_a, one])
+        elif kind == "artin-schreier":  # y^p - a y
+            factor = [zero, minus_a] + [zero] * (p - 2) + [one]
+        elif kind == "inseparable":  # y^p - a = (y - a^(1/p))^p
+            factor = [minus_a] + [zero] * (p - 1) + [one]
+        else:
+            factor = draw(st.lists(elem, min_size=1, max_size=4))
+        poly = _poly_mul(field, poly, factor)
+    while poly and not any(poly[-1]):
+        poly.pop()
+    return poly
+
+
+@st.composite
+def _one_coordinate_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, max(n for n in (1, 2, 3) if p ** (k * n) <= 7**4)))
+    field = make_extension(p, k)
+    kind = draw(st.sampled_from(["affine", "projective"]))
+    common = draw(_univariate_factors(field))
+    equations = []
+    for _ in range(draw(st.integers(1, 2))):
+        poly = _poly_mul(field, common, draw(_univariate_factors(field)))
+        # In P^1, x_0^extra makes [0 : 1] a point when extra > 0.
+        extra = draw(st.integers(0, 2)) if kind == "projective" else 0
+        degree = len(poly) - 1 + extra
+        terms = []
+        for e, c in enumerate(poly):
+            if any(c):
+                exps = [e] if kind == "affine" else [degree - e, e]
+                terms.append([c[0] if k == 1 else list(c), exps])
+        equations.append(terms)
+    spec = VarietySpec.from_dict(
+        {
+            "label": "one coordinate",
+            "p": p,
+            "k": k,
+            "ambient": {"type": kind, "dim": 1},
+            "equations": equations,
+        }
+    )
+    return spec, n
+
+
+@settings(max_examples=60)
+@given(_one_coordinate_specs())
+def test_one_coordinate_count_matches_oracle(case):
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    spec, n = case
+    field = make_extension(spec.p, spec.k * n)
+    size = domain_size(spec, n)
+    got = count_points(spec, n)
+    assert got == _count_pure(spec, field, _embedded_equations(spec, field), 0, size)
+    cut = field.order // 2
+    assert got == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, size))
+
+
+def test_benchmark_shapes_stay_off_the_vector_path(fixtures_dir, monkeypatch):
+    import math
+
+    from fqzeta import varieties
+    from fqzeta.fields import ExtensionField
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vector path taken")
+
+    monkeypatch.setattr(ExtensionField, "vector_ops", refuse)
+    monkeypatch.setattr(varieties, "_first_root", refuse)
+    line = load_spec(fixtures_dir / "line_f4.json")
+    assert count_series(line, 8).counts == (1,) * 8
+    for c in range(1, 5):
+        binomial = _binary_form_p1(5, [[1, [3, 0]], [-c, [0, 3]]])
+        # x_1^3 = 1/c in the chart x_0 = 1, no point at [0 : 1].  Cubing is
+        # a bijection of F_{5^n}^* for odd n; for even n, 8 divides
+        # (5^n - 1)/3 and c^4 = 1, so c is a cube with 3 cube roots.
+        expected = tuple(math.gcd(3, 5**n - 1) for n in range(1, 8))
+        assert count_series(binomial, 7).counts == expected
