@@ -29,6 +29,7 @@ line; rationals print as num/den in lowest terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -278,6 +279,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fqzeta",
@@ -354,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv):
-    # Returns only the namespace, so the parser is garbage before the
-    # command runs instead of adding to its peak memory.
+    # The parser is built once per process and reused by every main call
+    # (a batch of in-process commands); parsing leaves no state in it, and
+    # argparse looks up sys.stdout and sys.stderr only when it prints.
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "solve" and not 1 <= args.d <= args.max_d:

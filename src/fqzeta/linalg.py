@@ -1,16 +1,19 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
-Entries only need +, -, *, / and truthiness (zero is falsy), which both
-fractions.Fraction and fqzeta.ratfunc.RationalFunctionQ provide.  The
-program reduces only Fraction entries: the zeta fit's linear systems, and
-the trace solver's rows over Q after their weight grading takes the powers
-of q out.  The tests also reduce RationalFunctionQ rows, as the reference
-the graded reduction must match.
+Entries of ``rref`` only need +, -, *, / and truthiness (zero is falsy),
+which both fractions.Fraction and fqzeta.ratfunc.RationalFunctionQ provide;
+zero entries are skipped, not computed with.  ``solve`` works over Q and
+coerces its entries to Fraction.  The program reduces only Fraction
+entries: the zeta fit's linear systems, and the trace solver's rows over Q
+after their weight grading takes the powers of q out.  The tests also
+reduce RationalFunctionQ rows, as the reference the graded reduction must
+match.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 
 
 def rref(matrix: Sequence[Sequence], col_order: Sequence[int] | None = None):
@@ -38,12 +41,12 @@ def rref(matrix: Sequence[Sequence], col_order: Sequence[int] | None = None):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for j in range(len(rows)):
             if j == r or not rows[j][col]:
                 continue
             factor = rows[j][col]
-            rows[j] = [x - factor * y for x, y in zip(rows[j], rows[r])]
+            rows[j] = [x - factor * y if y else x for x, y in zip(rows[j], rows[r])]
         pivots.append((r, col))
         r += 1
         if r == len(rows):
@@ -52,15 +55,15 @@ def rref(matrix: Sequence[Sequence], col_order: Sequence[int] | None = None):
 
 
 def solve(matrix, rhs):
-    """Solve A x = b exactly.
+    """Solve A x = b exactly over Q; entries are coerced to Fraction.
 
     Returns the solution with free variables set to zero, or None if the
     system is inconsistent.
     """
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     nunk = len(matrix[0]) if matrix else 0
     rows, pivots = rref(aug, col_order=range(nunk))
-    sol = [0] * nunk
+    sol = [Fraction(0)] * nunk
     pivot_cols = {col: r for r, col in pivots}
     for col, r in pivot_cols.items():
         sol[col] = rows[r][nunk]

@@ -19,10 +19,17 @@ def _canonical(num, den):
         raise ZeroDivisionError("rational function with zero denominator")
     if not num:
         return polys.ZERO, polys.ONE
-    g = polys.gcd(num, den)
-    if polys.degree(g) > 0:
-        num = polys.div_mod(num, g)[0]
-        den = polys.div_mod(den, g)[0]
+    low_num = next(i for i, c in enumerate(num) if c)
+    low_den = next(i for i, c in enumerate(den) if c)
+    if low_num == len(num) - 1 or low_den == len(den) - 1:
+        # One side is a monomial c q^e, so the gcd is the common power of q.
+        shift = min(low_num, low_den)
+        num, den = num[shift:], den[shift:]
+    else:
+        g = polys.gcd(num, den)
+        if polys.degree(g) > 0:
+            num = polys.div_mod(num, g)[0]
+            den = polys.div_mod(den, g)[0]
     lead = den[-1]
     if lead != 1:
         inv = Fraction(1) / lead

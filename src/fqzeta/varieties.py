@@ -16,7 +16,7 @@ and sum the results.  The budget bounds the size of this domain.
 count_points first plans each block (one position of the leading 1) over
 F_q itself: folding the fixed 0s and 1 into the equations decides, with no
 field built, that a block is empty or wholly on the variety.  Every other
-block is counted in one of three ways:
+block is counted in one of four ways:
 
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
   whatever the number of equations.  With g the gcd of their polynomials
@@ -30,19 +30,29 @@ block is counted in one of three ways:
   points only; the number of y in each fibre follows from
   #{y : y^2 = s} = 1 + chi(s), with the quadratic character chi read off by
   Euler's criterion.
-* directly, at every point, for every other block: partial blocks, several
-  equations, or every free coordinate of degree 3 or more.
+* by halves, for a block wholly inside ``span`` of a one-equation spec
+  whose free coordinates fall into two or more groups that no monomial
+  links, over a field F_Q of at most _CHUNK elements.  The groups are
+  packed into the two most even sides X and Y, the equation reads
+  g(X) + h(Y) = 0, and the block holds sum_v #{g = v} #{-h = v} points:
+  Q^|X| + Q^|Y| evaluations, two histograms of Q entries each.
+* directly, at every point.
 
-Only the last two build F_{q^n}, embed the coefficients into it and
-evaluate with its vectorized kernel (ExtensionField.vector_ops) on chunks of
-int64 element indices.  _count_pure is a pure-Python evaluation at every
-point over coefficient tuples, kept as the tests' oracle for all three.
+Of the last three, a block takes the one that evaluates the fewest points,
+ties going first to fibres, then to halves.  A partial block is always
+counted directly, so partitions of a span cross-check the strategies.
+Only these three build F_{q^n}, embed the
+coefficients into it and evaluate with its vectorized kernel
+(ExtensionField.vector_ops) on chunks of int64 element indices.
+_count_pure is a pure-Python evaluation at every point over coefficient
+tuples, kept as the tests' oracle for all four.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
@@ -405,19 +415,26 @@ def _count_numpy(field, equations, blocks) -> int:
         if not plan:
             count += block_hi - block_lo
             continue
-        # A partial block stays on the direct path, so partitions of a span
-        # cross-check the strategies.
-        parts = _fibre_split(field, plan[0], n_free) if whole and len(equations) == 1 else None
-        jobs.append((plan, n_free, block_lo, block_hi, parts))
+        # (points evaluated, counter, its arguments), fewest points first and
+        # ties to the earliest.  A partial block stays on the direct path, so
+        # partitions of a span cross-check the strategies.
+        options = []
+        if whole and len(equations) == 1:
+            parts = _fibre_split(field, plan[0], n_free)
+            if parts is not None:
+                options.append((q ** (n_free - 1), _count_fibres, (parts, n_free - 1)))
+            sides = _halves_split(field, plan[0], n_free) if q <= _CHUNK else None
+            if sides is not None:
+                options.append((sum(q**m for m, _ in sides), _count_halves, (sides,)))
+        options.append(
+            (block_hi - block_lo, _count_direct, (plan, n_free, block_lo, block_hi))
+        )
+        jobs.append(min(options, key=lambda option: option[0]))
     if not jobs:
         return count
-    work = sum(b - a if parts is None else b // q for _, _, a, b, parts in jobs)
-    ops = field.vector_ops(work)
-    for plan, n_free, block_lo, block_hi, parts in jobs:
-        if parts is None:
-            count += _count_direct(field, ops, plan, n_free, block_lo, block_hi)
-        else:
-            count += _count_fibres(field, ops, parts, n_free - 1)
+    ops = field.vector_ops(sum(work for work, _, _ in jobs))
+    for _, counter, args in jobs:
+        count += counter(field, ops, *args)
     return count
 
 
@@ -504,6 +521,39 @@ def _count_fibres(field, ops, parts, n_other) -> int:
     return count
 
 
+def _count_halves(field, ops, sides) -> int:
+    """Points of a whole block whose one equation reads g(X) = -h(Y).
+
+    ``sides`` holds g and -h (see _halves_split).  With H_g[v] the number of
+    points of X where g = v, and H_-h alike, the block holds
+    sum_v H_g[v] H_-h[v] points.  Each histogram has one entry per element
+    of F_Q, so it is no larger than one evaluation chunk.
+    """
+    import numpy as np
+
+    q = field.order
+    chunk = _CHUNK // field.k
+    hists = []
+    for n_side, (const, terms) in sides:
+        hist = np.zeros(q, dtype=np.int64)
+        for c0 in range(0, q**n_side, chunk):
+            c1 = min(c0 + chunk, q**n_side)
+            values = _evaluator(field, ops, n_side, c0, c1)(const, terms)
+            hist += np.bincount(values, minlength=q)
+        hists.append(hist)
+    return _exact_dot(*hists)
+
+
+def _exact_dot(a, b) -> int:
+    """sum(a * b) for int64 arrays of counts, exact however large it is."""
+    import numpy as np
+
+    # sum(a) * max(b) bounds every partial sum of the int64 dot product.
+    if int(a.sum()) * int(b.max()) <= np.iinfo(np.int64).max:
+        return int(a @ b)
+    return sum(map(operator.mul, a.tolist(), b.tolist()))
+
+
 def _evaluator(field, ops, n_free, c0, c1):
     """Evaluates block polynomials at the block offsets c0..c1 (see _block_plan)."""
     import numpy as np
@@ -565,6 +615,45 @@ def _fibre_split(field, poly, n_free):
         else:
             part[0] = field._add(part[0], scalar)
     return [(c, tuple(ts)) for c, ts in parts]
+
+
+def _halves_split(field, poly, n_free):
+    """The block polynomial as g(X) + h(Y) = 0 on disjoint free coordinates, or None.
+
+    X and Y are unions of the connected components of "free coordinates
+    sharing a monomial", packed into the two most even sides; None means
+    all free coordinates are linked.  Returns [(|X|, g), (|Y|, -h)], each a
+    block polynomial in its side's coordinates, with the block's constant
+    in g.
+    """
+    const, terms = poly
+    groups = [{t} for t in range(n_free)]
+    for _, free in terms:
+        linked = {t for t, _ in free}
+        joined = set().union(*(g for g in groups if g & linked))
+        groups = [g for g in groups if not g & linked] + [joined]
+    if len(groups) < 2:
+        return None
+    # Each reachable size of X as a union of groups, with the first such union.
+    unions = {0: set()}
+    for group in groups:
+        for size, union in list(unions.items()):
+            unions.setdefault(size + len(group), union | group)
+    size = min((s for s in unions if 0 < s < n_free), key=lambda s: (abs(n_free - 2 * s), s))
+    x = unions[size]
+    zero = field.zero.coeffs
+    g, minus_h = [], []
+    for scalar, free in terms:
+        if free[0][0] in x:
+            g.append((scalar, free))
+        else:
+            minus_h.append((field._sub(zero, scalar), free))
+    sides = []
+    for coords, c, side in ((x, const, g), (set(range(n_free)) - x, zero, minus_h)):
+        index = {t: i for i, t in enumerate(sorted(coords))}
+        renamed = tuple((s, tuple((index[t], e) for t, e in free)) for s, free in side)
+        sides.append((len(coords), (c, renamed)))
+    return sides
 
 
 def _block_plan(p, equations, prefix):

@@ -548,6 +548,26 @@ def _run_captured(argv):
     return code, out.getvalue(), message
 
 
+def test_reused_parser_matches_fresh_processes(fixtures_dir):
+    # main builds its parser once per process; a command run after others
+    # must print and exit exactly as in a process of its own.
+    runs = [
+        ["solve", "-d", "4", "--no-trivial"],
+        ["solve", "-d", "4"],
+        ["solve", "-d", "9"],
+        ["count", fx(fixtures_dir, "elliptic_f5.json"), "-n", "3", "--format", "json"],
+    ]
+    results = [_run_captured(argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, out, err) in zip(runs, results):
+        fresh = _run_module(*argv, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    # d = 4 leaves a residual family (exit 1); --no-trivial must not leak
+    # into the next solve.
+    assert [code for code, _, _ in results] == [1, 1, 2, 0]
+    assert "trivial=off" in results[0][1] and "trivial=on" in results[1][1]
+
+
 # find-pair arguments: any integers for the prime range and the budget end in
 # a result (0), a usage error (2) or a budget refusal (3), never a traceback.
 # Budgets stay small, so every admitted sweep is short.

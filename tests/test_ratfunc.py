@@ -25,6 +25,25 @@ def test_canonical_reduction():
     assert x.num == (Fraction(1, 2),)
 
 
+@given(small_polys, st.integers(0, 3), small_fractions.filter(bool), st.booleans())
+def test_monomial_side_reduces_like_the_euclidean_gcd(poly, e, c, monomial_den):
+    # A side c q^e shares only a power of q with the other; the shortcut
+    # must give the same canonical pair as the gcd.
+    from fqzeta import polys
+    from fqzeta.ratfunc import _canonical
+
+    monomial = (0,) * e + (c,)
+    num, den = (poly, monomial) if monomial_den else (monomial, poly)
+    num = polys.normalize(tuple(Fraction(x) for x in num))
+    den = polys.normalize(tuple(Fraction(x) for x in den))
+    if not den or not num:
+        return
+    g = polys.gcd(num, den)
+    ref_num, ref_den = polys.div_mod(num, g)[0], polys.div_mod(den, g)[0]
+    lead = ref_den[-1]
+    assert _canonical(num, den) == (polys.scale(ref_num, 1 / lead), polys.scale(ref_den, 1 / lead))
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         rf((1,), (0,))

@@ -461,16 +461,17 @@ def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
 def test_plane_curve_count_builds_tables(fresh_tables):
     from fqzeta.varieties import _count_pure, _embedded_equations
 
-    # Every coordinate of x^3 + y^3 + z^3 has degree 3, so all 992 points of
-    # the charts x = 1 and x = 0, y = 1 are evaluated: more than the 961
-    # table entries of F_31.
+    # Every coordinate of x^3 + y^3 + z^3 + xyz has degree 3, and xyz links
+    # them all, so the 961 points of the chart x = 1 are evaluated: as many
+    # as the 961 table entries of F_31.  (The chart x = 0, y = 1 has one free
+    # coordinate and is counted by a gcd.)
     spec = VarietySpec.from_dict(
         {
-            "label": "Fermat cubic",
+            "label": "linked cubic",
             "p": 31,
             "k": 1,
             "ambient": {"type": "projective", "dim": 2},
-            "equations": [[[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]]]],
+            "equations": [[[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]], [1, [1, 1, 1]]]],
         }
     )
     field = fresh_tables(make_extension(31, 1))
@@ -715,3 +716,116 @@ def test_benchmark_shapes_stay_off_the_vector_path(fixtures_dir, monkeypatch):
         # (5^n - 1)/3 and c^4 = 1, so c is a cube with 3 cube roots.
         expected = tuple(math.gcd(3, 5**n - 1) for n in range(1, 8))
         assert count_series(binomial, 7).counts == expected
+
+
+# Counting by halves.  A whole block whose one equation reads g(X) + h(Y) = 0,
+# with no monomial linking the free coordinates in X to those in Y, is
+# counted from the value histograms of g and -h.  _count_pure evaluates
+# every point, and two spans that cut the first block send it down the
+# direct evaluator.
+
+
+def _fermat(p, dim):
+    """x_0^3 + ... + x_dim^3 in P^dim over F_p."""
+    terms = [(1, tuple(3 * (i == j) for i in range(dim + 1))) for j in range(dim + 1)]
+    return _one_equation(p, 1, "projective", dim, terms)
+
+
+@st.composite
+def _separable_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 2]))
+    # A^3 and P^3 only over fields of at most 9 elements, to keep the oracle fast.
+    ambients = [("affine", 2), ("projective", 2)] + [("affine", 3), ("projective", 3)] * (p**k <= 9)
+    kind, dim = draw(st.sampled_from(ambients))
+    nvars = dim + (kind == "projective")
+    # Every coordinate gets a term of degree >= 3, so no fibre split applies.
+    degree = draw(st.integers(3, 4)) if kind == "projective" else None
+    coords = draw(st.permutations(range(nvars)))
+    monomials = []
+    while coords:
+        if len(coords) > 1 and draw(st.booleans()):
+            # One two-coordinate term links the next two coordinates.
+            a = draw(st.integers(1, degree - 1 if degree else 3))
+            b = degree - a if degree else draw(st.integers(1, 3))
+            group, coords = coords[:2], coords[2:]
+            monomials.append({group[0]: a, group[1]: b})
+        else:
+            group, coords = coords[:1], coords[1:]
+        for t in group:
+            monomials.append({t: degree or draw(st.integers(3, 4))})
+            if not degree and draw(st.booleans()):
+                monomials.append({t: draw(st.integers(1, 2))})
+    if kind == "affine" and draw(st.booleans()):
+        monomials.append({})
+    coeff = st.integers(1, p - 1) if k == 1 else st.lists(st.integers(0, p - 1), min_size=k, max_size=k).filter(any)
+    terms = [(draw(coeff), tuple(m.get(t, 0) for t in range(nvars))) for m in monomials]
+    return _one_equation(p, k, kind, dim, terms)
+
+
+@settings(max_examples=80)
+@given(_separable_specs())
+def test_halves_count_matches_oracle(spec):
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    field = make_extension(spec.p, spec.k)
+    size = domain_size(spec, 1)
+    got = count_points(spec, 1)
+    assert got == _count_pure(spec, field, _embedded_equations(spec, field), 0, size)
+    cut = field.order**spec.ambient.dim // 2  # inside the first block
+    assert got == count_points(spec, 1, span=(0, cut)) + count_points(spec, 1, span=(cut, size))
+
+
+def test_diagonal_cubic_threefold_over_f2():
+    from fqzeta.varieties import _count_pure, _embedded_equations
+
+    # The chart x_0 = 1 of P^4 costs 2 * 8^2 evaluations at n = 3 instead
+    # of 8^4.  For odd n, cubing permutes F_{2^n}, so N_1 = 15 and N_3 = 585
+    # count the hyperplane x_0 + ... + x_4 = 0, a P^3.
+    spec = _fermat(2, 4)
+    counts = count_series(spec, 3).counts
+    for n, got in enumerate(counts, start=1):
+        field = make_extension(2, n)
+        size = domain_size(spec, n)
+        assert got == _count_pure(spec, field, _embedded_equations(spec, field), 0, size)
+    assert counts == (15, 165, 585)
+
+
+def test_counting_strategy_takes_fewest_points(monkeypatch):
+    from fqzeta import varieties
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strategy taken")
+
+    # The Fermat cubic surface over F_2: its charts with three and two free
+    # coordinates are counted by halves, with no direct evaluation.  For odd
+    # n, cubing permutes F_q and the surface has as many points as a plane;
+    # for even n, its 27 lines are defined over F_4 and N = q^2 + 7q + 1.
+    halves = []
+    count_halves = varieties._count_halves
+    monkeypatch.setattr(varieties, "_count_direct", refuse)
+    monkeypatch.setattr(
+        varieties, "_count_halves", lambda *args: halves.append(args) or count_halves(*args)
+    )
+    assert count_series(_fermat(2, 3), 7).counts == (7, 45, 73, 369, 1057, 4545, 16513)
+    assert len(halves) == 2 * 7
+    # A Weierstrass curve and a diagonal quadric surface keep the fibre
+    # path: one coordinate of degree <= 2 leaves fewer points than halves.
+    monkeypatch.setattr(varieties, "_count_halves", refuse)
+    p = 7
+    n1 = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - 2 * x - 3) % p == 0)
+    trace = p + 1 - n1
+    assert count_points(_curve(p, 2, 3), 2) == p**2 + 1 - (trace**2 - 2 * p)
+    squares = [(c, tuple(2 * (i == j) for i in range(4))) for j, c in enumerate((1, 2, 3, 4))]
+    _assert_matches_oracle(_one_equation(p, 1, "projective", 3, squares))
+
+
+def test_exact_dot_past_int64():
+    import numpy as np
+
+    from fqzeta.varieties import _exact_dot
+
+    a = np.array([2**40, 2**40, 3], dtype=np.int64)
+    b = np.array([2**30, 2**30, 5], dtype=np.int64)
+    assert _exact_dot(a, b) == 2**71 + 15
+    assert _exact_dot(a[2:], b[2:]) == 15
