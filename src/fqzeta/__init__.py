@@ -14,23 +14,13 @@ from .errors import (
     FqZetaError,
     InsufficientCountsError,
     MalformedSpecError,
-    MixedFieldsError,
     NonIntegralCoefficientsError,
     NonIntegralCountError,
     NoRationalFitError,
     NotPrimeError,
     WeightSeparationError,
 )
-from .fields import (
-    ExtensionField,
-    FieldElement,
-    enumerate_elements,
-    field_add,
-    field_inv,
-    field_mul,
-    field_neg,
-    make_extension,
-)
+from .fields import ExtensionField, make_extension
 from .pairsearch import CurveModel, PairSearchResult, curve_zeta, find_pairs, weierstrass_spec
 from .ratfunc import RationalFunctionQ
 from .tracesolver import (

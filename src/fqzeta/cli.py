@@ -45,6 +45,7 @@ from .errors import (
     WeightSeparationError,
 )
 from .pairsearch import find_pairs
+from .polys import render
 from .tracesolver import build_constraint_system, solve_forced
 from .varieties import DEFAULT_BUDGET, count_series, load_spec
 from .zeta import (
@@ -76,24 +77,6 @@ _FIT_ERRORS = (
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def _poly_str(coeffs) -> str:
-    parts = []
-    for e, c in enumerate(coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "t" if e == 1 else f"t^{e}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts) or "0"
 
 
 def _load_profile(path) -> CohomologyProfile:
@@ -149,9 +132,10 @@ def _cmd_zeta(args) -> int:
     else:
         print(f"label: {spec.label}")
         print(f"counts: {list(series.counts)}")
-        print(f"zeta = ({_poly_str(zeta.num)}) / ({_poly_str(zeta.den)})")
+        num, den = (render(f, "t", descending=False) for f in (zeta.num, zeta.den))
+        print(f"zeta = ({num}) / ({den})")
         for i, f in enumerate(factorization.factors):
-            print(f"P_{i} = {_poly_str(f)}")
+            print(f"P_{i} = {render(f, 't', descending=False)}")
         print("duality check: ok")
         print(f"riemann hypothesis check: {'ok' if rh['ok'] else 'VIOLATED'}")
         for v in rh["violations"]:
@@ -213,11 +197,12 @@ def _cmd_find_pair(args) -> int:
         if not results:
             print("no pairs found")
         for r in results:
+            num, den = (render(f, "t", descending=False) for f in (r.zeta.num, r.zeta.den))
             print(
                 f"p={r.p}  A=(a={r.curve_a.a}, b={r.curve_a.b})  "
                 f"B=(a={r.curve_b.a}, b={r.curve_b.b})  "
                 f"counts={list(r.counts)}  "
-                f"zeta=({_poly_str(r.zeta.num)}) / ({_poly_str(r.zeta.den)})"
+                f"zeta=({num}) / ({den})"
             )
     return EXIT_OK
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all fqzeta modules.
 
-Division of a field element by zero raises the built-in ZeroDivisionError;
+Inverting zero in a finite field raises the built-in ZeroDivisionError;
 everything else signals through FqZetaError subclasses so callers can map
 failures onto stable CLI exit codes.
 """
@@ -12,10 +12,6 @@ class FqZetaError(Exception):
 
 class NotPrimeError(FqZetaError):
     """A field characteristic failed the primality test."""
-
-
-class MixedFieldsError(FqZetaError):
-    """Arithmetic between elements of distinct fields."""
 
 
 class MalformedSpecError(FqZetaError):

@@ -4,10 +4,14 @@ A field is built as F_p[x] / (m(x)) where m is the lexicographically
 smallest monic irreducible polynomial of degree k over F_p, comparing the
 non-leading coefficient vectors (c_0, ..., c_{k-1}) entry by entry from the
 constant term up.  This choice is deterministic across runs and platforms.
-Elements are coefficient vectors reduced mod p; all arithmetic is exact.
+Scalars are coefficient tuples (c_0, ..., c_{k-1}) reduced mod p, which
+zero, one and element() give and ExtensionField._add, _sub, _mul, _inv and
+_pow combine exactly.  The vectorized kernel below works on their integer
+indices (index_of, tuple_at).
 
-Fields and elements are immutable, so they are safe to share between
-threads and to enumerate in parallel.
+A field never changes its modulus or arithmetic, but it is not immutable:
+numpy_tables fills its order^2 tables on first use.  Two threads that race
+there build equal tables, and either may be kept.
 
 ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
 arrays of element indices (index_of: coefficients as base-p digits, c_0
@@ -31,10 +35,9 @@ any F_{p^n}.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
-from .errors import BudgetExceededError, MixedFieldsError, NotPrimeError
+from .errors import BudgetExceededError, NotPrimeError
 
 MAX_CHARACTERISTIC = 1 << 31
 
@@ -74,62 +77,8 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over F_p; coefficient lists are low degree first.
-# ---------------------------------------------------------------------------
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        a = _fp_trim(a)
-        if len(a) < len(m):
-            break
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - len(m)
-        for i, cm in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * cm) % p
-        a.pop()
-    return _fp_trim(a)
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    return a
-
-
-def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Polynomial helpers over F_q = field; coefficients are the field's tuples.
+# Polynomial helpers over F_q = field, F_p included (k = 1); coefficients are
+# the field's tuples, low degree first.
 # ---------------------------------------------------------------------------
 
 
@@ -157,7 +106,7 @@ def _fq_mulmod(a: list, b: list, m: list, field: "ExtensionField") -> list:
     if not a or not b:
         return []
     add, mul = field._add, field._mul
-    out = [(0,) * field.k] * (len(a) + len(b) - 1)
+    out = [field.zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if any(ca):
             for j, cb in enumerate(b):
@@ -175,25 +124,37 @@ def _fq_gcd(a: list, b: list, field: "ExtensionField") -> list:
     return a
 
 
-def _fq_ypow(e: int, m: list, field: "ExtensionField") -> list:
-    """y^e mod a monic m, squaring from the top bit down; times y is a shift."""
-    result = _fq_mod([field.one.coeffs], m, field)
+def _fq_powmod(base: list, e: int, m: list, field: "ExtensionField") -> list:
+    """base^e mod a monic m, squaring from the top bit down."""
+    result = [field.one]
     for bit in bin(e)[2:]:
         result = _fq_mulmod(result, result, m, field)
         if bit == "1":
-            result = _fq_mod([(0,) * field.k] + result, m, field)
+            result = _fq_mulmod(result, base, m, field)
     return result
 
 
-def _is_irreducible(f: list[int], p: int, k: int) -> bool:
-    """gcd(f, x^(p^i) - x) must be 1 for every i <= k/2."""
-    x = [0, 1]
-    frob = x
-    for _ in range(k // 2):
-        frob = _fp_powmod(frob, p, f, p)
-        diff = [(c1 - c2) % p for c1, c2 in itertools.zip_longest(frob, x, fillvalue=0)]
-        g = _fp_gcd(f, diff, p)
-        if len(g) > 1:
+def _fq_frobenius_gcd(g: list, frobenius: list, field: "ExtensionField") -> list:
+    """The monic gcd(g, y^Q - y) for a monic g, given frobenius = y^Q mod g.
+
+    y^Q - y is the product of y - a over the a in F_Q, so the degree of the
+    gcd counts the distinct roots of g in F_Q.
+    """
+    diff = frobenius + [field.zero] * (2 - len(frobenius))
+    diff[1] = field._sub(diff[1], field.one)
+    return _fq_gcd(g, diff, field)
+
+
+def _is_irreducible(f: list, field: "ExtensionField") -> bool:
+    """Rabin's test over field = F_p for a monic f of degree k.
+
+    f is irreducible iff gcd(f, x^(p^i) - x) = 1 for every i <= k/2, with
+    x^(p^i) = (x^(p^(i-1)))^p mod f.
+    """
+    frobenius = [field.zero, field.one]
+    for _ in range((len(f) - 1) // 2):
+        frobenius = _fq_powmod(frobenius, field.p, f, field)
+        if len(_fq_frobenius_gcd(f, frobenius, field)) > 1:
             return False
     return True
 
@@ -201,6 +162,7 @@ def _is_irreducible(f: list[int], p: int, k: int) -> bool:
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
+    prime_field = make_extension(p, 1)
     # Lex order on (c_0, ..., c_{k-1}) is numeric order on the base-p numeral
     # c_0 c_1 ... c_{k-1}, decoded lazily since p may be close to 2^31.  A zero
     # constant term means x divides the candidate, so start at c_0 = 1.
@@ -210,7 +172,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
             numeral, c = divmod(numeral, p)
             f.append(c)
         f.reverse()
-        if _is_irreducible(f, p, k):
+        if _is_irreducible([(c,) for c in f], prime_field):
             return tuple(f)
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
 
@@ -238,31 +200,22 @@ class ExtensionField:
                 cur = [(c - lead * m) % p for c, m in zip(cur, modulus[:-1])]
         self._reduction_rows = tuple(red)
         self._np_tables = None
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
 
-    # -- element constructors -------------------------------------------------
+    # -- scalars ----------------------------------------------------------------
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
-
-    def element(self, coeffs) -> "FieldElement":
+    def element(self, coeffs) -> tuple[int, ...]:
+        """The scalar with these coefficients (an int is c_0), reduced mod p."""
         if isinstance(coeffs, int):
             coeffs = (coeffs,) + (0,) * (self.k - 1)
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
-
-    def elements(self):
-        """All p^k elements, lexicographic on coefficient vectors."""
-        for coeffs in self._tuples():
-            yield FieldElement(self, coeffs)
+        return coeffs
 
     def _tuples(self):
+        """All p^k scalars in index order: lexicographic, c_0 slowest."""
         # Lazy: itertools.product would first materialize range(p).
         return map(self.tuple_at, range(self.order))
 
@@ -283,14 +236,14 @@ class ExtensionField:
 
     def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
+        if self.k == 1:
+            return ((a[0] + b[0]) % p,)
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
+        if self.k == 1:
+            return ((a[0] - b[0]) % p,)
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -319,7 +272,7 @@ class ExtensionField:
     def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         if e < 0:
             return self._pow(self._inv(a), -e)
-        result = (1,) + (0,) * (self.k - 1)
+        result = self.one
         base = a
         while e:
             if e & 1:
@@ -402,103 +355,8 @@ class ExtensionField:
             self._np_tables = (add_t, mul_t)
         return self._np_tables
 
-    # -- misc ---------------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ExtensionField", self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"ExtensionField(p={self.p}, k={self.k}, modulus={self.modulus})"
-
-
-class FieldElement:
-    """An element of an ExtensionField, stored as a reduced coefficient vector."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: ExtensionField, coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is self.field or other.field == self.field:
-                return other
-            raise MixedFieldsError(
-                f"elements of {self.field} and {other.field} cannot be combined"
-            )
-        if isinstance(other, int):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(
-            self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs))
-        )
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.coeffs))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field._pow(self.coeffs, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self == self.field.element(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement({self.coeffs!r} over F_{self.field.p}^{self.field.k})"
 
 
 def check_characteristic(p) -> None:
@@ -519,23 +377,3 @@ def make_extension(p: int, k: int) -> ExtensionField:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
     return ExtensionField(p, k, _smallest_irreducible(p, k))
 
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def enumerate_elements(field: ExtensionField):
-    """Deterministic stream of all p^k elements, lexicographic coefficient order."""
-    return field.elements()

@@ -134,7 +134,7 @@ def _count_tables(p: int):
         chi1[s] = 1 if s in squares else -1
 
     field = make_extension(p, 2)
-    # Lexicographic order on coefficient vectors, as in field.elements().
+    # Lexicographic order on coefficient vectors, as in field._tuples().
     elems = [(x0, x1) for x0 in range(p) for x1 in range(p)]
     squares2 = [field._mul(t, t) for t in elems]
     sq2 = set(squares2[1:])  # elems[0] is zero

@@ -167,3 +167,27 @@ def clear_integer_pair(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = len(num)
     ints = [int(c) // g for c in scaled]
     return normalize(ints[:n]), normalize(ints[n:])
+
+
+def render(coeffs, var: str, *, descending: bool = True) -> str:
+    """Sparse 'c*var^e' rendering of integer coefficients, low degree first.
+
+    render((1, -1, 2), "q") is '2*q^2 - q + 1'; with descending=False it is
+    '1 - q + 2*q^2'.  The zero polynomial renders as '0'.
+    """
+    terms = [(e, int(c)) for e, c in enumerate(coeffs) if c]
+    if descending:
+        terms.reverse()
+    parts = []
+    for e, c in terms:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts) or "0"

@@ -140,7 +140,7 @@ class RationalFunctionQ:
     def to_string(self) -> str:
         """Canonical 'poly/poly' form with primitive integer coefficients."""
         num, den = polys.clear_integer_pair(self.num, self.den)
-        return f"{render_int_poly(num)}/{render_int_poly(den)}"
+        return f"{polys.render(num, 'q')}/{polys.render(den, 'q')}"
 
     def __repr__(self):
         return f"RationalFunctionQ({self.to_string()!r})"
@@ -150,25 +150,3 @@ ZERO = RationalFunctionQ((0,))
 ONE = RationalFunctionQ((1,))
 Q = RationalFunctionQ.q_power(1)
 
-
-def render_int_poly(coeffs) -> str:
-    """Sparse 'c*q^e' rendering, highest exponent first: '2*q^2 - q + 1'."""
-    coeffs = polys.normalize(coeffs)
-    if not coeffs:
-        return "0"
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = int(coeffs[e])
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)

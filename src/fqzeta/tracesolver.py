@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import linalg
+from . import linalg, polys
 from .errors import DimensionMismatchError
-from .ratfunc import ONE, RationalFunctionQ, render_int_poly
+from .ratfunc import ONE, RationalFunctionQ
 from .zeta import TraceVector
 
 
@@ -98,14 +98,14 @@ class Relation:
     def to_dict(self) -> dict:
         return {
             "coeffs": {
-                f"D_{i}": f"{render_int_poly(poly)}/1" for i, poly in self.coeffs
+                f"D_{i}": f"{polys.render(poly, 'q')}/1" for i, poly in self.coeffs
             }
         }
 
     def __str__(self):
         parts = []
         for i, poly in self.coeffs:
-            s = render_int_poly(poly)
+            s = polys.render(poly, "q")
             if s == "1":
                 term = f"D_{i}"
             elif s == "-1":

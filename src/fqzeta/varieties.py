@@ -59,8 +59,9 @@ from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
 from .fields import (
     _CHUNK,
     ExtensionField,
+    _fq_frobenius_gcd,
     _fq_gcd,
-    _fq_ypow,
+    _fq_powmod,
     check_characteristic,
     make_extension,
 )
@@ -299,15 +300,15 @@ def _make_embedding(spec: VarietySpec, field: ExtensionField):
     # Map the base generator to the lexicographically first root of the base
     # modulus in the larger field; a root exists because k divides field.k.
     root = field.tuple_at(_first_root(base.modulus, field))
-    powers = [(1,) + (0,) * (field.k - 1)]
+    powers = [field.one]
     for _ in range(k - 1):
         powers.append(field._mul(powers[-1], root))
 
     def embed(coeff):
-        acc = (0,) * field.k
+        acc = field.zero
         for c, pw in zip(coeff, powers):
             if c:
-                acc = field._add(acc, field._mul(field.element(c).coeffs, pw))
+                acc = field._add(acc, field._mul(field.element(c), pw))
         return acc
 
     return embed
@@ -318,7 +319,7 @@ def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
     import numpy as np
 
     add, mul = field.vector_ops(field.order)
-    coeffs = [field.index_of(field.element(c).coeffs) for c in reversed(poly)]
+    coeffs = [field.index_of(field.element(c)) for c in reversed(poly)]
     step = _CHUNK // field.k
     for c0 in range(0, field.order, step):
         x = np.arange(c0, min(c0 + step, field.order), dtype=np.int64)
@@ -361,10 +362,10 @@ def _count_pure(spec, field, equations, lo, hi) -> int:
         for _, exps in eq:
             for i, e in enumerate(exps):
                 max_exp[i] = max(max_exp[i], e)
-    one = (1,) + (0,) * (field.k - 1)
+    one = field.one
     elems = None
     count = 0
-    fixed = (field.zero.coeffs, one)
+    fixed = (field.zero, one)
     for prefix, n_free, block_lo, block_hi, _ in _blocks(spec, field.order, lo, hi):
         prefix = tuple(fixed[c] for c in prefix)
         if n_free <= 1:
@@ -447,7 +448,7 @@ def _count_roots(field, plan, order) -> int:
     on F_order (g = 0 means every y is a point).  y^order mod g takes
     log2(order) squarings mod g.
     """
-    zero = field.zero.coeffs
+    zero = field.zero
     g = []
     for const, terms in plan:
         poly = [const]
@@ -457,10 +458,8 @@ def _count_roots(field, plan, order) -> int:
         g = _fq_gcd(g, poly, field)
     if not g:
         return order
-    frobenius = _fq_ypow(order, g, field)
-    frobenius += [zero] * (2 - len(frobenius))
-    frobenius[1] = field._sub(frobenius[1], field.one.coeffs)
-    return len(_fq_gcd(g, frobenius, field)) - 1
+    frobenius = _fq_powmod([zero, field.one], order, g, field)
+    return len(_fq_frobenius_gcd(g, frobenius, field)) - 1
 
 
 def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
@@ -493,8 +492,8 @@ def _count_fibres(field, ops, parts, n_other) -> int:
 
     add, mul = ops
     q = field.order
-    one = field.index_of(field.one.coeffs)
-    minus_four = field.index_of(field.element(-4).coeffs)
+    one = field.index_of(field.one)
+    minus_four = field.index_of(field.element(-4))
     chunk = _CHUNK // field.k
     count = 0
     for c0 in range(0, q**n_other, chunk):
@@ -560,7 +559,7 @@ def _evaluator(field, ops, n_free, c0, c1):
 
     add, mul = ops
     q = field.order
-    one = field.one.coeffs
+    one = field.one
     offs = np.arange(c0, c1, dtype=np.int64)
     coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
     powers: dict[tuple[int, int], np.ndarray] = {}
@@ -606,7 +605,7 @@ def _fibre_split(field, poly, n_free):
     y = min(range(n_free), key=degree.__getitem__)
     if degree[y] > (1 if field.p == 2 else 2):
         return None
-    parts = [[const, []]] + [[field.zero.coeffs, []] for _ in range(degree[y])]
+    parts = [[const, []]] + [[field.zero, []] for _ in range(degree[y])]
     for scalar, free in terms:
         part = parts[dict(free).get(y, 0)]
         rest = tuple((t - (t > y), e) for t, e in free if t != y)
@@ -641,7 +640,7 @@ def _halves_split(field, poly, n_free):
             unions.setdefault(size + len(group), union | group)
     size = min((s for s in unions if 0 < s < n_free), key=lambda s: (abs(n_free - 2 * s), s))
     x = unions[size]
-    zero = field.zero.coeffs
+    zero = field.zero
     g, minus_h = [], []
     for scalar, free in terms:
         if free[0][0] in x:

@@ -178,13 +178,13 @@ def test_acceptance_4_elliptic_pipeline(fixtures_dir):
             1 for x in range(5) for y in range(5) if (y * y - x**3 - x - 1) % 5 == 0
         )
         f25 = make_extension(5, 2)
-        elems = list(f25.elements())
-        one = f25.one
+        add, mul = f25._add, f25._mul
+        elems = list(f25._tuples())
         n2_oracle = 1 + sum(
             1
             for x in elems
             for y in elems
-            if (y * y - (x * x * x + x + one)).is_zero()
+            if mul(y, y) == add(add(mul(x, mul(x, x)), x), f25.one)
         )
         assert (n1_oracle, n2_oracle) == (9, 27)
 
@@ -288,21 +288,21 @@ def _field_axiom_suite():
     for p, k in shapes:
         field = make_extension(p, k)
         rng = random.Random(97 * p + k)
+        add, mul = field._add, field._mul
         pool = [
-            field.element(tuple(rng.randrange(p) for _ in range(k)))
+            tuple(rng.randrange(p) for _ in range(k))
             for _ in range(min(3 * field.order, 120))
         ]
-        one = field.one
         for _ in range(10_000):
             a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         for a in pool:
-            if not a.is_zero():
-                assert a * a.inverse() == one
+            if any(a):
+                assert mul(a, field._inv(a)) == field.one
 
 
 def _partition_suite(fixtures_dir):

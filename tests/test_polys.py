@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from fqzeta import polys
 
 
@@ -81,3 +83,30 @@ def test_squarefree_decomposition():
             acc = polys.mul(acc, factor)
     assert acc == f
     assert polys.squarefree(F(7)) == []
+
+
+_RENDER_CASES = [
+    # Q(q) coefficients in the solver's relations, highest power first.
+    ((1, -1), "q", True, "-q + 1"),
+    ((0, 2), "q", True, "2*q"),
+    ((-3, 0, 1), "q", True, "q^2 - 3"),
+    ((), "q", True, "0"),
+    ((5, 0, 0), "q", True, "5"),
+    # Zeta numerators, denominators and factors in t, as the CLI prints them.
+    ((1, -7, 14, -8), "t", False, "1 - 7*t + 14*t^2 - 8*t^3"),
+    ((), "t", False, "0"),
+    ((0, -1), "t", False, "-t"),
+    ((0, 1), "t", False, "t"),
+    ((1,), "t", False, "1"),
+    ((-1,), "t", False, "-1"),
+    ((-1, 1), "t", False, "-1 + t"),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs,var,descending,text",
+    _RENDER_CASES,
+    ids=[f"{var}={text}" for _, var, _, text in _RENDER_CASES],
+)
+def test_render(coeffs, var, descending, text):
+    assert polys.render(coeffs, var, descending=descending) == text

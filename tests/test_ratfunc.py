@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqzeta.ratfunc import ONE, ZERO, Q, RationalFunctionQ, render_int_poly
+from fqzeta.ratfunc import ONE, ZERO, Q, RationalFunctionQ
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -70,13 +70,6 @@ def test_to_string_examples():
     assert ZERO.to_string() == "0/1"
     assert rf((-1, 0, 1), (0, 2)).to_string() == "q^2 - 1/2*q"
     assert RationalFunctionQ.q_power(-3).to_string() == "1/q^3"
-
-
-def test_render_int_poly():
-    assert render_int_poly((1, -1)) == "-q + 1"
-    assert render_int_poly((0, 2)) == "2*q"
-    assert render_int_poly((-3, 0, 1)) == "q^2 - 3"
-    assert render_int_poly(()) == "0"
 
 
 @given(small_polys, small_polys, small_polys)
