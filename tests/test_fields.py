@@ -23,14 +23,18 @@ def test_prime_field_rejects_composites_and_bounds():
     with pytest.raises(NotPrimeError):
         make_extension(4, 1)
     with pytest.raises(NotPrimeError):
-        make_extension(9, 2)
-    with pytest.raises(NotPrimeError):
         make_extension(1, 1)
     with pytest.raises(NotPrimeError):
         make_extension(0, 1)
     with pytest.raises(ValueError):
         make_extension(2**31 + 11, 1)
     assert make_extension(7, 1).p == 7
+
+
+def test_make_extension_rejects_composite_p():
+    for p, k in [(4, 1), (9, 2), (6, 3)]:
+        with pytest.raises(NotPrimeError):
+            make_extension(p, k)
 
 
 def test_degree_one_modulus_is_x():
