@@ -90,12 +90,13 @@ def _fq_trim(a: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _fq_mod(a: list, m: list, field: "ExtensionField") -> list:
     """a mod m, for a monic m."""
-    sub, mul, tail = field._sub, field._mul, m[:-1]
+    sub, mul, top = field._sub, field._mul, len(m) - 1
+    tail = [(i, cm) for i, cm in enumerate(m[:-1]) if any(cm)]
     a = _fq_trim(list(a))
-    while len(a) >= len(m):
+    while len(a) > top:
         lead = a.pop()
-        shift = len(a) - len(tail)
-        for i, cm in enumerate(tail):
+        shift = len(a) - top
+        for i, cm in tail:
             a[shift + i] = sub(a[shift + i], mul(lead, cm))
         _fq_trim(a)
     return a

@@ -2,7 +2,9 @@
 
 Polynomials are tuples of coefficients, low degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-fractions.Fraction (division-using helpers require Fraction inputs).
+fractions.Fraction (div_mod and squarefree require Fraction inputs).  gcd
+takes either: it clears denominators and runs a primitive remainder sequence
+over Z, so it does no rational arithmetic until it makes its result monic.
 """
 
 from __future__ import annotations
@@ -80,15 +82,53 @@ def div_mod(a, b) -> tuple[tuple, tuple]:
     return normalize(quo), normalize(rem)
 
 
+def _primitive(a) -> list[int]:
+    """The primitive integer polynomial that is a positive rational multiple of a."""
+    den = int_lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    content = int_gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, for len(a) >= len(b) > 0, no trailing zeros.
+
+    Each step scales the remainder by lc(b) / g and subtracts lead / g times a
+    shift of b, where g = gcd(lc(b), lead), so every value stays in Z.
+    """
+    rem = list(a)
+    lead_b, top = b[-1], len(b) - 1
+    while len(rem) > top:
+        lead = rem.pop()
+        if not lead:
+            continue
+        g = int_gcd(lead_b, lead)
+        s, f = lead_b // g, lead // g
+        shift = len(rem) - top
+        if s != 1:
+            rem = [s * c for c in rem]
+        for i in range(top):
+            rem[shift + i] -= f * b[i]
+    return list(normalize(rem))
+
+
 def gcd(a, b) -> tuple:
-    """Monic gcd over the fraction field."""
-    a, b = normalize(a), normalize(b)
+    """Monic gcd over Q of int or Fraction polynomials, as Fractions.
+
+    A primitive polynomial remainder sequence over Z (Brown, 1971): every
+    pseudo-remainder is divided by its content, so that the scalings of one
+    step do not compound into the next, and no Fraction is formed until the
+    final scaling.
+    """
+    a, b = _primitive(normalize(a)), _primitive(normalize(b))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, div_mod(a, b)[1]
+        a, b = b, _primitive(_pseudo_remainder(a, b))
     if not a:
         return ZERO
-    inv_lead = Fraction(1) / Fraction(a[-1])
-    return tuple(Fraction(c) * inv_lead for c in a)
+    lead = a[-1]
+    return tuple(Fraction(c, lead) for c in a)
 
 
 def evaluate(a, x):
@@ -110,10 +150,6 @@ def to_ints(a) -> tuple[int, ...]:
     if not is_integral(a):
         raise ValueError(f"non-integral coefficients: {a}")
     return tuple(int(c) for c in a)
-
-
-def from_ints(a) -> tuple:
-    return normalize(Fraction(c) for c in a)
 
 
 def squarefree(a) -> list[tuple[tuple, int]]:

@@ -50,9 +50,9 @@ class ZetaFunction:
         object.__setattr__(self, "den", tuple(int(c) for c in den))
         if not self.num or self.num[0] != 1 or not self.den or self.den[0] != 1:
             raise ValueError("numerator and denominator must have constant term 1")
-        g = polys.gcd(polys.from_ints(self.num), polys.from_ints(self.den))
+        g = polys.gcd(self.num, self.den)
         if polys.degree(g) > 0:
-            raise ValueError(f"numerator and denominator share a factor: {g}")
+            raise ValueError(f"numerator and denominator share a factor: {_coeff_list(g)}")
 
     def to_dict(self) -> dict:
         return {"q": self.q, "num": list(self.num), "den": list(self.den)}
@@ -145,23 +145,32 @@ class TraceVector:
 
 
 # ---------------------------------------------------------------------------
-# Power series helpers (Fraction coefficients, index = degree)
+# Power series helpers (int coefficients, Fraction only for non-variety counts;
+# index = degree)
 # ---------------------------------------------------------------------------
 
 
-def _series_from_counts(counts) -> list[Fraction]:
-    """exp(sum N_n t^n / n) to order len(counts), via z' = (sum N_n t^(n-1)) z."""
-    z = [Fraction(1)]
+def _series_from_counts(counts) -> list:
+    """exp(sum N_n t^n / n) to order len(counts), via z' = (sum N_n t^(n-1)) z.
+
+    The coefficients are ints for the counts of a variety, whose zeta function
+    lies in Z[[t]]; for other counts, such as (2, 1) with z_2 = 5/2, the first
+    inexact division by m turns the series to Fractions.
+    """
+    z = [1]
     for m in range(1, len(counts) + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, m + 1):
-            acc += Fraction(counts[i - 1]) * z[m - i]
-        z.append(acc / m)
+            acc += counts[i - 1] * z[m - i]
+        if isinstance(acc, int) and acc % m == 0:
+            z.append(acc // m)
+        else:
+            z.append(Fraction(acc, m))
     return z
 
 
-def _series_mul(a, b, order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def _series_mul(a, b, order: int) -> list:
+    out = [0] * (order + 1)
     for i, ca in enumerate(a[: order + 1]):
         if not ca:
             continue
@@ -170,25 +179,41 @@ def _series_mul(a, b, order: int) -> list[Fraction]:
     return out
 
 
-def _series_div(a, b, order: int) -> list[Fraction]:
-    if not b or not b[0]:
-        raise ZeroDivisionError("series division requires a unit constant term")
+def _series_div(a, b, order: int) -> list:
+    """a / b to order t^order, for b(0) = 1: exact over Z when a and b are integral."""
+    if not b or b[0] != 1:
+        raise ValueError("series division requires constant term 1")
     out = []
-    inv0 = Fraction(1) / Fraction(b[0])
     for m in range(order + 1):
-        acc = a[m] if m < len(a) else Fraction(0)
+        acc = a[m] if m < len(a) else 0
         for i in range(1, min(m, len(b) - 1) + 1):
-            acc -= Fraction(b[i]) * out[m - i]
-        out.append(acc * inv0)
+            acc -= b[i] * out[m - i]
+        out.append(acc)
     return out
 
 
-def _log_derivative_counts(int_poly, terms: int) -> list[Fraction]:
-    """Coefficients of t*A'/A up to t^terms for A with A(0) = 1."""
-    a = polys.from_ints(int_poly)
-    ta_prime = [Fraction(0)] + [i * c for i, c in enumerate(a) if i >= 1]
-    inv = _series_div([Fraction(1)], list(a), terms)
-    return _series_mul(ta_prime, inv, terms)
+def _exact_quotient(a, b) -> tuple:
+    """a / b for b | a with b(0) = 1, by series division, checked by multiplying back."""
+    quo = polys.normalize(_series_div(a, b, polys.degree(a) - polys.degree(b)))
+    if polys.mul(quo, b) != polys.normalize(a):
+        raise ArithmeticError(f"{_coeff_list(b)} does not divide {_coeff_list(a)}")
+    return quo
+
+
+def _ints_if_integral(poly) -> tuple:
+    """poly with int coefficients if they are all integral, else as given."""
+    return polys.to_ints(poly) if polys.is_integral(poly) else tuple(poly)
+
+
+def _coeff_list(poly) -> str:
+    """[1, 3/4] for the coefficients 1 and 3/4, whether held as ints or Fractions."""
+    return "[" + ", ".join(str(c) for c in poly) + "]"
+
+
+def _log_derivative_counts(int_poly, terms: int) -> list[int]:
+    """Coefficients of t*A'/A up to t^terms for A in 1 + tZ[t]."""
+    ta_prime = [0] + [i * c for i, c in enumerate(int_poly) if i >= 1]
+    return _series_mul(ta_prime, _series_div([1], int_poly, terms), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +240,8 @@ def zeta_from_counts(
     supplied count beyond the minimum acts as a consistency check.
     """
     counts = series.counts
-    kn = polys.from_ints(known_numerator)
-    kd = polys.from_ints(known_denominator)
+    kn = polys.normalize(polys.to_ints(known_numerator))
+    kd = polys.normalize(polys.to_ints(known_denominator))
     if not kn or kn[0] != 1 or not kd or kd[0] != 1:
         raise ValueError("known factors must have constant term 1")
     free_num = num_degree - polys.degree(kn)
@@ -233,7 +258,7 @@ def zeta_from_counts(
         )
     order = len(counts)
     z = _series_from_counts(counts)
-    w = _series_div(_series_mul(z, list(kd), order), list(kn), order)
+    w = _series_div(_series_mul(z, kd, order), kn, order)
 
     # Find Q_u with Q_u(0)=1, deg <= free_den, killing the series tail of
     # Q_u * w beyond degree free_num.
@@ -241,7 +266,7 @@ def zeta_from_counts(
         rows = []
         rhs = []
         for j in range(free_num + 1, order + 1):
-            rows.append([w[j - i] if j - i >= 0 else Fraction(0) for i in range(1, free_den + 1)])
+            rows.append([w[j - i] if j - i >= 0 else 0 for i in range(1, free_den + 1)])
             rhs.append(-w[j])
         sol = linalg.solve(rows, rhs) if rows else [0] * free_den
         if sol is None:
@@ -249,23 +274,23 @@ def zeta_from_counts(
                 f"no rational function of degree ({num_degree},{den_degree}) "
                 f"matches the {len(counts)} supplied counts"
             )
-        q_u = polys.normalize([Fraction(1)] + [Fraction(c) for c in sol])
+        q_u = _ints_if_integral((1, *sol))
     else:
-        q_u = polys.ONE
-    p_u = polys.normalize(_series_mul(list(q_u), w, free_num)[: free_num + 1])
+        q_u = (1,)
+    p_u = polys.normalize(_series_mul(q_u, w, free_num))
 
     num = polys.mul(kn, p_u)
     den = polys.mul(kd, q_u)
     g = polys.gcd(num, den)
     if polys.degree(g) > 0:
-        g = polys.scale(g, Fraction(1) / g[0])
-        num = polys.div_mod(num, g)[0]
-        den = polys.div_mod(den, g)[0]
+        g = _ints_if_integral(polys.scale(g, Fraction(1) / g[0]))
+        num = _exact_quotient(num, g)
+        den = _exact_quotient(den, g)
 
     # Verify den * Z = num through every supplied term.
-    check = _series_mul(list(den), z, order)
+    check = _series_mul(den, z, order)
     for j in range(order + 1):
-        expected = num[j] if j < len(num) else Fraction(0)
+        expected = num[j] if j < len(num) else 0
         if check[j] != expected:
             raise NoRationalFitError(
                 f"fit of degree ({num_degree},{den_degree}) fails the supplied "
@@ -273,24 +298,27 @@ def zeta_from_counts(
             )
     if not (polys.is_integral(num) and polys.is_integral(den)):
         raise NonIntegralCoefficientsError(
-            f"counts admit the rational fit ({num})/({den}) "
+            f"counts admit the rational fit {_coeff_list(num)}/{_coeff_list(den)} "
             "but its coefficients are not integers"
         )
     return ZetaFunction(series.q, polys.to_ints(num), polys.to_ints(den))
 
 
 def counts_from_zeta(zeta: ZetaFunction, terms: int) -> PointCountSeries:
-    """N_n read off t (d/dt) log zeta; counts must be nonnegative integers."""
+    """N_n read off t (d/dt) log zeta, in ints since num, den lie in 1 + tZ[t].
+
+    A negative N_n, which no variety has, raises NonIntegralCountError.
+    """
     from_num = _log_derivative_counts(zeta.num, terms)
     from_den = _log_derivative_counts(zeta.den, terms)
     counts = []
     for n in range(1, terms + 1):
         c = from_num[n] - from_den[n]
-        if c.denominator != 1 or c < 0:
+        if c < 0:
             raise NonIntegralCountError(
                 f"zeta expands to N_{n} = {c}, not a nonnegative integer"
             )
-        counts.append(int(c))
+        counts.append(c)
     return PointCountSeries(zeta.q, tuple(counts))
 
 
@@ -316,7 +344,7 @@ def _roots_with_multiplicity(int_poly) -> list[complex]:
     import numpy as np
 
     roots: list[complex] = []
-    for factor, mult in polys.squarefree(polys.from_ints(int_poly)):
+    for factor, mult in polys.squarefree(int_poly):
         if polys.degree(factor) == 1:
             simple = [complex(-factor[0] / factor[1])]
         else:
@@ -363,19 +391,19 @@ def factor_by_weights(
             f"numbers {profile.even_total}"
         )
 
-    rest = [polys.from_ints(zeta.den), polys.from_ints(zeta.num)]
+    rest = [zeta.den, zeta.num]
     factors = []
     for i in range(2 * d + 1):
         f = rest[i % 2]
         g = polys.gcd(f, [c * q ** (i * m) for m, c in enumerate(reversed(f))])
-        p_i = polys.scale(g, 1 / g[0])
+        p_i = polys.to_ints(polys.scale(g, Fraction(1) / g[0]))
         if polys.degree(p_i) != betti[i]:
             raise WeightSeparationError(
                 f"degree {i}: expected {betti[i]} inverse roots of weight {i}, "
-                f"found the factor {polys.to_ints(p_i)}"
+                f"found the factor {p_i}"
             )
-        rest[i % 2] = polys.div_mod(f, p_i)[0]
-        factors.append(polys.to_ints(p_i))
+        rest[i % 2] = _exact_quotient(f, p_i)
+        factors.append(p_i)
     return WeilFactorization(q, d, tuple(factors))
 
 

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fqzeta import polys
 
@@ -34,6 +37,53 @@ def test_gcd_is_monic_common_factor():
     g = polys.gcd(a, b)
     assert g == F(1, 1)
     assert polys.gcd(F(2, 2), ()) == F(1, 1)
+
+
+def _euclid_gcd(a, b) -> tuple:
+    """Reference: the monic gcd by Euclid's algorithm in Fraction arithmetic."""
+    a, b = polys.normalize(a), polys.normalize(b)
+    while b:
+        a, b = b, polys.div_mod(a, b)[1]
+    if not a:
+        return polys.ZERO
+    inv_lead = Fraction(1) / Fraction(a[-1])
+    return tuple(Fraction(c) * inv_lead for c in a)
+
+
+# Small ints, ints of 200-260 bits (the size of q^(im) in the weight split),
+# and rationals.
+_scalars = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda m, s: s * m, st.integers(2**200, 2**260), st.sampled_from((1, -1))),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+_polys = st.lists(_scalars, max_size=5).map(polys.normalize)
+
+
+def _weight_twist(f, q, i):
+    """F_i(t) = sum_m F[deg F - m] q^(im) t^m, as the weight split builds it."""
+    return tuple(c * q ** (i * m) for m, c in enumerate(reversed(f)))
+
+
+@given(a=_polys, b=_polys, common=_polys)
+@example(a=(), b=(), common=(1,))
+@example(a=(3,), b=(), common=(1,))
+@example(a=(Fraction(1, 2),), b=(7,), common=(1,))
+@example(a=(1, -3), b=(1, 1), common=(1, -5, 6))
+@example(  # (1 - t)(1 - 13^30 t) against its weight-30 twist, of up to 222 bits
+    a=polys.mul((1, -1), (1, -(13**30))),
+    b=_weight_twist(polys.mul((1, -1), (1, -(13**30))), 13, 30),
+    common=(1,),
+)
+def test_gcd_matches_euclidean_oracle(a, b, common):
+    a, b = polys.mul(common, a), polys.mul(common, b)
+    got = polys.gcd(a, b)
+    assert got == _euclid_gcd(a, b)
+    assert all(type(c) is Fraction for c in got)
+    if polys.degree(a) >= 0:
+        with mock.patch.object(polys, "gcd", _euclid_gcd):
+            expected = polys.squarefree(a)
+        assert polys.squarefree(a) == expected
 
 
 def test_evaluate_and_derivative():

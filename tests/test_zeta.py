@@ -111,8 +111,35 @@ def test_wrong_split_is_rejected():
 def test_non_integral_fit_reported():
     # With exactly two terms a (1,1) fit of the P^1 counts exists but is not
     # integral; it must be reported, not silently accepted.
-    with pytest.raises(NonIntegralCoefficientsError):
+    # The message lists coefficients the same way whether a value is held as
+    # an int or a Fraction.
+    with pytest.raises(NonIntegralCoefficientsError) as info:
         zeta_from_counts(PointCountSeries(3, (4, 10)), 1, 1)
+    assert str(info.value) == (
+        "counts admit the rational fit [1, 3/4]/[1, -13/4] "
+        "but its coefficients are not integers"
+    )
+
+
+@pytest.mark.parametrize(
+    "counts,split,known_den,outcome",
+    [
+        # z_2 = (N_1^2 + N_2) / 2 = 5/2: the count series itself is not integral.
+        ((2, 1), (1, 1), (1,), NonIntegralCoefficientsError),
+        ((2, 1), (0, 2), (1,), NonIntegralCoefficientsError),
+        ((2, 1), (2, 0), (1,), NonIntegralCoefficientsError),
+        ((2, 1, 5), (1, 1), (1,), NoRationalFitError),
+        # A split larger than the counts need, with 1 - t known: the fit is 1/(1 - t).
+        ((1, 1, 1, 1), (1, 2), (1, -1), ZetaFunction(2, (1,), (1, -1))),
+    ],
+)
+def test_fit_of_counts_no_variety_has(counts, split, known_den, outcome):
+    series = PointCountSeries(2, counts)
+    if isinstance(outcome, ZetaFunction):
+        assert zeta_from_counts(series, *split, known_denominator=known_den) == outcome
+    else:
+        with pytest.raises(outcome):
+            zeta_from_counts(series, *split, known_denominator=known_den)
 
 
 def test_corrupted_counts_fail_verification():
@@ -198,7 +225,7 @@ def test_round_trip(q, num, den, split):
 def test_zeta_function_validation():
     with pytest.raises(ValueError, match="constant term"):
         ZetaFunction(3, (0, 1), (1,))
-    with pytest.raises(ValueError, match="share a factor"):
+    with pytest.raises(ValueError, match=r"share a factor: \[-1, 1\]$"):
         ZetaFunction(3, (1, -1), (1, -3, 2))  # both divisible by 1 - t
     z = ZetaFunction(3, (1, 0, 0), (1, -3))
     assert z.num == (1,)  # trailing zeros normalized away
