@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=_tolerance,
         default=1e-9,
-        help="relative tolerance for the advisory root-modulus check",
+        help="relative tolerance on root moduli, applied only to factors "
+        "that fail the exact Riemann hypothesis certificate",
     )
 
     p_cmp = command("compare", _cmd_compare, "EQUAL or DIFFER", counting)

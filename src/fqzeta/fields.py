@@ -19,8 +19,9 @@ first).  It gathers from flat order^2 tables when the field has at most 1024
 elements and the caller will evaluate at least order^2 elements, so the
 table build pays for itself (the 992 points evaluated for x^3 + y^3 + z^3
 in P^2 over F_31; not the 1922 that fibre counting evaluates for a
-Weierstrass curve in P^2 over F_{31^2}).  Otherwise it adds digit-wise and
-multiplies by convolution, then reduces mod m.  No intermediate exceeds
+Weierstrass curve in P^2 over F_{31^2}).  Otherwise, over F_p, it adds and
+multiplies the indices mod p; for k > 1 it adds digit-wise and multiplies
+by convolution, then reduces mod m.  No intermediate exceeds
 k*(p-1)^2 + p or the order, so the kernel is exact in int64 for every
 p < 2^31 and order < 2^63.  A larger field has indices int64 cannot hold:
 vector_ops refuses it with BudgetExceededError before any array is built, so
@@ -307,16 +308,21 @@ class ExtensionField:
         return (lambda a, b: add_t[a * q + b]), (lambda a, b: mul_t[a * q + b])
 
     def _digit_ops(self):
-        import numpy as np
-
         p, k = self.p, self.k
-        place = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-        # out[t] += rows[t, j] * c_{k+j}: x^(k+j) mod m, as a matrix.
-        rows = np.array(self._reduction_rows, dtype=np.int64).reshape(k - 1, k).T
 
         def reduce(x):
             x -= x // p * p  # x %= p; numpy divides by a scalar much faster
             return x
+
+        if k == 1:
+            # An index is its residue, and p < 2^31 keeps a * b below 2^62.
+            return (lambda a, b: reduce(a + b)), (lambda a, b: reduce(a * b))
+
+        import numpy as np
+
+        place = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+        # out[t] += rows[t, j] * c_{k+j}: x^(k+j) mod m, as a matrix.
+        rows = np.array(self._reduction_rows, dtype=np.int64).reshape(k - 1, k).T
 
         def digits(a):
             return reduce(a // place[:, None])  # (k, len(a)): row j holds c_j

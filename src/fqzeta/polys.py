@@ -5,6 +5,7 @@ zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
 fractions.Fraction (div_mod and squarefree require Fraction inputs).  gcd
 takes either: it clears denominators and runs a primitive remainder sequence
 over Z, so it does no rational arithmetic until it makes its result monic.
+sturm_sequence takes ints and shares that remainder sequence.
 """
 
 from __future__ import annotations
@@ -91,10 +92,11 @@ def _primitive(a) -> list[int]:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of a mod b, for len(a) >= len(b) > 0, no trailing zeros.
+    """A positive integer multiple of a mod b, for len(a) >= len(b) > 0, no trailing zeros.
 
-    Each step scales the remainder by lc(b) / g and subtracts lead / g times a
-    shift of b, where g = gcd(lc(b), lead), so every value stays in Z.
+    Each step scales the remainder by |lc(b)| / g and subtracts +-lead / g
+    times a shift of b, where g = gcd(lc(b), lead), so every value stays in Z
+    and every sign is kept, as a Sturm sequence needs.
     """
     rem = list(a)
     lead_b, top = b[-1], len(b) - 1
@@ -104,6 +106,8 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
             continue
         g = int_gcd(lead_b, lead)
         s, f = lead_b // g, lead // g
+        if s < 0:
+            s, f = -s, -f
         shift = len(rem) - top
         if s != 1:
             rem = [s * c for c in rem]
@@ -129,6 +133,23 @@ def gcd(a, b) -> tuple:
         return ZERO
     lead = a[-1]
     return tuple(Fraction(c, lead) for c in a)
+
+
+def sturm_sequence(a) -> list[list[int]]:
+    """Sturm sequence of an integer polynomial a of degree >= 0, in integers.
+
+    a, then positive multiples of a' and of each negated remainder, made
+    primitive so that the coefficients stay small.  Positive scaling keeps
+    every sign, so at any x with a(x) != 0 the sign changes count as for the
+    textbook sequence; the last entry is a multiple of gcd(a, a'), so
+    V(x) - V(y) counts the distinct real roots in (x, y) for x < y.
+    """
+    seq = [list(normalize(a))]
+    nxt = list(derivative(a))
+    while nxt:
+        seq.append(_primitive(nxt))
+        nxt = [-c for c in _pseudo_remainder(seq[-2], seq[-1])]
+    return seq
 
 
 def evaluate(a, x):

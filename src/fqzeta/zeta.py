@@ -11,13 +11,16 @@ denominator.  This module converts exactly between:
 * factor coefficients and the traces of the q^n-power Frobenius per degree,
   via Newton's identities.
 
-All reported objects are integer polynomials computed exactly; floating point
-appears only in the advisory root-modulus check (check_riemann_hypothesis),
-never as a source of truth.
+All reported objects are integer polynomials computed exactly.
+check_riemann_hypothesis certifies every factor in integers (_is_weil);
+floating point appears only for a factor that fails the certificate, whose
+roots are solved numerically to report the violation, never as a source of
+truth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,10 +195,16 @@ def _series_div(a, b, order: int) -> list:
     return out
 
 
-def _exact_quotient(a, b) -> tuple:
-    """a / b for b | a with b(0) = 1, by series division, checked by multiplying back."""
+def _quotient(a, b):
+    """a / b for b(0) = 1 by series division, or None unless multiplying back gives a."""
     quo = polys.normalize(_series_div(a, b, polys.degree(a) - polys.degree(b)))
-    if polys.mul(quo, b) != polys.normalize(a):
+    return quo if polys.mul(quo, b) == polys.normalize(a) else None
+
+
+def _exact_quotient(a, b) -> tuple:
+    """a / b for b | a with b(0) = 1."""
+    quo = _quotient(a, b)
+    if quo is None:
         raise ArithmeticError(f"{_coeff_list(b)} does not divide {_coeff_list(a)}")
     return quo
 
@@ -334,6 +343,59 @@ def connected_denominator(q: int, d: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _sign_at_sqrt(poly, c: int, Q: int) -> int:
+    """Sign of poly(c sqrt(Q)) for an integer polynomial, exactly.
+
+    poly(y) = E(y^2) + y O(y^2) = U + V sqrt(Q) with U = E(c^2 Q) and
+    V = c O(c^2 Q); where U and V differ in sign, U^2 - V^2 Q decides.
+    """
+    z = c * c * Q
+    u = polys.evaluate(poly[0::2], z)
+    v = c * polys.evaluate(poly[1::2], z)
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    n = u * u - v * v * Q
+    return su * ((n > 0) - (n < 0))
+
+
+def _is_weil(f, Q: int) -> bool:
+    """True if every inverse root of the integer f, f(0) = 1, has |alpha|^2 = Q.
+
+    Exact, in ints (after Kedlaya, "Search techniques for root-unitary
+    polynomials", 2008).  The real inverse roots of modulus sqrt(Q) are
+    divided out first: 1 - r t and 1 + r t when Q = r^2, else 1 - Q t^2.  On
+    the circle every other alpha pairs with its conjugate Q/alpha != alpha,
+    so the rest has even degree 2m and f_{m+j} = Q^j f_{m-j}, and its
+    reversal x^{2m} f(1/x) is x^m R(x + Q/x) with R = f_m + sum_j f_{m-j} T_j,
+    where T_j(x + Q/x) = x^j + (Q/x)^j: T_1 = y, T_2 = y^2 - 2Q,
+    T_{j+1} = y T_j - Q T_{j-1}.  alpha lies on the circle exactly when
+    y = alpha + Q/alpha is real with y^2 < 4Q, so every distinct root of R
+    must lie in (-2 sqrt(Q), 2 sqrt(Q)): a Sturm count, with each sign at the
+    ends taken exactly.  R(+-2 sqrt(Q)) != 0, since a root there would be an
+    inverse root +-sqrt(Q) of f, already divided out.  False means only that
+    f is not certified.
+    """
+    r = math.isqrt(Q)
+    for real_pair in ((1, -r), (1, r)) if r * r == Q else ((1, 0, -Q),):
+        while (quo := _quotient(f, real_pair)) is not None:
+            f = quo
+    m, odd = divmod(len(f) - 1, 2)
+    if odd or any(f[m + j] != Q**j * f[m - j] for j in range(1, m + 1)):
+        return False
+    folded, t_prev, t = (f[m],), (2,), (0, 1)
+    for j in range(1, m + 1):
+        folded = polys.add(folded, polys.scale(t, f[m - j]))
+        t_prev, t = t, polys.sub((0, *t), polys.scale(t_prev, Q))
+    seq = polys.sturm_sequence(folded)
+    changes = []
+    for c in (-2, 2):
+        signs = [s for s in (_sign_at_sqrt(p, c, Q) for p in seq) if s]
+        changes.append(sum(x != y for x, y in zip(signs, signs[1:])))
+    distinct = polys.degree(folded) - polys.degree(seq[-1])
+    return changes[0] - changes[1] == distinct
+
+
 def _roots_with_multiplicity(int_poly) -> list[complex]:
     """Numeric roots, each repeated by multiplicity.
 
@@ -455,10 +517,16 @@ def check_functional_equation(w: WeilFactorization) -> dict:
 def check_riemann_hypothesis(
     w: WeilFactorization, tol: float = DEFAULT_RH_TOLERANCE
 ) -> dict:
-    """Advisory numeric check that roots of P_i have modulus q^(-i/2)."""
+    """Check that the roots of every P_i have modulus q^(-i/2).
+
+    A factor that _is_weil certifies exactly passes.  Only a factor it does
+    not certify, which no variety has, is solved numerically: each root whose
+    modulus misses q^(-i/2) by more than tol relative is reported with its
+    float modulus.
+    """
     violations = []
     for i, f in enumerate(w.factors):
-        if len(f) <= 1:
+        if _is_weil(f, w.q**i):
             continue
         expected = w.q ** (-i / 2)
         for root in _roots_with_multiplicity(f):

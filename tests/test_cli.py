@@ -83,6 +83,26 @@ def test_zeta_human_output(capsys, fixtures_dir):
     assert "P_4 = 1 - 4*t" in out
 
 
+def test_zeta_tolerance_zero_passes_a_weil_curve(capsys, fixtures_dir):
+    # The inverse roots of 1 + 3t + 5t^2 have modulus exactly sqrt(5), but in
+    # floats |root| = 0.447213595499958 and 5^(-1/2) = 0.4472135954999579
+    # differ by one ulp.  The exact certificate passes the factor unsolved.
+    argv = (
+        "zeta", fx(fixtures_dir, "elliptic_f5.json"),
+        "--profile", fx(fixtures_dir, "profile_curve.json"), "--tolerance", "0",
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.endswith("duality check: ok\nriemann hypothesis check: ok\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["riemann_hypothesis"] == {
+        "ok": True,
+        "tolerance": 0.0,
+        "violations": [],
+    }
+
+
 def test_zeta_wrong_profile_exits_4(capsys, fixtures_dir):
     code, _, err = run_cli(
         capsys, "zeta", fx(fixtures_dir, "elliptic_f5.json"),
@@ -383,17 +403,52 @@ def test_options_a_subcommand_ignores_are_usage_errors(capsys, fixtures_dir, arg
     assert captured.err.count("\n") == 1
 
 
-def _run_module(*argv, timeout=None):
+def _run_python(*args, timeout=None):
     # The child imports the same fqzeta as this process, installed or not.
     src = str(pathlib.Path(fqzeta.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "fqzeta", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+def _run_module(*argv, timeout=None):
+    return _run_python("-m", "fqzeta", *argv, timeout=timeout)
+
+
+_ALGEBRA_WITHOUT_NUMPY = """
+import contextlib, io, sys
+from fqzeta import cli, zeta
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "-d", "3"]) == 0
+# E x P^1 over F_5, E of trace -3: counts -> zeta -> split -> traces -> checks.
+q, profile = 5, zeta.CohomologyProfile(2, (1, 2, 2, 2, 1))
+source = zeta.ZetaFunction(q, (1, 18, 175, 450, 625), (1, -36, 310, -900, 625))
+series = zeta.counts_from_zeta(source, 8)
+fitted = zeta.zeta_from_counts(
+    series,
+    profile.odd_total,
+    profile.even_total,
+    known_denominator=zeta.connected_denominator(q, 2),
+)
+assert fitted == source
+split = zeta.factor_by_weights(fitted, profile)
+zeta.traces_from_factorization(split, 3)
+assert zeta.check_functional_equation(split)["ok"]
+assert zeta.check_riemann_hypothesis(split)["ok"]
+print("numpy" in sys.modules)
+"""
+
+
+def test_algebra_path_imports_no_numpy():
+    proc = _run_python("-c", _ALGEBRA_WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_entry_point_subprocess():

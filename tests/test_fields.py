@@ -171,7 +171,9 @@ def test_numpy_tables_match_direct():
     [
         pytest.param(3, 3, 27, False, id="3-3-digit-kernel"),
         pytest.param(3, 3, 27**2, True, id="3-3"),
+        pytest.param(7, 1, 7, False, id="7-1-digit-kernel"),
         pytest.param(1031, 1, 1031**2, False, id="1031-1"),
+        pytest.param(2**31 - 1, 1, 2**40, False, id="2147483647-1"),
         pytest.param(37, 2, 37**4, False, id="37-2"),
         pytest.param(2, 11, 2**22, False, id="2-11"),
         pytest.param(2**31 - 1, 2, 2**40, False, id="2147483647-2"),
@@ -180,8 +182,9 @@ def test_numpy_tables_match_direct():
 def test_vector_ops_match_scalar_arithmetic(p, k, work, tables, fresh_tables):
     # Random indices cover both kernels in F_27 (gather tables once the work
     # reaches order^2, digit-wise convolution below it), the convolution in
-    # fields above the table cap and, at p = 2^31 - 1, digits whose products
-    # reach 2^62: the int64 headroom the convolution must respect.
+    # fields above the table cap, the residue kernel of F_p and, at
+    # p = 2^31 - 1, digits and residues whose products reach 2^62: the int64
+    # headroom both kernels must respect.
     import numpy as np
 
     field = fresh_tables(make_extension(p, k))

@@ -135,6 +135,31 @@ def test_squarefree_decomposition():
     assert polys.squarefree(F(7)) == []
 
 
+@given(
+    st.lists(st.integers(-6, 6), max_size=5),
+    st.lists(st.integers(1, 9), max_size=2),
+    st.sampled_from([1, -1, 3, -2]),
+)
+def test_sturm_sequence_counts_distinct_real_roots(roots, quads, lead):
+    # lead * prod (x - r) * prod (x^2 + c): repeated roots, factors with no
+    # real root (which make the remainder degrees skip) and a negative lead.
+    a = (lead,)
+    for r in roots:
+        a = polys.mul(a, (-r, 1))
+    for c in quads:
+        a = polys.mul(a, (c, 0, 1))
+    seq = polys.sturm_sequence(a)
+
+    def changes(x):
+        signs = [v > 0 for v in (polys.evaluate(p, x) for p in seq) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    ends = [x for x in range(-8, 9) if x not in roots]
+    for x, y in zip(ends, ends[1:]):
+        assert changes(x) - changes(y) == len({r for r in roots if x < r < y})
+    assert polys.degree(a) - polys.degree(seq[-1]) == len(set(roots)) + 2 * len(set(quads))
+
+
 _RENDER_CASES = [
     # Q(q) coefficients in the solver's relations, highest power first.
     ((1, -1), "q", True, "-q + 1"),

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fqzeta import polys
 from fqzeta.errors import (
@@ -23,6 +26,7 @@ from fqzeta.zeta import (
     connected_denominator,
     counts_from_zeta,
     factor_by_weights,
+    _is_weil,
     traces_from_factorization,
     zeta_from_counts,
 )
@@ -489,6 +493,119 @@ def test_riemann_hypothesis_check():
     assert not report["ok"]
     assert {v["degree"] for v in report["violations"]} == {1}
     assert len(report["violations"]) == 2
+
+
+def curve_power_factors(a, q, n):
+    """P_0..P_{2n} of E^n for an elliptic curve E over F_q with trace a.
+
+    By Kunneth, an inverse root of degree i is alpha^x conj(alpha)^y with
+    x + y = i, one for each choice of H^0 (x = y = 0), H^1 (alpha or its
+    conjugate) or H^2 (alpha conj(alpha) = q) of every factor.  A root with
+    x = y is q^x; the pair (x, y), (y, x) gives 1 - q^x s_(y-x) t + q^i t^2,
+    with s_k = alpha^k + conj(alpha)^k from the Lucas recursion.
+    """
+    mult = {(0, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (x, y), m in mult.items():
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                key = (x + dx, y + dy)
+                nxt[key] = nxt.get(key, 0) + m
+        mult = nxt
+    s = [2] + frobenius_power_sums(a, q, n)
+    factors = []
+    for i in range(2 * n + 1):
+        parts = []
+        for (x, y), m in sorted(mult.items()):
+            if x + y != i or x > y:
+                continue
+            part = (1, -(q**x)) if x == y else (1, -(q**x) * s[y - x], q**i)
+            parts += [part] * m
+        factors.append(product_poly(*parts))
+    return tuple(factors)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "q, a",
+    [(13, 5), (13, 0), (31, -11), (49, 14), (49, 0), (61, 15), (61, -3)],
+    ids=lambda v: str(v),
+)
+def test_curve_powers_pass_without_float_roots(q, a, n):
+    # Supersingular (a = 0) and boundary (a^2 = 4q) curves included; P_3 of
+    # E^3 has degree 20 and coefficients far beyond 2^53.
+    w = WeilFactorization(q, n, curve_power_factors(a, q, n))
+    assert w.betti == tuple(math.comb(2 * n, i) for i in range(2 * n + 1))
+    if n == 3:
+        assert max(abs(c) for c in w.factors[3]).bit_length() > 53
+    assert all(_is_weil(f, q**i) for i, f in enumerate(w.factors))
+    with mock.patch(
+        "fqzeta.zeta._roots_with_multiplicity",
+        side_effect=AssertionError("a certified factor reached the float roots"),
+    ):
+        assert check_riemann_hypothesis(w, tol=0) == {
+            "ok": True,
+            "tolerance": 0,
+            "violations": [],
+        }
+
+
+# Bases of Q = q^i, square and not; Q = (2^31 - 1)^3 puts every coefficient
+# of a quadratic factor past 2^53.
+WEIL_BASES = (2, 3, 4, 5, 9, 31, 49, 61, 61**3, 65521, 2**31 - 1)
+
+
+def weil_factor(Q):
+    """1 - a t + Q t^2 with a^2 <= 4Q, 1 - Q t^2, or 1 -+ r t when Q = r^2."""
+    r, bound = math.isqrt(Q), math.isqrt(4 * Q)
+    options = [st.integers(-bound, bound).map(lambda a: (1, -a, Q)), st.just((1, 0, -Q))]
+    if r * r == Q:
+        options.append(st.sampled_from([(1, -r), (1, r)]))
+    return st.one_of(options)
+
+
+def off_circle_factor(Q):
+    """A factor with an inverse root off |alpha|^2 = Q.
+
+    1 - c t with c^2 != Q; 1 -+ a t + Q t^2 with a^2 > 4Q, whose real roots
+    pair as alpha, Q/alpha; or 1 - a t + c t^2 with |c| != Q, whose roots
+    cannot both have modulus sqrt(Q).
+    """
+    bound = math.isqrt(4 * Q)
+    linear = st.integers(-2 * bound, 2 * bound).filter(lambda c: c and c * c != Q)
+    real_pair = st.integers(bound + 1, 4 * bound).flatmap(
+        lambda a: st.sampled_from([(1, -a, Q), (1, a, Q)])
+    )
+    unpaired = st.tuples(
+        st.integers(-bound, bound),
+        st.integers(-2 * Q, 2 * Q).filter(lambda c: abs(c) not in (0, Q)),
+    )
+    return st.one_of(
+        linear.map(lambda c: (1, -c)),
+        real_pair,
+        unpaired.map(lambda ac: (1, -ac[0], ac[1])),
+    )
+
+
+@st.composite
+def weil_products(draw):
+    Q = draw(st.sampled_from(WEIL_BASES)) ** draw(st.integers(1, 3))
+    f = (1,)
+    for factor, repeats in draw(
+        st.lists(st.tuples(weil_factor(Q), st.integers(1, 3)), min_size=1, max_size=4)
+    ):
+        for _ in range(repeats):
+            f = polys.mul(f, factor)
+    return Q, f
+
+
+@given(weil_products(), st.data())
+def test_weil_certificate_matches_construction(case, data):
+    # The construction is the oracle: a product of Weil factors passes, and
+    # one more factor with a root off the circle makes it fail.
+    Q, f = case
+    assert _is_weil(f, Q)
+    assert not _is_weil(polys.mul(f, data.draw(off_circle_factor(Q))), Q)
 
 
 def test_product_variety_end_to_end():
