@@ -19,9 +19,13 @@ class MalformedSpecError(FqZetaError):
 
 
 class BudgetExceededError(FqZetaError):
-    """An enumeration would visit more ambient points than allowed."""
+    """An enumeration would visit more ambient points than allowed.
 
-    def __init__(self, message: str, *, required: int, budget: int):
+    required is the number of points needed, or None where a bound refused
+    the enumeration before that number was built.
+    """
+
+    def __init__(self, message: str, *, required: int | None, budget: int):
         super().__init__(message)
         self.required = required
         self.budget = budget

@@ -2,7 +2,7 @@
 
 Polynomials are tuples of coefficients, low degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-fractions.Fraction (div_mod and squarefree require Fraction inputs).  gcd
+fractions.Fraction (div_mod divides over Q and returns Fractions).  gcd
 takes either: it clears denominators and runs a primitive remainder sequence
 over Z, so it does no rational arithmetic until it makes its result monic.
 sturm_sequence takes ints and shares that remainder sequence.
@@ -171,35 +171,6 @@ def to_ints(a) -> tuple[int, ...]:
     if not is_integral(a):
         raise ValueError(f"non-integral coefficients: {a}")
     return tuple(int(c) for c in a)
-
-
-def squarefree(a) -> list[tuple[tuple, int]]:
-    """Yun's algorithm: a = lead * prod f_i^i with the f_i monic, square-free
-    and pairwise coprime.  Returns [(f_i, i), ...] for the nonconstant f_i.
-    """
-    a = normalize(tuple(Fraction(c) for c in a))
-    if degree(a) < 1:
-        return []
-    lead_inv = Fraction(1) / a[-1]
-    a = scale(a, lead_inv)
-    da = derivative(a)
-    g = gcd(a, da)
-    if degree(g) == 0:
-        return [(a, 1)]
-    out = []
-    b = div_mod(a, g)[0]
-    c = div_mod(da, g)[0]
-    d = sub(c, derivative(b))
-    i = 1
-    while degree(b) > 0:
-        f = gcd(b, d)
-        if degree(f) > 0:
-            out.append((f, i))
-        b = div_mod(b, f)[0]
-        c = div_mod(d, f)[0]
-        d = sub(c, derivative(b))
-        i += 1
-    return out
 
 
 def clear_integer_pair(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -200,7 +200,7 @@ def load_spec(path) -> VarietySpec:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedSpecError(f"invalid JSON in {path}: {exc}") from None
     return VarietySpec.from_dict(data)
 
@@ -237,6 +237,16 @@ def count_points(
     """Exact number of F_{q^n}-points (restricted to ``span`` if given)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # Every domain has at least q^(nm) >= 2^bits points.  Far past the budget
+    # that refuses it before its exact size, which may run to millions of
+    # digits, is built; within 64 bits of it the refusal names the exact size.
+    bits = spec.ambient.dim * ((spec.q**n).bit_length() - 1)
+    if bits > budget.bit_length() + 64:
+        raise BudgetExceededError(
+            f"enumeration of at least 2^{bits} points exceeds budget {budget}",
+            required=None,
+            budget=budget,
+        )
     size = domain_size(spec, n)
     if size > budget:
         raise BudgetExceededError(

@@ -11,11 +11,9 @@ denominator.  This module converts exactly between:
 * factor coefficients and the traces of the q^n-power Frobenius per degree,
   via Newton's identities.
 
-All reported objects are integer polynomials computed exactly.
-check_riemann_hypothesis certifies every factor in integers (_is_weil);
-floating point appears only for a factor that fails the certificate, whose
-roots are solved numerically to report the violation, never as a source of
-truth.
+All reported objects are integer polynomials computed exactly, and both
+checks are exact: check_riemann_hypothesis certifies every factor in
+integers (_is_weil).
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .errors import (
     WeightSeparationError,
 )
 from .varieties import PointCountSeries, _is_int
-
-DEFAULT_RH_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -373,8 +369,9 @@ def _is_weil(f, Q: int) -> bool:
     y = alpha + Q/alpha is real with y^2 < 4Q, so every distinct root of R
     must lie in (-2 sqrt(Q), 2 sqrt(Q)): a Sturm count, with each sign at the
     ends taken exactly.  R(+-2 sqrt(Q)) != 0, since a root there would be an
-    inverse root +-sqrt(Q) of f, already divided out.  False means only that
-    f is not certified.
+    inverse root +-sqrt(Q) of f, already divided out.  Each condition is
+    necessary as well as sufficient, so False means that some inverse root
+    has |alpha|^2 != Q.
     """
     r = math.isqrt(Q)
     for real_pair in ((1, -r), (1, r)) if r * r == Q else ((1, 0, -Q),):
@@ -394,26 +391,6 @@ def _is_weil(f, Q: int) -> bool:
         changes.append(sum(x != y for x, y in zip(signs, signs[1:])))
     distinct = polys.degree(folded) - polys.degree(seq[-1])
     return changes[0] - changes[1] == distinct
-
-
-def _roots_with_multiplicity(int_poly) -> list[complex]:
-    """Numeric roots, each repeated by multiplicity.
-
-    The multiplicity structure is extracted first by exact square-free
-    decomposition, so the numeric solver only ever sees simple roots and
-    full floating-point accuracy is preserved.
-    """
-    import numpy as np
-
-    roots: list[complex] = []
-    for factor, mult in polys.squarefree(int_poly):
-        if polys.degree(factor) == 1:
-            simple = [complex(-factor[0] / factor[1])]
-        else:
-            simple = list(np.roots([float(c) for c in reversed(factor)]))
-        for root in simple:
-            roots.extend([root] * mult)
-    return roots
 
 
 def factor_by_weights(
@@ -514,29 +491,11 @@ def check_functional_equation(w: WeilFactorization) -> dict:
     return {"d": d, "checked": [[i, 2 * d - i] for i in range(d)], "ok": True}
 
 
-def check_riemann_hypothesis(
-    w: WeilFactorization, tol: float = DEFAULT_RH_TOLERANCE
-) -> dict:
-    """Check that the roots of every P_i have modulus q^(-i/2).
+def check_riemann_hypothesis(w: WeilFactorization) -> dict:
+    """Check that the inverse roots of every P_i have modulus q^(i/2), exactly.
 
-    A factor that _is_weil certifies exactly passes.  Only a factor it does
-    not certify, which no variety has, is solved numerically: each root whose
-    modulus misses q^(-i/2) by more than tol relative is reported with its
-    float modulus.
+    violations lists the degrees i whose P_i _is_weil does not certify; no
+    variety's factor is among them.
     """
-    violations = []
-    for i, f in enumerate(w.factors):
-        if _is_weil(f, w.q**i):
-            continue
-        expected = w.q ** (-i / 2)
-        for root in _roots_with_multiplicity(f):
-            if abs(abs(root) - expected) > tol * expected:
-                violations.append(
-                    {
-                        "degree": i,
-                        "root": [float(root.real), float(root.imag)],
-                        "modulus": float(abs(root)),
-                        "expected": expected,
-                    }
-                )
-    return {"ok": not violations, "tolerance": tol, "violations": violations}
+    violations = [i for i, f in enumerate(w.factors) if not _is_weil(f, w.q**i)]
+    return {"ok": not violations, "violations": violations}

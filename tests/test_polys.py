@@ -1,5 +1,4 @@
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -80,10 +79,6 @@ def test_gcd_matches_euclidean_oracle(a, b, common):
     got = polys.gcd(a, b)
     assert got == _euclid_gcd(a, b)
     assert all(type(c) is Fraction for c in got)
-    if polys.degree(a) >= 0:
-        with mock.patch.object(polys, "gcd", _euclid_gcd):
-            expected = polys.squarefree(a)
-        assert polys.squarefree(a) == expected
 
 
 def test_evaluate_and_derivative():
@@ -113,26 +108,6 @@ def test_is_integral_and_to_ints():
     assert polys.is_integral(F(1, -4, 3))
     assert not polys.is_integral(F(Fraction(1, 2)))
     assert polys.to_ints(F(1, -4)) == (1, -4)
-
-
-def test_squarefree_decomposition():
-    # (t - 1)(t - 2)^2 (t - 3)^3
-    f = F(1)
-    for root, mult in ((1, 1), (2, 2), (3, 3)):
-        for _ in range(mult):
-            f = polys.mul(f, F(-root, 1))
-    parts = polys.squarefree(f)
-    assert parts == [(F(-1, 1), 1), (F(-2, 1), 2), (F(-3, 1), 3)]
-    # square-free input comes back whole
-    g = polys.mul(F(-1, 1), F(-5, 1))
-    assert polys.squarefree(g) == [(g, 1)]
-    # reassembling the powers reproduces the input (monic case)
-    acc = F(1)
-    for factor, mult in parts:
-        for _ in range(mult):
-            acc = polys.mul(acc, factor)
-    assert acc == f
-    assert polys.squarefree(F(7)) == []
 
 
 @given(

@@ -308,9 +308,10 @@ def test_loading_a_spec_builds_no_field():
 
 def test_load_spec_bad_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(MalformedSpecError, match="JSON"):
-        load_spec(path)
+    for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        path.write_bytes(content)
+        with pytest.raises(MalformedSpecError, match="JSON"):
+            load_spec(path)
 
 
 def test_spec_dict_round_trip(fixtures_dir):
