@@ -10,10 +10,22 @@ deliberately not used: it ignores twists.
 Counts are exhaustive character sums: the number of y with y^2 = s is
 1 + chi(s).  varieties.count_points counts fibres by the same identity,
 with chi from Euler's criterion on numpy arrays; here chi is a table, so
-the search stays pure Python.  N_2 is summed over F_{p^2} once per class, at
-its representative: about 2p sums of p^2 terms per prime instead of p^2.
-N_1 is summed over F_p for every model, and every model's N_1 is
-cross-checked against its class's N_2 by the genus-1 trace recursion
+the search stays pure Python.  The tables are flat lists on field indices
+(c_0 p + c_1 for c_0 + c_1 T in F_{p^2}, as ExtensionField.index_of): chi1
+of length p, chi2 of length p^2, and the index of t^3 for each t.  Each row
+c_1 = x_1 takes two field products, (x_1 T)^2 and (x_1 T)^3; the rest of the
+row follows by coefficient additions, (x+1)^2 = x^2 + 2x + 1 and
+(x+1)^3 = x^3 + 3x^2 + 3x + 1.
+
+N_2 is summed over F_{p^2} once per class, at its representative: about 2p
+sums of p^2 terms per prime instead of p^2.  The representatives take few
+distinct values of a (at most 1 + gcd(4, p - 1)), and in lex order those
+with one a come together, so the indices of x^3 + ax are listed once for
+each a and only one list is kept.  Adding b in F_p moves the c_0 digit, so
+it rotates the index by b p mod p^2; each class sums chi2, rotated by b p,
+over that list.  N_1 is summed over F_p for every model, as chi1 rotated by
+b over the values x^3 + ax, and every model's N_1 is cross-checked against
+its class's N_2 by the genus-1 trace recursion
 
     a_p = p + 1 - N_1,      N_2 = p^2 + 1 - (a_p^2 - 2p),
 
@@ -127,20 +139,47 @@ def _sweep_primes(p_min: int, p_max: int, budget: int) -> list[int]:
 
 
 def _count_tables(p: int):
-    """Quadratic character tables over F_p and F_{p^2}, plus cubes in F_{p^2}."""
-    chi1 = [0] * p
-    squares = {x * x % p for x in range(1, p)}
-    for s in range(1, p):
-        chi1[s] = 1 if s in squares else -1
+    """Quadratic characters of F_p and F_{p^2}, and cubes in F_{p^2}, as flat
+    lists on field indices: chi1[s], chi2[field.index_of(t)], and the index of
+    t^3 at cubes[field.index_of(t)]."""
+    chi1 = [-1] * p
+    chi1[0] = 0
+    for x in range(1, p):
+        chi1[x * x % p] = 1
 
     field = make_extension(p, 2)
-    # Lexicographic order on coefficient vectors, as in field._tuples().
-    elems = [(x0, x1) for x0 in range(p) for x1 in range(p)]
-    squares2 = [field._mul(t, t) for t in elems]
-    sq2 = set(squares2[1:])  # elems[0] is zero
-    chi2 = {t: (0 if not any(t) else (1 if t in sq2 else -1)) for t in elems}
-    cubes = [field._mul(s, t) for s, t in zip(squares2, elems)]
-    return chi1, chi2, elems, cubes
+    chi2 = [-1] * (p * p)
+    cubes = [0] * (p * p)
+    for x1 in range(p):
+        # Row x = x0 + x1 T, T the generator: two products at x0 = 0, then
+        # (x + 1)^3 = x^3 + 3x^2 + 3x + 1 and (x + 1)^2 = x^2 + 2x + 1.
+        t = (0, x1)
+        s0, s1 = field._mul(t, t)
+        c0, c1 = field._mul((s0, s1), t)
+        for x0 in range(p):
+            chi2[s0 * p + s1] = 1
+            cubes[x0 * p + x1] = c0 * p + c1
+            c0 = (c0 + 3 * (s0 + x0) + 1) % p
+            c1 = (c1 + 3 * (s1 + x1)) % p
+            s0 = (s0 + 2 * x0 + 1) % p
+            s1 = (s1 + 2 * x1) % p
+    chi2[0] = 0  # the square of zero
+    return chi1, chi2, cubes
+
+
+def _rotated(table: list[int], shift: int) -> list[int]:
+    """table[(i + shift) % len(table)] at every index i."""
+    return table[shift:] + table[:shift]
+
+
+def _cubic_indices(p: int, cubes: list[int], a: int) -> list[int]:
+    """The index of x^3 + a x for every x in F_{p^2}, in index order."""
+    out = []
+    for i, c in enumerate(cubes):
+        x0, x1 = divmod(i, p)
+        c0, c1 = divmod(c, p)
+        out.append((c0 + a * x0) % p * p + (c1 + a * x1) % p)
+    return out
 
 
 def find_pairs(
@@ -153,20 +192,21 @@ def find_pairs(
     """
     results = []
     for p in _sweep_primes(p_min, p_max, budget):
-        chi1, chi2, elems, cubes = _count_tables(p)
+        chi1, chi2, cubes = _count_tables(p)
+        # Adding b in F_p to s moves chi1 by b, and to c_0 moves chi2 by b p.
+        chi1_plus = [_rotated(chi1, b) for b in range(p)]
+        values1 = [[(x * x * x + a * x) % p for x in range(p)] for a in range(p)]
+        indexed_a, values2 = None, []  # indices of x^3 + a x in F_{p^2}
         n2_of: dict[tuple[int, int], int] = {}
         buckets: dict[tuple[int, int], set[tuple[int, int]]] = {}
         for (a, b), cls in sorted(_class_representatives(p).items()):
             if cls == (a, b):
-                s2 = 0
-                for (x0, x1), (c0, c1) in zip(elems, cubes):
-                    s2 += chi2[((c0 + a * x0 + b) % p, (c1 + a * x1) % p)]
-                n2_of[cls] = p * p + 1 + s2
+                if a != indexed_a:
+                    indexed_a, values2 = a, _cubic_indices(p, cubes, a)
+                chi2_plus = _rotated(chi2, b * p)
+                n2_of[cls] = p * p + 1 + sum(map(chi2_plus.__getitem__, values2))
             n2 = n2_of[cls]
-            s1 = 0
-            for x in range(p):
-                s1 += chi1[(x * x * x + a * x + b) % p]
-            n1 = p + 1 + s1
+            n1 = p + 1 + sum(map(chi1_plus[b].__getitem__, values1[a]))
             trace = p + 1 - n1
             if n2 != p * p + 1 - (trace * trace - 2 * p):
                 raise AssertionError(

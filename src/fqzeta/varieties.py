@@ -239,7 +239,8 @@ def count_points(
         raise ValueError(f"n must be >= 1, got {n}")
     # Every domain has at least q^(nm) >= 2^bits points.  Far past the budget
     # that refuses it before its exact size, which may run to millions of
-    # digits, is built; within 64 bits of it the refusal names the exact size.
+    # digits, is built; within 64 bits of it the refusal names the exact size,
+    # or its bit length once the size has too many digits to print.
     bits = spec.ambient.dim * ((spec.q**n).bit_length() - 1)
     if bits > budget.bit_length() + 64:
         raise BudgetExceededError(
@@ -249,8 +250,12 @@ def count_points(
         )
     size = domain_size(spec, n)
     if size > budget:
+        try:
+            named = str(size)
+        except ValueError:  # more digits than int -> str allows
+            named = f"at least 2^{size.bit_length() - 1}"
         raise BudgetExceededError(
-            f"enumeration of {size} points exceeds budget {budget}",
+            f"enumeration of {named} points exceeds budget {budget}",
             required=size,
             budget=budget,
         )

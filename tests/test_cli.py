@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -256,6 +257,19 @@ def test_count_over_a_huge_projective_space_exits_3_promptly(capsys, tmp_path, d
     )
 
 
+def test_count_refuses_a_size_too_long_to_print_by_its_bit_length(capsys, tmp_path):
+    # Under a budget of 10^3000 the bound does not refuse P^9500 over F_3, and
+    # its exact size (3^9501 - 1)/2 has more digits than int prints: the
+    # refusal names it by floor(log2) = floor(9501 log2(3) - 1) = 15057.
+    spec = _write_spec(tmp_path, "P^9500 over F_3", 3, 1, "projective", 9500, [])
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--budget", str(10**3000))
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget exceeded: term n=1: enumeration of at least 2^15057 points "
+        f"exceeds budget {10**3000}\n"
+    )
+
+
 def test_spaces_over_large_extensions_need_no_field(capsys, tmp_path):
     # The budget bounds the domain: P^0 has one point whatever the field.
     point = _write_spec(tmp_path, "P^0 over F_2^40", 2, 40, "projective", 0, [])
@@ -352,6 +366,23 @@ def test_find_pair_pairs_compare_equal(capsys, fixtures_dir, tmp_path):
         )
         assert code == 0
         assert out.startswith("EQUAL")
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "f8a1bc9ad97a9cd4392aae1a9406d74f928ee5f36ad20792fd5d3797364b111d"),
+        ("human", "307fc01e880d05179853a3579cd2e2c28b01096a35526b78cfad8b37685bf214"),
+    ],
+)
+def test_find_pair_output_is_pinned(capsys, fmt, digest):
+    # The sha256 of find-pair's stdout over the benchmark's primes 5..47,
+    # as the pair search printed it while it summed over tuple-keyed tables.
+    code, out, err = run_cli(
+        capsys, "find-pair", "--p-min", "5", "--p-max", "47", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_find_pair_empty_range(capsys):
@@ -473,6 +504,21 @@ print("numpy" in sys.modules)
 
 def test_algebra_path_imports_no_numpy():
     proc = _run_python("-c", _ALGEBRA_WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_find_pair_imports_no_numpy():
+    # The pair search sums its own character tables; numpy would cost the
+    # find-pair run about 70 % more resident memory.
+    script = (
+        "import contextlib, io, sys\n"
+        "from fqzeta import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['find-pair', '--p-min', '5', '--p-max', '47']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

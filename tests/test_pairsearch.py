@@ -10,6 +10,7 @@ from fqzeta.pairsearch import (
     CurveModel,
     _class_representatives,
     _count_tables,
+    _rotated,
     _sweep_primes,
     curve_zeta,
     find_pairs,
@@ -48,16 +49,27 @@ def test_p5_pairs_frozen():
     ]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23])
+def euler_affine_count(p, a, b):
+    """Oracle for larger p: 1 + (number of y) summed by Euler's criterion."""
+    count = 1
+    for x in range(p):
+        s = (x**3 + a * x + b) % p
+        count += 1 if s == 0 else (2 if pow(s, (p - 1) // 2, p) == 1 else 0)
+    return count
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23, 31, 47])
 def test_pairs_against_naive_oracle(p):
-    # Oracle: sweep all nonsingular (a, b), count N_1 by brute force, bucket
-    # by N_1 (which pins the genus-1 zeta), and reduce mod twisting classes.
+    # Oracle: sweep all nonsingular (a, b), count N_1 without character
+    # tables, bucket by N_1 (which pins the genus-1 zeta), and reduce mod
+    # twisting classes.  The p^4 brute force is too slow past p = 23.
+    affine_count = naive_affine_count if p <= 23 else euler_affine_count
     buckets = defaultdict(set)
     for a in range(p):
         for b in range(p):
             if (4 * a**3 + 27 * b**2) % p == 0:
                 continue
-            buckets[naive_affine_count(p, a, b)].add(min(orbit(p, a, b)))
+            buckets[affine_count(p, a, b)].add(min(orbit(p, a, b)))
     expected_witnesses = {
         (n1, tuple(sorted(classes)[:2]))
         for n1, classes in buckets.items()
@@ -68,6 +80,11 @@ def test_pairs_against_naive_oracle(p):
         for r in find_pairs(p, p)
     }
     assert got == expected_witnesses
+
+
+def test_euler_oracle_matches_brute_force():
+    for p, a, b in ((5, 1, 2), (7, 3, 4), (11, 0, 1), (13, 2, 0)):
+        assert euler_affine_count(p, a, b) == naive_affine_count(p, a, b)
 
 
 def test_emitted_pairs_are_non_isomorphic():
@@ -115,31 +132,30 @@ def test_class_representative_is_orbit_minimum(p):
 
 def test_each_class_sums_n2_once(monkeypatch):
     # Only class representatives reach the F_{p^2} sum; counted through the
-    # cube table, which that sum alone reads.
+    # rotations of the p^2-entry chi2 table, which that sum alone takes.
+    # Adding b to c_0 rotates chi2 by b p, so the shifts name the b summed.
     p = 13
-    reads = []
+    shifts = []
 
-    def tables(q):
-        chi1, chi2, elems, cubes = _count_tables(q)
+    def rotated(table, shift):
+        if len(table) == p * p:
+            shifts.append(shift)
+        return _rotated(table, shift)
 
-        class Cubes(list):
-            def __iter__(self):
-                reads.append(q)
-                return super().__iter__()
-
-        return chi1, chi2, elems, Cubes(cubes)
-
-    monkeypatch.setattr(pairsearch, "_count_tables", tables)
+    monkeypatch.setattr(pairsearch, "_rotated", rotated)
     find_pairs(p, p)
-    assert len(reads) == len(set(_class_representatives(p).values()))
-    assert len(reads) <= 2 * p + 6
+    classes = set(_class_representatives(p).values())
+    assert sorted(shifts) == sorted(b * p for _, b in classes)
+    assert len(shifts) <= 2 * p + 6
 
 
 def test_corrupted_n2_table_fails_the_recursion_check(monkeypatch):
     def corrupted(p):
-        chi1, chi2, elems, cubes = _count_tables(p)
-        chi2 = {**chi2, (1, 0): -chi2[1, 0]}  # 1 is a square in F_{p^2}
-        return chi1, chi2, elems, cubes
+        chi1, chi2, cubes = _count_tables(p)
+        one = make_extension(p, 2).index_of((1, 0))
+        chi2 = list(chi2)
+        chi2[one] = -chi2[one]  # 1 is a square in F_{p^2}
+        return chi1, chi2, cubes
 
     monkeypatch.setattr(pairsearch, "_count_tables", corrupted)
     with pytest.raises(AssertionError, match="count inconsistency"):
@@ -212,11 +228,11 @@ def _count_tables_reference(p):
     field = make_extension(p, 2)
     elems = list(field._tuples())
     sq2 = {field._mul(t, t) for t in elems if any(t)}
-    chi2 = {t: (0 if not any(t) else (1 if t in sq2 else -1)) for t in elems}
-    cubes = [field._mul(field._mul(t, t), t) for t in elems]
-    return chi1, chi2, elems, cubes
+    chi2 = [0 if not any(t) else (1 if t in sq2 else -1) for t in elems]
+    cubes = [field.index_of(field._mul(field._mul(t, t), t)) for t in elems]
+    return chi1, chi2, cubes
 
 
-@pytest.mark.parametrize("p", [5, 7, 13, 29])
+@pytest.mark.parametrize("p", [5, 7, 13, 29, 47])
 def test_count_tables_match_reference(p):
     assert _count_tables(p) == _count_tables_reference(p)
