@@ -22,7 +22,6 @@ from .errors import (
 )
 from .fields import ExtensionField, make_extension
 from .pairsearch import CurveModel, PairSearchResult, curve_zeta, find_pairs, weierstrass_spec
-from .ratfunc import RationalFunctionQ
 from .tracesolver import (
     ConstraintRow,
     ForcedReport,

@@ -40,6 +40,7 @@ so every emitted pair is an equal-zeta pair.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -199,7 +200,11 @@ def find_pairs(
         indexed_a, values2 = None, []  # indices of x^3 + a x in F_{p^2}
         n2_of: dict[tuple[int, int], int] = {}
         buckets: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        for (a, b), cls in sorted(_class_representatives(p).items()):
+        rep = _class_representatives(p)
+        for a, b in itertools.product(range(p), repeat=2):
+            cls = rep.get((a, b))
+            if cls is None:  # singular
+                continue
             if cls == (a, b):
                 if a != indexed_a:
                     indexed_a, values2 = a, _cubic_indices(p, cubes, a)

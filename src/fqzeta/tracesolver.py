@@ -21,12 +21,12 @@ plus one explicit relation per unforced pivot.  Columns are eliminated from
 degree 2d down to 0, so free parameters sit in the lowest unforced degrees
 and residual relations express higher traces in terms of lower ones.
 
-Every row is homogeneous once D_i has weight i/2 and q weight 1: its entry
-i is c_i * q^(e - i/2) up to one factor of the whole row, with c_i rational.
-The Q(q) reduction is then a reduction over Q of the c_i, with the powers
-of q put back from the grading (see solve_forced), so Q(q) arithmetic runs
-only where rows are built, graded once and evaluated.  A row that is not
-homogeneous is refused with a ValueError.
+Every entry is a monomial c * q^e, stored as the pair (c, e) with c
+rational, and every row is homogeneous once D_i has weight i/2 and q
+weight 1: 2e + i is the same over the row's support.  The Q(q) reduction
+is then a reduction over Q of the c's, with the powers of q put back from
+the grading (see solve_forced).  A row that is not homogeneous is refused
+with a ValueError.
 
 instantiate_at_q specializes the system at a rational q0 > 1, and
 solve_forced_numeric re-derives the forced set there by an independent
@@ -41,7 +41,6 @@ from math import gcd, lcm
 
 from . import linalg, polys
 from .errors import DimensionMismatchError
-from .ratfunc import ONE, RationalFunctionQ
 from .zeta import TraceVector
 
 
@@ -67,7 +66,7 @@ def unknown_names(d: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class ConstraintRow:
     label: str
-    coeffs: tuple[RationalFunctionQ, ...]
+    coeffs: tuple[tuple[Fraction, int], ...]  # entry i is c * q^e, as (c, e)
 
 
 @dataclass(frozen=True)
@@ -153,35 +152,35 @@ def build_constraint_system(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     n = 2 * d + 1
-    zero = RationalFunctionQ((0,))
+    one, zero = Fraction(1), (Fraction(0), 0)
     rows = []
 
     even = [zero] * n
     for i in range(d + 1):
-        even[2 * i] = RationalFunctionQ.q_power(-i)
+        even[2 * i] = (one, -i)
     rows.append(ConstraintRow("EVEN_MUKAI", tuple(even)))
 
     odd = [zero] * n
     for i in range(1, d + 1):
-        odd[2 * i - 1] = RationalFunctionQ.q_power(-i)
+        odd[2 * i - 1] = (one, -i)
     rows.append(ConstraintRow("ODD_MUKAI", tuple(odd)))
 
     if include_hard_lefschetz:
         for i in range(d):
             row = [zero] * n
-            row[2 * d - i] = ONE
-            row[i] = -RationalFunctionQ.q_power(d - i)
+            row[2 * d - i] = (one, 0)
+            row[i] = (-one, d - i)
             rows.append(ConstraintRow(f"HL({i})", tuple(row)))
 
     if include_trivial:
         for i in (0, 2 * d):
             row = [zero] * n
-            row[i] = ONE
+            row[i] = (one, 0)
             rows.append(ConstraintRow(f"TRIVIAL({i})", tuple(row)))
 
     if include_albanese:
         row = [zero] * n
-        row[1] = ONE
+        row[1] = (one, 0)
         rows.append(ConstraintRow("ALBANESE", tuple(row)))
 
     return TraceConstraintSystem(
@@ -191,35 +190,14 @@ def build_constraint_system(
     )
 
 
-def _monomial(c: RationalFunctionQ) -> tuple[Fraction, int] | None:
-    """(a, e) if c = a * q^e, else None; read off the canonical num/den."""
-    top = len(c.num) - 1
-    if any(c.num[:top]) or any(c.den[:-1]):
-        return None
-    return c.num[top], top - (len(c.den) - 1)
-
-
 def _graded_row(row: ConstraintRow) -> list[Fraction]:
-    """The rational coefficients c_i of a row whose entry i is f * c_i * q^(-i/2).
-
-    f is any nonzero element of Q(q) (times a power of q^(1/2)), shared by
-    the whole row; the c_i are determined up to one rational factor.
-    """
-    support = [(i, c) for i, c in enumerate(row.coeffs) if c]
-    terms = [_monomial(c) for _, c in support]
-    if None in terms:
-        # A graded row times a non-monomial f: divide f out first.
-        ref = support[0][1]
-        terms = [_monomial(c / ref) for _, c in support]
-    if None in terms or len({2 * e + i for (i, _), (_, e) in zip(support, terms)}) > 1:
+    """The c_i of a row whose entries c_i * q^(e_i) have 2 e_i + i constant."""
+    if len({2 * e + i for i, (c, e) in enumerate(row.coeffs) if c}) > 1:
         raise ValueError(
             f"constraint row {row.label} is not homogeneous for the weight "
             "grading (D_i of weight i/2, q of weight 1)"
         )
-    out = [Fraction(0)] * len(row.coeffs)
-    for (i, _), (a, _) in zip(support, terms):
-        out[i] = a
-    return out
+    return [c for c, _ in row.coeffs]
 
 
 def _reduce(
@@ -257,15 +235,14 @@ def _reduce(
 def solve_forced(system: TraceConstraintSystem) -> ForcedReport:
     """Row-reduce by the weight grading; D_i is forced iff it is 0 in every solution.
 
-    Give D_i weight i/2 and q weight 1.  Every row the builder makes is
-    homogeneous for this grading, and so is any Q(q)-multiple of one: entry
-    i of row r is f_r * c_(r,i) * q^(-i/2) with f_r in Q(q) (times a power
-    of q^(1/2)) and c_(r,i) rational.  The Q(q) row space is then that of
-    C * diag(q^(-i/2)), C = (c_(r,i)), so its RREF (unique for the fixed
-    column order) is RREF(C) over Q with entry (r, i) times q^((p_r - i)/2),
-    p_r the pivot of row r.  C is reduced over Q and the forced degrees and
-    relations are read off it.  A row that is not homogeneous raises
-    ValueError naming its label.
+    Give D_i weight i/2 and q weight 1.  Entry i of row r is
+    c_(r,i) * q^(e_(r,i)), and a homogeneous row has 2 e_(r,i) + i = w_r
+    over its support, so the row is q^(w_r/2) times c_(r,i) * q^(-i/2).
+    The Q(q) row space is then that of C * diag(q^(-i/2)), C = (c_(r,i)),
+    so its RREF (unique for the fixed column order) is RREF(C) over Q with
+    entry (r, i) times q^((p_r - i)/2), p_r the pivot of row r.  C is
+    reduced over Q and the forced degrees and relations are read off it.  A
+    row that is not homogeneous raises ValueError naming its label.
     """
     matrix = [_graded_row(row) for row in system.rows]
     forced, residual = _reduce(matrix, system.unknowns, graded=True)
@@ -278,7 +255,7 @@ def instantiate_at_q(system: TraceConstraintSystem, q0) -> NumericTraceSystem:
     if q0 <= 1:
         raise ValueError(f"q0 must exceed 1, got {q0}")
     rows = tuple(
-        tuple(c.evaluate(q0) for c in row.coeffs) for row in system.rows
+        tuple(c * q0**e for c, e in row.coeffs) for row in system.rows
     )
     return NumericTraceSystem(
         system.d, q0, tuple(r.label for r in system.rows), rows
@@ -383,7 +360,7 @@ def verify_traces_against_system(
         diffs = [tx.trace(i, n) - ty.trace(i, n) for i in range(2 * tx.d + 1)]
         for row in system.rows:
             value = sum(
-                (c.evaluate(qn) * d for c, d in zip(row.coeffs, diffs)),
+                (c * qn**e * d for (c, e), d in zip(row.coeffs, diffs)),
                 Fraction(0),
             )
             checks.append(RowCheck(row.label, n, value, value == 0))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import polys
+from fqzeta import polys
 
 
 def _canonical(num, den):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -383,6 +384,31 @@ def test_find_pair_output_is_pinned(capsys, fmt, digest):
     )
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "faad74f30accb895b8bd1836a96d5b69c8b8e400629da34225ea5281ccb45c4c"),
+        ("human", "c12088ada53edd96d9e159acc0bcc70e368faddf06fb67548a4703b3585ce12c"),
+    ],
+)
+def test_solve_output_is_pinned(capsys, fmt, digest):
+    # The sha256 of solve's exit codes and stdout for d = 1..16 under all 8
+    # flag sets, taken while the solver still built its rows over Q(q).
+    h = hashlib.sha256()
+    for d in range(1, 17):
+        for flags in itertools.product(
+            ("--albanese", "--no-albanese"),
+            ("--hard-lefschetz", "--no-hard-lefschetz"),
+            ("--trivial", "--no-trivial"),
+        ):
+            code, out, err = run_cli(
+                capsys, "solve", "-d", str(d), "--max-d", "16", *flags, "--format", fmt
+            )
+            assert err == ""
+            h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == digest
 
 
 def test_find_pair_empty_range(capsys):

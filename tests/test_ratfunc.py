@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqzeta.ratfunc import ONE, ZERO, Q, RationalFunctionQ
+from ratfunc import ONE, ZERO, Q, RationalFunctionQ
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -30,7 +30,7 @@ def test_monomial_side_reduces_like_the_euclidean_gcd(poly, e, c, monomial_den):
     # A side c q^e shares only a power of q with the other; the shortcut
     # must give the same canonical pair as the gcd.
     from fqzeta import polys
-    from fqzeta.ratfunc import _canonical
+    from ratfunc import _canonical
 
     monomial = (0,) * e + (c,)
     num, den = (poly, monomial) if monomial_den else (monomial, poly)
