@@ -26,12 +26,13 @@ k*(p-1)^2 + p or the order, so the kernel is exact in int64 for every
 p < 2^31 and order < 2^63.  A larger field has indices int64 cannot hold:
 vector_ops refuses it with BudgetExceededError before any array is built, so
 a count that would evaluate there exits like one over budget.  Counting
-fetches the kernel, and embeds the coefficients of a spec over F_{p^k},
-k > 1, into a larger field, only for blocks with two or more free
-coordinates or cut by a span.  A whole block with at most one free
-coordinate is counted over the spec's own field, with the _fq_* polynomial
-helpers below, so a line in P^1 or the lone point of P^0 is counted over
-any F_{p^n}.
+fetches the kernel once per count, and only if its plan evaluates points:
+by fibres, halves or directly, for blocks with two or more free coordinates
+or cut by a span.  Only those blocks' scalars are then mapped to indices,
+through an embedding of the spec's F_{p^k} into the counting field when
+k > 1.  A whole block with at most one free coordinate is counted over the
+spec's own field, with the _fq_* polynomial helpers below, so a line in P^1
+or the lone point of P^0 is counted over any F_{p^n}.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Polynomials are tuples of coefficients, low degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-fractions.Fraction (div_mod divides over Q and returns Fractions).  gcd
-takes either: it clears denominators and runs a primitive remainder sequence
-over Z, so it does no rational arithmetic until it makes its result monic.
+fractions.Fraction.  gcd takes either: it clears denominators and runs a
+primitive remainder sequence over Z, so it does no rational arithmetic until
+it makes its result monic.
 sturm_sequence takes ints and shares that remainder sequence.
 """
 
@@ -15,7 +15,6 @@ from math import gcd as int_gcd
 from math import lcm as int_lcm
 
 ZERO: tuple = ()
-ONE: tuple = (Fraction(1),)
 
 
 def normalize(coeffs) -> tuple:
@@ -61,26 +60,6 @@ def mul(a, b) -> tuple:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return normalize(out)
-
-
-def div_mod(a, b) -> tuple[tuple, tuple]:
-    """Exact division with remainder; coefficients must form a field."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / Fraction(b[-1])
-    while len(rem) >= len(b) and normalize(rem):
-        rem = list(normalize(rem))
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quo[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] -= factor * cb
-        rem.pop()
-    return normalize(quo), normalize(rem)
 
 
 def _primitive(a) -> list[int]:
@@ -171,30 +150,6 @@ def to_ints(a) -> tuple[int, ...]:
     if not is_integral(a):
         raise ValueError(f"non-integral coefficients: {a}")
     return tuple(int(c) for c in a)
-
-
-def clear_integer_pair(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Scale a pair of Fraction polynomials to a primitive integer pair.
-
-    The common scalar is chosen so that all coefficients are integers, their
-    collective gcd is 1, and the leading coefficient of ``den`` is positive
-    (of ``num`` if den is zero).
-    """
-    coeffs = [Fraction(c) for c in (*num, *den)]
-    if not any(coeffs):
-        return ZERO, ZERO
-    lam = int_lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    scaled = [c * lam for c in coeffs]
-    g = 0
-    for c in scaled:
-        g = int_gcd(g, int(c))
-    g = g or 1
-    anchor = den if normalize(den) else num
-    if Fraction(anchor[-1]) < 0:
-        g = -g
-    n = len(num)
-    ints = [int(c) // g for c in scaled]
-    return normalize(ints[:n]), normalize(ints[n:])
 
 
 def render(coeffs, var: str, *, descending: bool = True) -> str:

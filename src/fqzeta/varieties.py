@@ -13,10 +13,10 @@ lexicographic element order, last coordinate fastest.  count_points accepts a
 into disjoint blocks, count them independently (e.g. on separate workers),
 and sum the results.  The budget bounds the size of this domain.
 
-count_points first plans each block (one position of the leading 1) over
-F_q itself: folding the fixed 0s and 1 into the equations decides, with no
-field built, that a block is empty or wholly on the variety.  Every other
-block is counted in one of four ways:
+count_points plans the whole count once, with no field built (_plan).  Each
+block (one position of the leading 1) is planned over F_q itself: folding
+the fixed 0s and 1 into the equations decides that a block is empty or
+wholly on the variety, and every other block gets one of four strategies:
 
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
   whatever the number of equations.  With g the gcd of their polynomials
@@ -41,16 +41,15 @@ block is counted in one of four ways:
 Of the last three, a block takes the one that evaluates the fewest points,
 ties going first to fibres, then to halves.  A partial block is always
 counted directly, so partitions of a span cross-check the strategies.
-Only these three build F_{q^n}, embed the
-coefficients into it and evaluate with its vectorized kernel
-(ExtensionField.vector_ops) on chunks of int64 element indices.
-_count_pure is a pure-Python evaluation at every point over coefficient
-tuples, kept as the tests' oracle for all four.
+count_points then runs the plan.  Only the last three build F_{q^n}, once
+for all their blocks, map their planned scalars to its element indices and
+evaluate with its vectorized kernel (ExtensionField.vector_ops) on chunks
+of int64 element indices.  The tests keep a pure-Python counter that
+evaluates every point as the oracle for all four.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -261,23 +260,26 @@ def count_points(
         )
     lo, hi = span if span is not None else (0, size)
     order = spec.q**n
-    count, rest = 0, []
-    for block in _blocks(spec, order, lo, hi):
-        prefix, n_free, block_lo, block_hi, whole = block
-        # 0 and 1 fold alike in F_q and F_{q^n}, and the embedding is
-        # injective, so the plan over F_q decides empty and whole blocks.
-        plan = _block_plan(spec.p, spec.equations, prefix)
-        if plan is None:
-            continue
-        if not plan:
-            count += block_hi - block_lo
-        elif n_free == 1 and whole:
-            count += _count_roots(make_extension(spec.p, spec.k), plan, order)
+    count, jobs = 0, []
+    for job in _plan(spec, order, lo, hi):
+        _, counter, polys, args = job
+        if counter is None:
+            count += args[0]
+        elif counter is _count_roots:
+            count += _count_roots(make_extension(spec.p, spec.k), polys, order)
         else:
-            rest.append(block)
-    if rest:
+            jobs.append(job)
+    if jobs:
         field = make_extension(spec.p, spec.k * n)
-        count += _count_numpy(field, _embedded_equations(spec, field), rest)
+        embed = _make_embedding(spec, field)
+
+        def index(scalar):
+            return field.index_of(embed(scalar))
+
+        ops = field.vector_ops(sum(points for points, _, _, _ in jobs))
+        for _, counter, polys, args in jobs:
+            indexed = [(index(c), [(index(s), free) for s, free in terms]) for c, terms in polys]
+            count += counter(field, ops, indexed, *args)
     return count
 
 
@@ -294,14 +296,6 @@ def count_series(
                 f"term n={n}: {exc}", required=exc.required, budget=exc.budget
             ) from None
     return PointCountSeries(spec.q, tuple(counts))
-
-
-def _embedded_equations(spec: VarietySpec, field: ExtensionField):
-    """Equations with coefficients mapped into the counting field."""
-    embed = _make_embedding(spec, field)
-    return tuple(
-        tuple((embed(coeff), exps) for coeff, exps in eq) for eq in spec.equations
-    )
 
 
 def _make_embedding(spec: VarietySpec, field: ExtensionField):
@@ -371,87 +365,38 @@ def _blocks(spec: VarietySpec, order: int, lo: int, hi: int):
         start += size
 
 
-def _count_pure(spec, field, equations, lo, hi) -> int:
-    max_exp = [0] * spec.ambient.nvars
-    for eq in equations:
-        for _, exps in eq:
-            for i, e in enumerate(exps):
-                max_exp[i] = max(max_exp[i], e)
-    one = field.one
-    elems = None
-    count = 0
-    fixed = (field.zero, one)
-    for prefix, n_free, block_lo, block_hi, _ in _blocks(spec, field.order, lo, hi):
-        prefix = tuple(fixed[c] for c in prefix)
-        if n_free <= 1:
-            # One free coordinate may range over a huge field; stay lazy.
-            points = ((t,) for t in field._tuples()) if n_free else iter([()])
-        else:
-            # q**n_free <= budget bounds the field order here, so the
-            # materialized element list needed by product() is small.
-            if elems is None:
-                elems = list(field._tuples())
-            points = itertools.product(elems, repeat=n_free)
-        points = itertools.islice(points, block_lo, block_hi)
-        for free in points:
-            coords = prefix + free
-            powers = [None] * len(coords)
-            ok = True
-            for eq in equations:
-                acc = None
-                for coeff, exps in eq:
-                    v = coeff
-                    for i, e in enumerate(exps):
-                        if not e:
-                            continue
-                        if powers[i] is None:
-                            ps = [one]
-                            for _ in range(max_exp[i]):
-                                ps.append(field._mul(ps[-1], coords[i]))
-                            powers[i] = ps
-                        v = field._mul(v, powers[i][e])
-                    acc = v if acc is None else field._add(acc, v)
-                if acc is not None and any(acc):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
+def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
+    """(points, counter, polys, args) for each block meeting lo..hi; builds no field.
 
-
-def _count_numpy(field, equations, blocks) -> int:
-    """Points over ``field`` = F_{q^n} in ``blocks`` (as _blocks yields them)."""
-    q = field.order
-    count = 0
-    jobs = []
-    for prefix, n_free, block_lo, block_hi, whole in blocks:
-        plan = _block_plan(field.p, equations, prefix)
-        if plan is None:
+    counter(field, ops, polys, *args) counts a block from its polynomials
+    over F_q (see _block_plan), scalars mapped to indices of field = F_order,
+    by evaluating ``points`` points.  _count_roots runs over F_q instead and
+    evaluates none.  An empty or whole block has no counter; args holds the
+    points it adds.  The embedding into F_order is injective and additive,
+    so every choice made over F_q holds over F_order.
+    """
+    for prefix, n_free, block_lo, block_hi, whole in _blocks(spec, order, lo, hi):
+        polys = _block_plan(spec.p, spec.equations, prefix)
+        if not polys:
+            yield 0, None, polys, (0 if polys is None else block_hi - block_lo,)
             continue
-        if not plan:
-            count += block_hi - block_lo
+        if n_free == 1 and whole:
+            yield 0, _count_roots, polys, ()
             continue
-        # (points evaluated, counter, its arguments), fewest points first and
-        # ties to the earliest.  A partial block stays on the direct path, so
-        # partitions of a span cross-check the strategies.
+        # Fewest points first, ties to the earliest.  A partial block stays
+        # on the direct path, so partitions of a span cross-check the
+        # strategies.
         options = []
-        if whole and len(equations) == 1:
-            parts = _fibre_split(field, plan[0], n_free)
+        if whole and len(spec.equations) == 1:
+            parts = _fibre_split(spec.p, polys[0], n_free)
             if parts is not None:
-                options.append((q ** (n_free - 1), _count_fibres, (parts, n_free - 1)))
-            sides = _halves_split(field, plan[0], n_free) if q <= _CHUNK else None
+                options.append((order ** (n_free - 1), _count_fibres, parts, (n_free - 1,)))
+            sides = _halves_split(spec.p, polys[0], n_free) if order <= _CHUNK else None
             if sides is not None:
-                options.append((sum(q**m for m, _ in sides), _count_halves, (sides,)))
-        options.append(
-            (block_hi - block_lo, _count_direct, (plan, n_free, block_lo, block_hi))
-        )
-        jobs.append(min(options, key=lambda option: option[0]))
-    if not jobs:
-        return count
-    ops = field.vector_ops(sum(work for work, _, _ in jobs))
-    for _, counter, args in jobs:
-        count += counter(field, ops, *args)
-    return count
+                sizes, halves = zip(*sides)
+                options.append((sum(order**m for m in sizes), _count_halves, halves, (sizes,)))
+        options.append((block_hi - block_lo, _count_direct, polys, (n_free, block_lo, block_hi)))
+        yield min(options, key=lambda option: option[0])
 
 
 def _count_roots(field, plan, order) -> int:
@@ -461,13 +406,17 @@ def _count_roots(field, plan, order) -> int:
     With g the gcd of its equations' polynomials in y, the count is
     deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
     on F_order (g = 0 means every y is a point).  y^order mod g takes
-    log2(order) squarings mod g.
+    log2(order) squarings mod g.  An exponent e >= order becomes
+    ((e - 1) mod (order - 1)) + 1, which gives the same power of every y in
+    F_order, so g has degree below order.
     """
     zero = field.zero
     g = []
     for const, terms in plan:
         poly = [const]
         for scalar, ((_, e),) in terms:
+            if e >= order:
+                e = (e - 1) % (order - 1) + 1
             poly += [zero] * (e + 1 - len(poly))
             poly[e] = field._add(poly[e], scalar)
         g = _fq_gcd(g, poly, field)
@@ -535,20 +484,20 @@ def _count_fibres(field, ops, parts, n_other) -> int:
     return count
 
 
-def _count_halves(field, ops, sides) -> int:
+def _count_halves(field, ops, sides, sizes) -> int:
     """Points of a whole block whose one equation reads g(X) = -h(Y).
 
-    ``sides`` holds g and -h (see _halves_split).  With H_g[v] the number of
-    points of X where g = v, and H_-h alike, the block holds
-    sum_v H_g[v] H_-h[v] points.  Each histogram has one entry per element
-    of F_Q, so it is no larger than one evaluation chunk.
+    ``sides`` holds g and -h, and ``sizes`` |X| and |Y| (see _halves_split).
+    With H_g[v] the number of points of X where g = v, and H_-h alike, the
+    block holds sum_v H_g[v] H_-h[v] points.  Each histogram has one entry
+    per element of F_Q, so it is no larger than one evaluation chunk.
     """
     import numpy as np
 
     q = field.order
     chunk = _CHUNK // field.k
     hists = []
-    for n_side, (const, terms) in sides:
+    for n_side, (const, terms) in zip(sizes, sides):
         hist = np.zeros(q, dtype=np.int64)
         for c0 in range(0, q**n_side, chunk):
             c1 = min(c0 + chunk, q**n_side)
@@ -569,22 +518,26 @@ def _exact_dot(a, b) -> int:
 
 
 def _evaluator(field, ops, n_free, c0, c1):
-    """Evaluates block polynomials at the block offsets c0..c1 (see _block_plan)."""
+    """Evaluates block polynomials, scalars as indices, at the block offsets c0..c1."""
     import numpy as np
 
     add, mul = ops
     q = field.order
-    one = field.one
+    one = field.index_of(field.one)
     offs = np.arange(c0, c1, dtype=np.int64)
     coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
     powers: dict[tuple[int, int], np.ndarray] = {}
 
     def power(t, e):
+        # Square and multiply, keeping every power formed on the way.
+        if e == 1:
+            return coords[t]
         if (t, e) not in powers:
-            pw = coords[t]
-            for _ in range(e - 1):
-                pw = mul(pw, coords[t])
-            powers[t, e] = pw
+            if e & 1:
+                powers[t, e] = mul(power(t, e - 1), coords[t])
+            else:
+                half = power(t, e // 2)
+                powers[t, e] = mul(half, half)
         return powers[t, e]
 
     def evaluate(const, terms):
@@ -594,18 +547,18 @@ def _evaluator(field, ops, n_free, c0, c1):
             for t, e in free:
                 vec = power(t, e) if vec is None else mul(vec, power(t, e))
             if scalar != one:
-                vec = mul(np.full_like(vec, field.index_of(scalar)), vec)
+                vec = mul(np.full_like(vec, scalar), vec)
             acc = vec if acc is None else add(acc, vec)
         if acc is None:
-            return np.full(c1 - c0, field.index_of(const), dtype=np.int64)
-        if any(const):
-            acc = add(acc, np.full_like(acc, field.index_of(const)))
+            return np.full(c1 - c0, const, dtype=np.int64)
+        if const:
+            acc = add(acc, np.full_like(acc, const))
         return acc
 
     return evaluate
 
 
-def _fibre_split(field, poly, n_free):
+def _fibre_split(p, poly, n_free):
     """The block polynomial as [C, B, A] with poly = A y^2 + B y + C, or None.
 
     y is a free coordinate of least degree, which must be at most 2 (at most
@@ -618,20 +571,21 @@ def _fibre_split(field, poly, n_free):
         for t, e in free:
             degree[t] = max(degree[t], e)
     y = min(range(n_free), key=degree.__getitem__)
-    if degree[y] > (1 if field.p == 2 else 2):
+    if degree[y] > (1 if p == 2 else 2):
         return None
-    parts = [[const, []]] + [[field.zero, []] for _ in range(degree[y])]
+    zero = (0,) * len(const)
+    parts = [[const, []]] + [[zero, []] for _ in range(degree[y])]
     for scalar, free in terms:
         part = parts[dict(free).get(y, 0)]
         rest = tuple((t - (t > y), e) for t, e in free if t != y)
         if rest:
             part[1].append((scalar, rest))
         else:
-            part[0] = field._add(part[0], scalar)
+            part[0] = tuple((a + b) % p for a, b in zip(part[0], scalar))
     return [(c, tuple(ts)) for c, ts in parts]
 
 
-def _halves_split(field, poly, n_free):
+def _halves_split(p, poly, n_free):
     """The block polynomial as g(X) + h(Y) = 0 on disjoint free coordinates, or None.
 
     X and Y are unions of the connected components of "free coordinates
@@ -655,15 +609,14 @@ def _halves_split(field, poly, n_free):
             unions.setdefault(size + len(group), union | group)
     size = min((s for s in unions if 0 < s < n_free), key=lambda s: (abs(n_free - 2 * s), s))
     x = unions[size]
-    zero = field.zero
     g, minus_h = [], []
     for scalar, free in terms:
         if free[0][0] in x:
             g.append((scalar, free))
         else:
-            minus_h.append((field._sub(zero, scalar), free))
+            minus_h.append((tuple(-c % p for c in scalar), free))
     sides = []
-    for coords, c, side in ((x, const, g), (set(range(n_free)) - x, zero, minus_h)):
+    for coords, c, side in ((x, const, g), (set(range(n_free)) - x, (0,) * len(const), minus_h)):
         index = {t: i for i, t in enumerate(sorted(coords))}
         renamed = tuple((s, tuple((index[t], e) for t, e in free)) for s, free in side)
         sides.append((len(coords), (c, renamed)))

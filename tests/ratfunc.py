@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import qpolys
+
 from fqzeta import polys
 
 
@@ -18,7 +20,7 @@ def _canonical(num, den):
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
     if not num:
-        return polys.ZERO, polys.ONE
+        return polys.ZERO, qpolys.ONE
     low_num = next(i for i, c in enumerate(num) if c)
     low_den = next(i for i, c in enumerate(den) if c)
     if low_num == len(num) - 1 or low_den == len(den) - 1:
@@ -28,8 +30,8 @@ def _canonical(num, den):
     else:
         g = polys.gcd(num, den)
         if polys.degree(g) > 0:
-            num = polys.div_mod(num, g)[0]
-            den = polys.div_mod(den, g)[0]
+            num = qpolys.div_mod(num, g)[0]
+            den = qpolys.div_mod(den, g)[0]
     lead = den[-1]
     if lead != 1:
         inv = Fraction(1) / lead
@@ -139,7 +141,7 @@ class RationalFunctionQ:
 
     def to_string(self) -> str:
         """Canonical 'poly/poly' form with primitive integer coefficients."""
-        num, den = polys.clear_integer_pair(self.num, self.den)
+        num, den = qpolys.clear_integer_pair(self.num, self.den)
         return f"{polys.render(num, 'q')}/{polys.render(den, 'q')}"
 
     def __repr__(self):

@@ -283,7 +283,7 @@ def test_spaces_over_large_extensions_need_no_field(capsys, tmp_path):
 
 
 def test_count_of_a_line_over_a_field_beyond_int64(capsys, tmp_path):
-    # x_0 + g x_1 = 0 over F_2^70: _count_pure would find the one point
+    # x_0 + g x_1 = 0 over F_2^70: the pure counter would find the one point
     # [1 : 1/g] in the chart x_0 = 1 and none at [0 : 1], where g != 0.  Its
     # one free coordinate is counted by a gcd over F_2^70, with no index.
     one, g = [1] + [0] * 69, [0, 1] + [0] * 68

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qpolys
 from ratfunc import ONE, RationalFunctionQ
 
 from fqzeta import linalg, polys
@@ -328,20 +329,20 @@ def test_report_invariant_under_row_scaling(d):
 def _relation_over_qq(row, pivot_col):
     """Integer-cleared form of a nonzero RREF row over Q(q), pivot coefficient positive."""
     entries = [(i, c) for i, c in enumerate(row) if c]
-    common_den = polys.ONE
+    common_den = qpolys.ONE
     for _, c in entries:
         g = polys.gcd(common_den, c.den)
-        common_den = polys.div_mod(polys.mul(common_den, c.den), g)[0]
+        common_den = qpolys.div_mod(polys.mul(common_den, c.den), g)[0]
     cleared = []
     for i, c in entries:
-        multiplier = polys.div_mod(common_den, c.den)[0]
+        multiplier = qpolys.div_mod(common_den, c.den)[0]
         cleared.append((i, polys.mul(c.num, multiplier)))
     flat_num = []
     splits = []
     for _, poly in cleared:
         splits.append((len(flat_num), len(poly)))
         flat_num.extend(poly)
-    ints, _ = polys.clear_integer_pair(tuple(flat_num), ())
+    ints, _ = qpolys.clear_integer_pair(tuple(flat_num), ())
     padded = list(ints) + [0] * (len(flat_num) - len(ints))
     out = []
     for (i, _), (ofs, ln) in zip(cleared, splits):

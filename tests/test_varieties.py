@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from purecount import count_pure, embedded_equations
 
 from fqzeta.errors import BudgetExceededError, MalformedSpecError
 from fqzeta.fields import make_extension
@@ -376,14 +377,11 @@ def _binary_form_p1(p, terms):
     ],
 )
 def test_pure_and_numpy_backends_agree(spec, n, span, expected):
-    from fqzeta.varieties import _blocks, _count_numpy, _count_pure, _embedded_equations
-
     field = make_extension(spec.p, spec.k * n)
-    eqs = _embedded_equations(spec, field)
-    lo, hi = span or (0, domain_size(spec, n))
-    pure = _count_pure(spec, field, eqs, lo, hi)
-    vec = _count_numpy(field, eqs, _blocks(spec, field.order, lo, hi))
-    assert pure == vec == expected
+    size = domain_size(spec, n)
+    lo, hi = span or (0, size)
+    pure = count_pure(spec, field, embedded_equations(spec, field), lo, hi)
+    assert pure == count_points(spec, n, span=(lo, hi), budget=size) == expected
 
 
 def test_single_point_over_field_beyond_int64():
@@ -423,7 +421,7 @@ def test_field_beyond_int64_is_indexed_only_where_a_count_must():
 
     budget = 10**24
     line = projective(1, [[[one, [1, 0]], [g, [0, 1]]]])
-    # _count_pure would find the one point [1 : 1/g] in the chart x_0 = 1
+    # count_pure would find the one point [1 : 1/g] in the chart x_0 = 1
     # and none at [0 : 1], where g != 0.  A whole block with one free
     # coordinate is counted by a gcd over F_2^70, with no index.
     assert count_points(line, 1, budget=budget) == 1
@@ -444,8 +442,6 @@ def test_field_beyond_int64_is_indexed_only_where_a_count_must():
 
 
 def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     # x^5 + x^2 y^3 + y^5 = 0 in P^1 over F_{2^10}: 1025 points, far fewer
     # than the 2^20 table entries.  The whole chart x = 1 is counted by a
     # gcd; its two halves are evaluated point by point.
@@ -455,13 +451,11 @@ def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
     size = domain_size(spec, 10)
     halves = count_points(spec, 10, span=(0, 512)) + count_points(spec, 10, span=(512, size))
     assert field._np_tables is None
-    eqs = _embedded_equations(spec, field)
-    assert got == halves == _count_pure(spec, field, eqs, 0, size)
+    eqs = embedded_equations(spec, field)
+    assert got == halves == count_pure(spec, field, eqs, 0, size)
 
 
 def test_plane_curve_count_builds_tables(fresh_tables):
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     # Every coordinate of x^3 + y^3 + z^3 + xyz has degree 3, and xyz links
     # them all, so the 961 points of the chart x = 1 are evaluated: as many
     # as the 961 table entries of F_31.  (The chart x = 0, y = 1 has one free
@@ -478,15 +472,13 @@ def test_plane_curve_count_builds_tables(fresh_tables):
     field = fresh_tables(make_extension(31, 1))
     got = count_points(spec, 1)
     assert field._np_tables is not None
-    eqs = _embedded_equations(spec, field)
-    assert got == _count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+    eqs = embedded_equations(spec, field)
+    assert got == count_pure(spec, field, eqs, 0, domain_size(spec, 1))
 
 
 def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     # Counted by fibres over y, the 923,521 points of the chart x = 1 cost
-    # 961 evaluations, far fewer than the 961^2 table entries.  _count_pure
+    # 961 evaluations, far fewer than the 961^2 table entries.  count_pure
     # over all of P^2(F_{31^2}) would take about 40 s, so it counts N_1 and
     # the genus-1 trace recursion gives N_2.
     p = 31
@@ -495,7 +487,7 @@ def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
     got = count_points(spec, 2)
     assert field._np_tables is None
     base = make_extension(p, 1)
-    n1 = _count_pure(spec, base, _embedded_equations(spec, base), 0, domain_size(spec, 1))
+    n1 = count_pure(spec, base, embedded_equations(spec, base), 0, domain_size(spec, 1))
     trace = p + 1 - n1
     assert got == p**2 + 1 - (trace**2 - 2 * p)
 
@@ -521,7 +513,7 @@ def test_first_root_builds_no_tables(fixtures_dir, fresh_tables):
 # Fibre counting against the oracle.  One-equation specs in A^2, A^3 and P^2
 # over F_{p^k}, p <= 7, k <= 2: count_points (fibre path on whole blocks with
 # a coordinate of degree <= 2, <= 1 in characteristic 2) must equal
-# _count_pure, which evaluates every point.
+# count_pure, which evaluates every point.
 
 
 def _one_equation(p, k, kind, dim, terms):
@@ -537,11 +529,9 @@ def _one_equation(p, k, kind, dim, terms):
 
 
 def _assert_matches_oracle(spec):
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     field = make_extension(spec.p, spec.k)
-    eqs = _embedded_equations(spec, field)
-    assert count_points(spec, 1) == _count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+    eqs = embedded_equations(spec, field)
+    assert count_points(spec, 1) == count_pure(spec, field, eqs, 0, domain_size(spec, 1))
 
 
 @st.composite
@@ -598,19 +588,17 @@ def test_fibre_count_matches_oracle(spec):
     ],
 )
 def test_fibre_or_direct_path_matches_oracle(spec, fibres):
-    from fqzeta.varieties import _block_plan, _blocks, _embedded_equations, _fibre_split
+    from fqzeta.varieties import _block_plan, _blocks, _fibre_split
 
-    field = make_extension(spec.p, spec.k)
-    eqs = _embedded_equations(spec, field)
-    prefix, n_free, *_ = next(_blocks(spec, field.order, 0, domain_size(spec, 1)))
-    plan = _block_plan(field.p, eqs, prefix)
-    assert (_fibre_split(field, plan[0], n_free) is not None) == fibres
+    prefix, n_free, *_ = next(_blocks(spec, spec.q, 0, domain_size(spec, 1)))
+    plan = _block_plan(spec.p, spec.equations, prefix)
+    assert (_fibre_split(spec.p, plan[0], n_free) is not None) == fibres
     _assert_matches_oracle(spec)
 
 
 # The gcd path against the oracle.  A whole block with one free coordinate y
 # is counted as deg gcd(g, y^Q - y) over F_q, with g the gcd of its
-# equations; _count_pure evaluates every point over F_Q, and two partial
+# equations; count_pure evaluates every point over F_Q, and two partial
 # spans send the same blocks down the direct evaluator.  Fields hold at most
 # 7^4 elements, to keep the oracle fast.
 
@@ -685,13 +673,11 @@ def _one_coordinate_specs(draw):
 @settings(max_examples=60)
 @given(_one_coordinate_specs())
 def test_one_coordinate_count_matches_oracle(case):
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     spec, n = case
     field = make_extension(spec.p, spec.k * n)
     size = domain_size(spec, n)
     got = count_points(spec, n)
-    assert got == _count_pure(spec, field, _embedded_equations(spec, field), 0, size)
+    assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
     cut = field.order // 2
     assert got == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, size))
 
@@ -720,7 +706,7 @@ def test_benchmark_shapes_stay_off_the_vector_path(fixtures_dir, monkeypatch):
 
 # Counting by halves.  A whole block whose one equation reads g(X) + h(Y) = 0,
 # with no monomial linking the free coordinates in X to those in Y, is
-# counted from the value histograms of g and -h.  _count_pure evaluates
+# counted from the value histograms of g and -h.  count_pure evaluates
 # every point, and two spans that cut the first block send it down the
 # direct evaluator.
 
@@ -766,19 +752,15 @@ def _separable_specs(draw):
 @settings(max_examples=80)
 @given(_separable_specs())
 def test_halves_count_matches_oracle(spec):
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     field = make_extension(spec.p, spec.k)
     size = domain_size(spec, 1)
     got = count_points(spec, 1)
-    assert got == _count_pure(spec, field, _embedded_equations(spec, field), 0, size)
+    assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
     cut = field.order**spec.ambient.dim // 2  # inside the first block
     assert got == count_points(spec, 1, span=(0, cut)) + count_points(spec, 1, span=(cut, size))
 
 
 def test_diagonal_cubic_threefold_over_f2():
-    from fqzeta.varieties import _count_pure, _embedded_equations
-
     # The chart x_0 = 1 of P^4 costs 2 * 8^2 evaluations at n = 3 instead
     # of 8^4.  For odd n, cubing permutes F_{2^n}, so N_1 = 15 and N_3 = 585
     # count the hyperplane x_0 + ... + x_4 = 0, a P^3.
@@ -787,7 +769,7 @@ def test_diagonal_cubic_threefold_over_f2():
     for n, got in enumerate(counts, start=1):
         field = make_extension(2, n)
         size = domain_size(spec, n)
-        assert got == _count_pure(spec, field, _embedded_equations(spec, field), 0, size)
+        assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
     assert counts == (15, 165, 585)
 
 
@@ -818,6 +800,73 @@ def test_counting_strategy_takes_fewest_points(monkeypatch):
     assert count_points(_curve(p, 2, 3), 2) == p**2 + 1 - (trace**2 - 2 * p)
     squares = [(c, tuple(2 * (i == j) for i in range(4))) for j, c in enumerate((1, 2, 3, 4))]
     _assert_matches_oracle(_one_equation(p, 1, "projective", 3, squares))
+
+
+def test_each_block_is_planned_once(monkeypatch):
+    from fqzeta import varieties
+
+    calls = []
+    block_plan = varieties._block_plan
+    monkeypatch.setattr(
+        varieties, "_block_plan", lambda *args: calls.append(args) or block_plan(*args)
+    )
+    # y^2 z = x^3 + 2 x z^2 + 3 z^3 over F_49 has three blocks: the chart
+    # x = 1 by fibres, the line x = 0 by roots, and [0 : 0 : 1], not on it.
+    p = 7
+    n1 = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - 2 * x - 3) % p == 0)
+    trace = p + 1 - n1
+    assert count_points(_curve(p, 2, 3), 2) == p**2 + 1 - (trace**2 - 2 * p)
+    assert len(calls) == 3
+
+
+def test_plan_builds_no_field(monkeypatch):
+    from fqzeta import varieties
+    from fqzeta.varieties import _count_direct, _count_halves, _count_roots, _plan
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field built")
+
+    # The Fermat cubic surface over F_4: the charts with three and two free
+    # coordinates by halves, the line x_0 = x_1 = 0 by roots, and [0:0:0:1]
+    # is not on it.  A span that cuts the first chart evaluates it directly.
+    cubes = [([1, 0], tuple(3 * (i == j) for i in range(4))) for j in range(4)]
+    spec = _one_equation(2, 2, "projective", 3, cubes)
+    monkeypatch.setattr(varieties, "make_extension", refuse)
+    for n in (1, 2, 3):
+        q = spec.q**n
+        plan = list(_plan(spec, q, 0, domain_size(spec, n)))
+        assert [(points, counter) for points, counter, _, _ in plan] == [
+            (q + q**2, _count_halves),
+            (2 * q, _count_halves),
+            (0, _count_roots),
+            (0, None),
+        ]
+        [(points, counter, _, _)] = _plan(spec, q, 1, q**3)
+        assert (points, counter) == (q**3 - 1, _count_direct)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_huge_exponent_is_evaluated_by_squaring(n):
+    # y^2 = x^e + 1 in A^2 over F_7, counted by fibres over x and, cut by a
+    # span, point by point.  x^e depends only on e mod Q - 1 for e >= 1.
+    def spec(e):
+        return _one_equation(7, 1, "affine", 2, [(1, (0, 2)), (-1, (e, 0)), (-1, (0, 0))])
+
+    e, Q = 10**12 + 3, 7**n
+    got = count_points(spec(e), n)
+    assert got == count_points(spec((e - 1) % (Q - 1) + 1), n)
+    cut = Q * Q // 2
+    assert got == sum(count_points(spec(e), n, span=s) for s in ((0, cut), (cut, Q * Q)))
+
+
+def test_huge_exponent_on_the_roots_path():
+    import math
+
+    # x_0^e = x_1^e in P^1 over F_{7^n}: [1 : y] with y^e = 1, and [0 : 1] is
+    # not on it.  The roots path reduces e mod 7^n - 1 before building g.
+    e = 10**12
+    spec = _binary_form_p1(7, [[1, [e, 0]], [-1, [0, e]]])
+    assert count_series(spec, 3).counts == tuple(math.gcd(e, 7**n - 1) for n in (1, 2, 3))
 
 
 def test_exact_dot_past_int64():
