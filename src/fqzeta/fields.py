@@ -10,44 +10,45 @@ _pow combine exactly.  The vectorized kernel below works on their integer
 indices (index_of, tuple_at).
 
 A field never changes its modulus or arithmetic, but it is not immutable:
-numpy_tables fills its order^2 tables on first use.  Two threads that race
+numpy_tables fills its exp/log tables on first use.  Two threads that race
 there build equal tables, and either may be kept.
 
 ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
 arrays of element indices (index_of: coefficients as base-p digits, c_0
-first).  It gathers from flat order^2 tables when the field has at most 1024
-elements and the caller will evaluate at least order^2 elements, so the
-table build pays for itself (the 992 points evaluated for x^3 + y^3 + z^3
-in P^2 over F_31; not the 1922 that fibre counting evaluates for a
-Weierstrass curve in P^2 over F_{31^2}).  Otherwise, over F_p, it adds and
-multiplies the indices mod p; for k > 1 it adds digit-wise and multiplies
-by convolution, then reduces mod m.  No intermediate exceeds
-k*(p-1)^2 + p or the order, so the kernel is exact in int64 for every
-p < 2^31 and order < 2^63.  A larger field has indices int64 cannot hold:
-vector_ops refuses it with BudgetExceededError before any array is built, so
-a count that would evaluate there exits like one over budget.  Counting
-fetches the kernel once per count, and only if its plan evaluates points:
-by fibres, halves or directly, for blocks with two or more free coordinates
-or cut by a span.  Only those blocks' scalars are then mapped to indices,
-through an embedding of the spec's F_{p^k} into the counting field when
-k > 1.  A whole block with at most one free coordinate is counted over the
-spec's own field, with the _fq_* polynomial helpers below, so a line in P^1
-or the lone point of P^0 is counted over any F_{p^n}.
+first).  Over F_p it adds and multiplies the indices mod p.  For k > 1 and
+at most _CHUNK = 2^17 elements it multiplies by exp/log tables,
+a*b = exp[log a + log b] for a generator g (numpy_tables), and adds by XOR
+of the indices for p = 2 and digit-wise otherwise.  A larger field adds
+digit-wise and multiplies by convolution, then reduces mod m; that kernel
+also fills exp, in about log2(order) vector products.  No
+intermediate exceeds k*(p-1)^2 + p or the order, so the kernel is exact in
+int64 for every p < 2^31 and order < 2^63.  A larger field has indices
+int64 cannot hold: vector_ops refuses it with BudgetExceededError before any
+array is built, so a count that would evaluate there exits like one over
+budget.  Counting fetches the kernel once per count, and only if its plan
+evaluates points: by fibres, halves or directly, for blocks with two or
+more free coordinates or cut by a span.  Only those blocks' scalars are then
+mapped to indices, through an embedding of the spec's F_{p^k} into the
+counting field when k > 1.  A whole block with at most one free coordinate
+is counted over the spec's own field, with the _fq_* polynomial helpers
+below, so a line in P^1 or the lone point of P^0 is counted over any
+F_{p^n}.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .errors import BudgetExceededError, NotPrimeError
 
 MAX_CHARACTERISTIC = 1 << 31
 
-_NUMPY_TABLE_MAX_ORDER = 1024
 # Element indices are int64 values.
 _MAX_INDEXED_ORDER = (1 << 63) - 1
 # Elements per vectorized step; digit-wise kernels work on k times as many
-# int64 values, so loops over index arrays step by _CHUNK // k.
+# int64 values, so loops over index arrays step by _CHUNK // k.  Also the
+# largest field with exp/log tables.
 _CHUNK = 1 << 17
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
@@ -286,13 +287,8 @@ class ExtensionField:
 
     # -- vectorized kernel ------------------------------------------------------
 
-    def vector_ops(self, work: int):
-        """(add, mul) on equal-length int64 arrays of indices; see the module docstring.
-
-        ``work`` is the number of elements the caller will evaluate.  The
-        order^2 tables are built only if that is at least as many as they
-        hold entries; cached tables are always used.
-        """
+    def vector_ops(self):
+        """(add, mul) on equal-length int64 arrays of indices; see the module docstring."""
         if self.order > _MAX_INDEXED_ORDER:
             raise BudgetExceededError(
                 f"indexing the {self.order} elements of F_{self.p}^{self.k} "
@@ -300,13 +296,13 @@ class ExtensionField:
                 required=self.order,
                 budget=_MAX_INDEXED_ORDER,
             )
-        if self._np_tables is None and (
-            self.order > _NUMPY_TABLE_MAX_ORDER or work < self.order**2
-        ):
+        tables = self.numpy_tables()
+        if tables is None:
             return self._digit_ops()
-        add_t, mul_t = self.numpy_tables()
-        q = self.order
-        return (lambda a, b: add_t[a * q + b]), (lambda a, b: mul_t[a * q + b])
+        exp, log = tables
+        # XOR adds base-2 digits mod 2.
+        add = operator.xor if self.p == 2 else self._digit_ops()[0]
+        return add, lambda a, b: exp[log[a] + log[b]]
 
     def _digit_ops(self):
         p, k = self.p, self.k
@@ -342,26 +338,46 @@ class ExtensionField:
         return add, mul
 
     def numpy_tables(self):
-        """Flat (order*order,) int32 add and mul tables, or None if too large."""
-        if self.order > _NUMPY_TABLE_MAX_ORDER:
+        """(exp, log) int64 tables for 1 < k and order <= _CHUNK, else None.
+
+        With Q the order, exp holds 4(Q-1) + 1 indices: g^(i mod (Q-1)) for
+        i < 2(Q-1), then 0.  log[a] < Q-1 is the exponent of a nonzero a,
+        and log[0] = 2(Q-1), so exp[log[a] + log[b]] is a*b, 0 if a or b is.
+        """
+        if self.k == 1 or self.order > _CHUNK:
             return None
         if self._np_tables is None:
             import numpy as np
 
-            n = self.order
-            add, mul = self._digit_ops()
-            add_t = np.empty(n * n, dtype=np.int32)
-            mul_t = np.empty(n * n, dtype=np.int32)
-            idx = np.arange(n, dtype=np.int64)
-            block = max(_CHUNK // (self.k * n), 1)
-            for r0 in range(0, n, block):
-                r1 = min(r0 + block, n)
-                a = np.repeat(idx[r0:r1], n)
-                b = np.tile(idx, r1 - r0)
-                add_t[r0 * n : r1 * n] = add(a, b)
-                mul_t[r0 * n : r1 * n] = mul(a, b)
-            self._np_tables = (add_t, mul_t)
+            q = self.order
+            _, mul = self._digit_ops()
+            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+            exp[0] = self.index_of(self.one)
+            # Doubling: exp[s + i] = g^s * exp[i] for the next run of powers.
+            s, g_s, step = 1, self._generator(), _CHUNK // self.k
+            while s < q - 1:
+                run = min(s, q - 1 - s)
+                factor = np.full(min(run, step), self.index_of(g_s), dtype=np.int64)
+                for c0 in range(0, run, step):
+                    c1 = min(c0 + step, run)
+                    exp[s + c0 : s + c1] = mul(exp[c0:c1], factor[: c1 - c0])
+                s, g_s = 2 * s, self._mul(g_s, g_s)
+            exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+            log = np.empty(q, dtype=np.int64)
+            log[exp[: q - 1]] = np.arange(q - 1)
+            log[0] = 2 * (q - 1)
+            self._np_tables = (exp, log)
         return self._np_tables
+
+    def _generator(self) -> tuple[int, ...]:
+        """The first nonzero scalar, in index order, of multiplicative order Q - 1."""
+        n = self.order - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        return next(
+            g
+            for g in map(self.tuple_at, range(1, self.order))
+            if all(self._pow(g, n // r) != self.one for r in primes)
+        )
 
     def __repr__(self):
         return f"ExtensionField(p={self.p}, k={self.k}, modulus={self.modulus})"

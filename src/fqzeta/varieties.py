@@ -276,7 +276,7 @@ def count_points(
         def index(scalar):
             return field.index_of(embed(scalar))
 
-        ops = field.vector_ops(sum(points for points, _, _, _ in jobs))
+        ops = field.vector_ops()
         for _, counter, polys, args in jobs:
             indexed = [(index(c), [(index(s), free) for s, free in terms]) for c, terms in polys]
             count += counter(field, ops, indexed, *args)
@@ -327,7 +327,7 @@ def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
     """Index of the first root, in index order, of a polynomial over F_p."""
     import numpy as np
 
-    add, mul = field.vector_ops(field.order)
+    add, mul = field.vector_ops()
     coeffs = [field.index_of(field.element(c)) for c in reversed(poly)]
     step = _CHUNK // field.k
     for c0 in range(0, field.order, step):

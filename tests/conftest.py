@@ -18,7 +18,7 @@ def fixtures_dir() -> pathlib.Path:
 
 @pytest.fixture
 def fresh_tables():
-    """Drop a field's cached order^2 tables for one test, then restore them.
+    """Drop a field's cached exp/log tables for one test, then restore them.
 
     make_extension shares one field per (p, k) for the whole session, so a
     test that checks whether a count builds tables must not see tables that

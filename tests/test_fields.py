@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fqzeta.errors import NotPrimeError
-from fqzeta.fields import is_prime, make_extension
+from fqzeta.fields import _CHUNK, is_prime, make_extension
 
 
 def test_is_prime_matches_trial_division():
@@ -156,43 +156,70 @@ def test_multiplicative_group_order(p, k):
 
 
 def test_numpy_tables_match_direct():
-    field = make_extension(3, 3)
-    add_t, mul_t = field.numpy_tables()
-    n = field.order
-    for ai in range(n):
-        for bi in range(n):
-            a, b = field.tuple_at(ai), field.tuple_at(bi)
-            assert add_t[ai * n + bi] == field.index_of(field._add(a, b))
-            assert mul_t[ai * n + bi] == field.index_of(field._mul(a, b))
+    # Every sum and product in F_4, F_8 and F_27 through the exp/log kernel,
+    # 0 included as either operand and as both; p = 2 adds by XOR.
+    import numpy as np
+
+    for p, k in [(2, 2), (2, 3), (3, 3)]:
+        field = make_extension(p, k)
+        n = field.order
+        a = np.repeat(np.arange(n, dtype=np.int64), n)
+        b = np.tile(np.arange(n, dtype=np.int64), n)
+        add, mul = field.vector_ops()
+        assert field._np_tables is not None
+        got_add, got_mul = add(a, b).tolist(), mul(a, b).tolist()
+        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+            x, y = field.tuple_at(ai), field.tuple_at(bi)
+            assert got_add[i] == field.index_of(field._add(x, y)), (p, k, ai, bi)
+            assert got_mul[i] == field.index_of(field._mul(x, y)), (p, k, ai, bi)
+
+
+@pytest.mark.parametrize("p,k", [(31, 2), (37, 2), (2, 10), (3, 7)])
+def test_exp_table_runs_through_every_nonzero_index(p, k):
+    # g is primitive iff its first Q - 1 powers are the Q - 1 nonzero
+    # elements.  In F_{31^2} and F_{37^2} the class of x, the root of the
+    # modulus, is not primitive.
+    import numpy as np
+
+    field = make_extension(p, k)
+    exp, log = field.numpy_tables()
+    q = field.order
+    assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
+    assert (exp[: 2 * (q - 1)] == np.tile(exp[: q - 1], 2)).all()
+    assert not exp[2 * (q - 1) :].any() and len(exp) == 4 * (q - 1) + 1
+    assert (log[exp[: q - 1]] == np.arange(q - 1)).all() and log[0] == 2 * (q - 1)
 
 
 @pytest.mark.parametrize(
-    "p,k,work,tables",
+    "p,k,digits",
     [
-        pytest.param(3, 3, 27, False, id="3-3-digit-kernel"),
-        pytest.param(3, 3, 27**2, True, id="3-3"),
-        pytest.param(7, 1, 7, False, id="7-1-digit-kernel"),
-        pytest.param(1031, 1, 1031**2, False, id="1031-1"),
-        pytest.param(2**31 - 1, 1, 2**40, False, id="2147483647-1"),
-        pytest.param(37, 2, 37**4, False, id="37-2"),
-        pytest.param(2, 11, 2**22, False, id="2-11"),
-        pytest.param(2**31 - 1, 2, 2**40, False, id="2147483647-2"),
+        pytest.param(3, 3, True, id="3-3-digit-kernel"),
+        pytest.param(3, 3, False, id="3-3"),
+        pytest.param(7, 1, False, id="7-1-digit-kernel"),
+        pytest.param(1031, 1, False, id="1031-1"),
+        pytest.param(2**31 - 1, 1, False, id="2147483647-1"),
+        pytest.param(37, 2, False, id="37-2"),
+        pytest.param(2, 11, False, id="2-11"),
+        pytest.param(2, 17, False, id="2-17"),
+        pytest.param(2, 18, False, id="2-18"),
+        pytest.param(2**31 - 1, 2, False, id="2147483647-2"),
     ],
 )
-def test_vector_ops_match_scalar_arithmetic(p, k, work, tables, fresh_tables):
-    # Random indices cover both kernels in F_27 (gather tables once the work
-    # reaches order^2, digit-wise convolution below it), the convolution in
-    # fields above the table cap, the residue kernel of F_p and, at
-    # p = 2^31 - 1, digits and residues whose products reach 2^62: the int64
-    # headroom both kernels must respect.
+def test_vector_ops_match_scalar_arithmetic(p, k, digits, fresh_tables):
+    # Random indices, 0 and Q - 1 among them, cover the exp/log kernel of
+    # every field with 1 < k up to the cap F_{2^17}; the digit-wise kernel
+    # above it and, with ``digits``, in F_27, where it adds and fills exp;
+    # the residue kernel of F_p; and, at p = 2^31 - 1, digits and residues
+    # whose products reach 2^62: the int64 headroom both kernels must
+    # respect.
     import numpy as np
 
     field = fresh_tables(make_extension(p, k))
     rng = random.Random(p * 100 + k)
-    a = [rng.randrange(field.order) for _ in range(300)] + [0, 1, field.order - 1]
-    b = [rng.randrange(field.order) for _ in range(300)] + [field.order - 1] * 3
-    add, mul = field.vector_ops(work)
-    assert (field._np_tables is not None) == tables
+    a = [rng.randrange(field.order) for _ in range(300)] + [0, 1, field.order - 1, 0]
+    b = [rng.randrange(field.order) for _ in range(300)] + [field.order - 1] * 3 + [0]
+    add, mul = field._digit_ops() if digits else field.vector_ops()
+    assert (field._np_tables is not None) == (not digits and 1 < k and field.order <= _CHUNK)
     got_add = add(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     got_mul = mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     for i, (x, y) in enumerate(zip(a, b)):
@@ -201,18 +228,22 @@ def test_vector_ops_match_scalar_arithmetic(p, k, work, tables, fresh_tables):
         assert got_mul[i] == field.index_of(field._mul(tx, ty))
 
 
-def test_vector_ops_reuses_cached_tables_for_any_work(monkeypatch):
+def test_vector_ops_reuses_cached_tables(monkeypatch):
     field = make_extension(3, 3)
-    field.numpy_tables()
+    field.vector_ops()
+    tables = field._np_tables
 
-    def no_digit_kernel():
-        raise AssertionError("cached tables were not used")
+    def no_rebuild():
+        raise AssertionError("the tables were built again")
 
-    monkeypatch.setattr(field, "_digit_ops", no_digit_kernel)
-    field.vector_ops(1)
+    monkeypatch.setattr(field, "_generator", no_rebuild)
+    field.vector_ops()
+    assert field._np_tables is tables
 
 
 def test_numpy_tables_refused_for_large_fields():
+    # 367^2 is the least prime power above the cap 2^17 with k > 1.
+    assert make_extension(367, 2).numpy_tables() is None
     assert make_extension(1031, 1).numpy_tables() is None
 
 

@@ -156,9 +156,9 @@ def test_partition_additivity(elliptic, pieces):
 
 
 def test_partition_additivity_across_chunks():
-    # F_{37^2} has more than 1024 elements, so this runs the digit-wise
-    # kernel, in chunks of _CHUNK // 2 points.  The cuts fall inside chunks,
-    # so every piece starts and ends off the chunk grid of the full pass.
+    # Over F_{37^2} this runs the exp/log kernel, in chunks of _CHUNK // 2
+    # points.  The cuts fall inside chunks, so every piece starts and ends
+    # off the chunk grid of the full pass.
     from fqzeta.fields import _CHUNK
 
     p = 37
@@ -436,56 +436,60 @@ def test_field_beyond_int64_is_indexed_only_where_a_count_must():
     assert count_points(projective(1, []), 1, budget=budget) == size
 
 
-# The point counter builds a field's order^2 tables only for a count that
-# evaluates at least order^2 points.  fresh_tables clears the session-wide
-# cached tables first, so these checks do not depend on test order.
+# The point counter builds exp/log tables for a field F_{p^k} with k > 1 and
+# at most 2^17 elements, and none over F_p or above 2^17.  fresh_tables
+# clears the session-wide cached tables first, so these checks do not
+# depend on test order.
 
 
-def test_projective_line_over_f1024_uses_digit_kernel(fresh_tables):
-    # x^5 + x^2 y^3 + y^5 = 0 in P^1 over F_{2^10}: 1025 points, far fewer
-    # than the 2^20 table entries.  The whole chart x = 1 is counted by a
-    # gcd; its two halves are evaluated point by point.
+def test_projective_line_over_f1024_builds_tables(fresh_tables):
+    # x^5 + x^2 y^3 + y^5 = 0 in P^1 over F_{2^10}: 1025 points.  The whole
+    # chart x = 1 is counted by a gcd and builds no tables; its two halves
+    # are evaluated point by point, through the tables.
     spec = _binary_form_p1(2, [[1, [5, 0]], [1, [2, 3]], [1, [0, 5]]])
     field = fresh_tables(make_extension(2, 10))
     got = count_points(spec, 10)
     size = domain_size(spec, 10)
-    halves = count_points(spec, 10, span=(0, 512)) + count_points(spec, 10, span=(512, size))
     assert field._np_tables is None
+    halves = count_points(spec, 10, span=(0, 512)) + count_points(spec, 10, span=(512, size))
+    assert field._np_tables is not None
     eqs = embedded_equations(spec, field)
     assert got == halves == count_pure(spec, field, eqs, 0, size)
 
 
 def test_plane_curve_count_builds_tables(fresh_tables):
     # Every coordinate of x^3 + y^3 + z^3 + xyz has degree 3, and xyz links
-    # them all, so the 961 points of the chart x = 1 are evaluated: as many
-    # as the 961 table entries of F_31.  (The chart x = 0, y = 1 has one free
-    # coordinate and is counted by a gcd.)
+    # them all, so the 625 points of the chart x = 1 over F_{5^2} are
+    # evaluated.  (The chart x = 0, y = 1 has one free coordinate and is
+    # counted by a gcd.)  Counted over F_5, the same chart builds no tables.
     spec = VarietySpec.from_dict(
         {
             "label": "linked cubic",
-            "p": 31,
+            "p": 5,
             "k": 1,
             "ambient": {"type": "projective", "dim": 2},
             "equations": [[[1, [3, 0, 0]], [1, [0, 3, 0]], [1, [0, 0, 3]], [1, [1, 1, 1]]]],
         }
     )
-    field = fresh_tables(make_extension(31, 1))
-    got = count_points(spec, 1)
-    assert field._np_tables is not None
-    eqs = embedded_equations(spec, field)
-    assert got == count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+    base = fresh_tables(make_extension(5, 1))
+    field = fresh_tables(make_extension(5, 2))
+    counts = count_series(spec, 2).counts
+    assert base._np_tables is None and field._np_tables is not None
+    for n, got in enumerate(counts, start=1):
+        ext = make_extension(5, n)
+        assert got == count_pure(spec, ext, embedded_equations(spec, ext), 0, domain_size(spec, n))
 
 
-def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
+def test_weierstrass_n2_over_f31_squared_builds_tables(fresh_tables):
     # Counted by fibres over y, the 923,521 points of the chart x = 1 cost
-    # 961 evaluations, far fewer than the 961^2 table entries.  count_pure
+    # 961 evaluations through the exp/log tables of F_{31^2}.  count_pure
     # over all of P^2(F_{31^2}) would take about 40 s, so it counts N_1 and
     # the genus-1 trace recursion gives N_2.
     p = 31
     spec = _curve(p, 2, 9)  # smooth: 4*2^3 + 27*9^2 is 18 mod 31
     field = fresh_tables(make_extension(p, 2))
     got = count_points(spec, 2)
-    assert field._np_tables is None
+    assert field._np_tables is not None
     base = make_extension(p, 1)
     n1 = count_pure(spec, base, embedded_equations(spec, base), 0, domain_size(spec, 1))
     trace = p + 1 - n1
@@ -493,11 +497,13 @@ def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
 
 
 def test_first_root_builds_no_tables(fixtures_dir, fresh_tables):
+    # F_{4^9} = F_{2^18} lies above the 2^17 cap, so the search for a root of
+    # F_4's modulus runs on the digit-wise kernel.
     from fqzeta.varieties import _first_root
 
     spec = load_spec(fixtures_dir / "line_f4.json")
     base = make_extension(spec.p, spec.k)
-    field = fresh_tables(make_extension(spec.p, spec.k * 5))
+    field = fresh_tables(make_extension(spec.p, spec.k * 9))
     root = _first_root(base.modulus, field)
     assert field._np_tables is None
 
@@ -771,6 +777,11 @@ def test_diagonal_cubic_threefold_over_f2():
         size = domain_size(spec, n)
         assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
     assert counts == (15, 165, 585)
+    # Past the default budget, halves over the exp/log tables of F_{2^n}
+    # reach n = 9: the chart x_0 = 1 costs 2 * (2^9)^2 evaluations.
+    for n in (5, 7, 9):
+        q = 2**n
+        assert count_points(spec, n, budget=10**12) == (q**4 - 1) // (q - 1)
 
 
 def test_counting_strategy_takes_fewest_points(monkeypatch):
