@@ -1,20 +1,22 @@
-"""Exact Gaussian elimination over any field-like scalar type.
+"""Exact Gaussian elimination over Q, in integers where the program uses it.
 
-Entries of ``rref`` only need +, -, *, / and truthiness (zero is falsy);
-zero entries are skipped, not computed with.  The program reduces the
-trace solver's rows over Q with it, after their weight grading takes the
-powers of q out.  The tests also reduce rows over Q(q), in a
-rational-function class that only they use, as the reference the graded
-reduction must match.  ``solve``, for the zeta fit's linear systems, works
-over Q in integers: it scales each row to Z and eliminates fraction-free
-(Bareiss, 1968), so that the only Fractions it forms are its solution.
+``rref`` reduces rows over any field-like scalar type: its entries only
+need +, -, *, / and truthiness (zero is falsy), and zero entries are
+skipped, not computed with.  It is the tests' reference, over Q and over
+Q(q) in a rational-function class that only they use; no program code
+calls it.  ``primitive_rref`` reduces the trace solver's rows
+(weight-graded, so over Q) sparse in Z: each row is a dict of its nonzero
+integer entries, kept primitive.  ``solve``, for the zeta fit's linear
+systems, also works in integers: it scales each row to Z and eliminates
+fraction-free (Bareiss, 1968), so that the only Fractions it forms are its
+solution.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def rref(matrix: Sequence[Sequence], col_order: Sequence[int] | None = None):
@@ -53,6 +55,60 @@ def rref(matrix: Sequence[Sequence], col_order: Sequence[int] | None = None):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def primitive_rref(matrix: Sequence[Sequence], col_order: Sequence[int]):
+    """``rref`` over Q, computed sparse in integers.
+
+    Entries may be ints or Fractions.  Returns (rows, pivots) with the
+    pivots of ``rref(matrix, col_order)``; each row is a dict of its nonzero
+    entries, and pivot row r is the primitive integer multiple of rref's row
+    r with a positive pivot entry.  The other rows are empty.  Scaling a row
+    keeps the pattern of its nonzero entries, so the pivots are rref's.
+    Each step replaces every row with a nonzero f in the pivot column by
+    pv * row - f * pivot row, pv > 0 the pivot entry, divided by its content.
+    """
+    rows = []
+    for entries in matrix:
+        den = lcm(*(x.denominator for x in entries if x))
+        row = {
+            i: x.numerator * (den // x.denominator)
+            for i, x in enumerate(entries)
+            if x
+        }
+        rows.append(_primitive(row))
+    pivots: list[tuple[int, int]] = []
+    for col in col_order:
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if col in rows[i]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        if pivot[col] < 0:
+            pivot = rows[r] = {i: -x for i, x in pivot.items()}
+        pv = pivot[col]
+        for j, row in enumerate(rows):
+            if j != r and col in row:
+                f = row[col]
+                new = {i: pv * x for i, x in row.items()}
+                for i, y in pivot.items():
+                    x = new.get(i, 0) - f * y
+                    if x:
+                        new[i] = x
+                    else:
+                        del new[i]
+                rows[j] = _primitive(new)
+        pivots.append((r, col))
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries; an empty row stays empty."""
+    g = gcd(*row.values())
+    return {i: x // g for i, x in row.items()} if g > 1 else row
 
 
 def solve(matrix, rhs):

@@ -24,9 +24,9 @@ and residual relations express higher traces in terms of lower ones.
 Every entry is a monomial c * q^e, stored as the pair (c, e) with c
 rational, and every row is homogeneous once D_i has weight i/2 and q
 weight 1: 2e + i is the same over the row's support.  The Q(q) reduction
-is then a reduction over Q of the c's, with the powers of q put back from
-the grading (see solve_forced).  A row that is not homogeneous is refused
-with a ValueError.
+is then a reduction of the c's over Q, done in Z with primitive rows, with
+the powers of q put back from the grading (see solve_forced).  A row that
+is not homogeneous is refused with a ValueError.
 
 instantiate_at_q specializes the system at a rational q0 > 1, and
 solve_forced_numeric re-derives the forced set there by an independent
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
 from . import linalg, polys
 from .errors import DimensionMismatchError
@@ -203,7 +202,7 @@ def _graded_row(row: ConstraintRow) -> list[Fraction]:
 def _reduce(
     matrix, n: int, graded: bool
 ) -> tuple[tuple[int, ...], tuple[Relation, ...]]:
-    """RREF over Q with columns from degree n - 1 down to 0.
+    """Reduce over Z, with primitive rows, columns from degree n - 1 down to 0.
 
     Returns the degrees whose pivot row is the lone entry D_i = 0, and one
     primitive integer relation per other pivot row, pivot coefficient
@@ -212,21 +211,17 @@ def _reduce(
     column, and a graded row's support has one parity, so the exponent is a
     nonnegative integer.
     """
-    rows, pivots = linalg.rref(matrix, col_order=range(n - 1, -1, -1))
+    rows, pivots = linalg.primitive_rref(matrix, range(n - 1, -1, -1))
     forced = []
     residual = []
     for r, p in pivots:
         row = rows[r]
-        support = [i for i in range(n) if row[i]]
-        if support == [p]:
+        if len(row) == 1:
             forced.append(p)
             continue
-        scale = lcm(*(row[i].denominator for i in support))
-        ints = [int(row[i] * scale) for i in support]
-        g = gcd(*ints)
         coeffs = tuple(
-            (i, (0,) * ((p - i) // 2 if graded else 0) + (c // g,))
-            for i, c in zip(support, ints)
+            (i, (0,) * ((p - i) // 2 if graded else 0) + (row[i],))
+            for i in sorted(row)
         )
         residual.append(Relation(coeffs))
     return tuple(sorted(forced)), tuple(residual)
@@ -241,8 +236,9 @@ def solve_forced(system: TraceConstraintSystem) -> ForcedReport:
     The Q(q) row space is then that of C * diag(q^(-i/2)), C = (c_(r,i)),
     so its RREF (unique for the fixed column order) is RREF(C) over Q with
     entry (r, i) times q^((p_r - i)/2), p_r the pivot of row r.  C is
-    reduced over Q and the forced degrees and relations are read off it.  A
-    row that is not homogeneous raises ValueError naming its label.
+    reduced over Z, with primitive rows, and the forced degrees and
+    relations are read off it.  A row that is not homogeneous raises
+    ValueError naming its label.
     """
     matrix = [_graded_row(row) for row in system.rows]
     forced, residual = _reduce(matrix, system.unknowns, graded=True)
@@ -263,7 +259,7 @@ def instantiate_at_q(system: TraceConstraintSystem, q0) -> NumericTraceSystem:
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    """Forward elimination only; independent of linalg.rref."""
+    """Forward elimination only; independent of linalg.primitive_rref."""
     mat = [list(r) for r in rows]
     if not mat:
         return 0
@@ -303,7 +299,8 @@ def solve_forced_numeric(nsys: NumericTraceSystem) -> ForcedReport:
         extra[i] = Fraction(1)
         if _rank(base + [extra]) == base_rank:
             forced.append(i)
-    # Residual relations are presentation only; reuse the shared RREF.
+    # Residual relations are presentation only; read them off the same
+    # integer reduction as solve_forced.
     _, residual = _reduce(nsys.rows, n, graded=False)
     flags = SolverFlags(
         "ALBANESE" in nsys.labels,

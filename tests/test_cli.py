@@ -411,6 +411,27 @@ def test_solve_output_is_pinned(capsys, fmt, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "5e2ca03885bdea99ef8b9603578a7ecc507ce02665eef7e65558ef5eb6f3be69"),
+        ("human", "31423fb5c700f2e7709ea34318a220018000afa768c7693f84367a91685f349a"),
+    ],
+)
+def test_solve_output_is_pinned_large_d(capsys, fmt, digest):
+    # The sha256 of solve's exit codes and stdout for d = 64 with all flags
+    # on and with --no-albanese, taken while the solver still reduced its
+    # rows by rref in Fraction arithmetic.
+    h = hashlib.sha256()
+    for flags in (("--albanese", "--hard-lefschetz", "--trivial"), ("--no-albanese",)):
+        code, out, err = run_cli(
+            capsys, "solve", "-d", "64", "--max-d", "64", *flags, "--format", fmt
+        )
+        assert err == ""
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == digest
+
+
 def test_find_pair_empty_range(capsys):
     code, out, _ = run_cli(capsys, "find-pair", "--p-min", "24", "--p-max", "28")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -52,3 +53,42 @@ def test_rref_keeps_zero_entries_and_pivot_order():
     rows, pivots = linalg.rref(matrix)
     assert pivots == [(0, 0), (1, 1)]
     assert rows == [[1, 0, 2], [0, 1, 2]]
+
+
+def test_primitive_rref_matches_rref():
+    # Square, wide and tall matrices, rank-deficient ones (a row combining
+    # two others), zero and duplicate rows, negative leading entries, and
+    # int, Fraction and 67-bit entries: the pivots are rref's, and each row
+    # over its pivot entry is rref's row.
+    rng = random.Random(11)
+    values = [0, 0, 0, 1, -1, -2, 3, Fraction(1, 3), Fraction(-5, 2), 2**66 + 1]
+    shapes = set()
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        matrix = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2 and rng.random() < 0.5:
+            matrix[-1] = [3 * x - y for x, y in zip(matrix[0], matrix[1])]
+        if nrows > 1 and rng.random() < 0.3:
+            matrix[rng.randrange(nrows)] = [0] * ncols
+        if nrows > 1 and rng.random() < 0.3:
+            matrix[-1] = list(matrix[0])
+        if rng.random() < 0.5:
+            matrix[0][0] = -abs(matrix[0][0]) or -1
+        order = list(range(ncols))
+        if rng.random() < 0.5:
+            order.reverse()
+        rows, pivots = linalg.primitive_rref(matrix, order)
+        want, want_pivots = linalg.rref(
+            [[Fraction(x) for x in row] for row in matrix], order
+        )
+        assert pivots == want_pivots, matrix
+        for r, col in pivots:
+            row = rows[r]
+            assert row[col] > 0 and math.gcd(*row.values()) == 1, matrix
+            got = [Fraction(row.get(i, 0), row[col]) for i in range(ncols)]
+            assert got == want[r], matrix
+        assert all(not rows[r] for r in range(len(pivots), nrows)), matrix
+        shapes.add((nrows > ncols) - (nrows < ncols))
+    assert shapes == {-1, 0, 1}
+    assert linalg.primitive_rref([], []) == ([], [])
+    assert linalg.primitive_rref([[0, 0], [0, 0]], [0, 1]) == ([{}, {}], [])

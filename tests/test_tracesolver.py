@@ -369,8 +369,10 @@ def _report_over_qq(d, flags, rows, q0=None):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_graded_reduction_matches_reduction_over_qq(d):
-    # The oracle reduces the rows over Q(q), once as built and once times a
-    # factor that is not a monomial, which keeps the row space.
+    # The oracle reduces the rows over Q(q) by linalg.rref, once as built and
+    # once times a factor that is not a monomial, which keeps the row space.
+    # The program reduces them sparse in Z by linalg.primitive_rref, so the
+    # two share no elimination code.
     scale = RationalFunctionQ((1, 0, 1), (0, 0, 0, 1))  # (q^2 + 1) / q^3
     for alb, hl, triv in ALL_FLAGS:
         base = system(d, alb, hl, triv)
