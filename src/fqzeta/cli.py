@@ -16,8 +16,10 @@ Exit codes are a stable contract:
        ``count -n 0``, ``zeta --extra-terms -1``, ``solve -d 9`` outside
        1..``--max-d``, or ``solve --budget``), reported in one line
     3  enumeration budget exceeded (for ``find-pair``: the primes in range
-       may need more than ``--budget`` points of F_{p^2}, (2p+6)p^2 each),
-       or a count would have to index a field of 2^63 or more elements
+       visit more than ``--budget`` models and points, (3p+6)p each: p^2
+       models in the class map, p points of N_1 for each of at most 2p+6
+       classes), or a count would have to index a field of 2^63 or more
+       elements
     4  no consistent rational zeta fit for the given counts and profile
     5  duality (functional equation) violation
     6  the compared varieties live over different fields
@@ -298,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         "find-pair",
         _cmd_find_pair,
         "equal-zeta non-isomorphic curve pairs",
-        "max F_{p^2} points the N_2 sums may evaluate, (2p+6)p^2 per prime "
-        "(default 10^8)",
+        "max models and points the search may visit, (3p+6)p per prime: p^2 "
+        "models, p points of N_1 per class (default 10^8)",
     )
     p_find.add_argument("--p-min", type=int, default=5)
     p_find.add_argument("--p-max", type=int, default=31)

@@ -369,6 +369,12 @@ def test_find_pair_pairs_compare_equal(capsys, fixtures_dir, tmp_path):
         assert out.startswith("EQUAL")
 
 
+_FIND_PAIR_TO_97 = {
+    "json": "092e56e821e710f425fd3418f02d8283d85f837d8e92931b4608476a15b66b68",
+    "human": "7475159a69078fac2f0b690a695896710c32ecd17d81cc1c2e0d1084ed5a7a3e",
+}
+
+
 @pytest.mark.parametrize(
     "fmt, digest",
     [
@@ -378,12 +384,15 @@ def test_find_pair_pairs_compare_equal(capsys, fixtures_dir, tmp_path):
 )
 def test_find_pair_output_is_pinned(capsys, fmt, digest):
     # The sha256 of find-pair's stdout over the benchmark's primes 5..47,
-    # as the pair search printed it while it summed over tuple-keyed tables.
-    code, out, err = run_cli(
-        capsys, "find-pair", "--p-min", "5", "--p-max", "47", "--format", fmt
-    )
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # as the pair search printed it while it summed over tuple-keyed tables,
+    # and over 5..97, taken while it still summed N_2 over F_{p^2} for every
+    # class and N_1 for every model.
+    for p_max, want in (("47", digest), ("97", _FIND_PAIR_TO_97[fmt])):
+        code, out, err = run_cli(
+            capsys, "find-pair", "--p-min", "5", "--p-max", p_max, "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize(
@@ -556,8 +565,11 @@ def test_algebra_path_imports_no_numpy():
 
 
 def test_find_pair_imports_no_numpy():
-    # The pair search sums its own character tables; numpy would cost the
-    # find-pair run about 70 % more resident memory.
+    # The pair search sums N_1 over its own table of the quadratic character
+    # of F_p instead of calling count_points, which imports numpy.  That
+    # import alone took 135-197 ms (python -X importtime, Python 3.11.7 on
+    # 2 Xeon CPUs), about twice a whole normalized find_pair benchmark pass,
+    # and would cost the find-pair run about 70 % more resident memory.
     script = (
         "import contextlib, io, sys\n"
         "from fqzeta import cli\n"
@@ -843,13 +855,14 @@ def test_find_pair_up_to_the_largest_prime_exits_3_promptly():
 
 
 def test_find_pair_budget_admits_or_refuses_the_sweep(capsys):
-    # 5 and 7 need (2*5+6)*25 + (2*7+6)*49 = 1380 points of F_{p^2} at most.
+    # 5 and 7 visit (3*5+6)*5 + (3*7+6)*7 = 294 models and points at most:
+    # p^2 models in the class map and p points for each of 2p + 6 classes.
     argv = ("find-pair", "--p-min", "5", "--p-max", "7", "--budget")
-    code, out, _ = run_cli(capsys, *argv, "1380")
+    code, out, _ = run_cli(capsys, *argv, "294")
     assert code == 0 and out.startswith("p=5")
-    code, out, err = run_cli(capsys, *argv, "1379")
+    code, out, err = run_cli(capsys, *argv, "293")
     assert code == 3 and out == ""
     assert err == (
-        "budget exceeded: the N_2 sums for primes 5..7 evaluate up to 1380 points, "
-        "exceeds budget 1379\n"
+        "budget exceeded: the class maps and N_1 sums for primes 5..7 visit up to "
+        "294 models and points, exceeds budget 293\n"
     )

@@ -1,4 +1,3 @@
-import re
 from collections import defaultdict
 
 import pytest
@@ -8,9 +7,8 @@ from fqzeta.errors import BudgetExceededError
 from fqzeta.fields import make_extension
 from fqzeta.pairsearch import (
     CurveModel,
+    _class_counts,
     _class_representatives,
-    _count_tables,
-    _rotated,
     _sweep_primes,
     curve_zeta,
     find_pairs,
@@ -125,66 +123,39 @@ def test_class_representative_is_orbit_minimum(p):
         (a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p
     }
     reps = _class_representatives(p)
-    assert set(reps) == nonsingular
-    for (a, b), rep in reps.items():
-        assert rep == min(orbit(p, a, b))
+    assert reps == sorted({min(orbit(p, a, b)) for a, b in nonsingular})
+    # The budget reckons at most 2p + 6 classes per prime.
+    assert len(reps) <= 2 * p + 6
 
 
-def test_each_class_sums_n2_once(monkeypatch):
-    # Only class representatives reach the F_{p^2} sum; counted through the
-    # rotations of the p^2-entry chi2 table, which that sum alone takes.
-    # Adding b to c_0 rotates chi2 by b p, so the shifts name the b summed.
-    p = 13
-    shifts = []
-
-    def rotated(table, shift):
-        if len(table) == p * p:
-            shifts.append(shift)
-        return _rotated(table, shift)
-
-    monkeypatch.setattr(pairsearch, "_rotated", rotated)
-    find_pairs(p, p)
-    classes = set(_class_representatives(p).values())
-    assert sorted(shifts) == sorted(b * p for _, b in classes)
-    assert len(shifts) <= 2 * p + 6
+@pytest.mark.parametrize("p", [5, 7, 13, 29, 47])
+def test_every_model_has_its_class_n1(p):
+    # The models of a twist class are F_p-isomorphic, so the class's one N_1
+    # stands for all of them.
+    n1 = _class_counts(p)
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p:
+                assert euler_affine_count(p, a, b) == n1[min(orbit(p, a, b))]
 
 
-def test_corrupted_n2_table_fails_the_recursion_check(monkeypatch):
-    def corrupted(p):
-        chi1, chi2, cubes = _count_tables(p)
-        one = make_extension(p, 2).index_of((1, 0))
-        chi2 = list(chi2)
-        chi2[one] = -chi2[one]  # 1 is a square in F_{p^2}
-        return chi1, chi2, cubes
-
-    monkeypatch.setattr(pairsearch, "_count_tables", corrupted)
-    with pytest.raises(AssertionError, match="count inconsistency"):
-        find_pairs(5, 5)
-
-
-def test_wrong_class_map_fails_the_per_model_check(monkeypatch):
-    # A model that is no representative, sent to an earlier class whose
-    # N_2 differs: only the check on that model itself can notice.
-    p = 7
-    reps = _class_representatives(p)
-
-    def n2(m):
-        trace = p + 1 - naive_affine_count(p, *m)
-        return p * p + 1 - (trace * trace - 2 * p)
-
-    model = max(m for m, r in reps.items() if m != r)
-    wrong = min(r for r in reps.values() if n2(r) != n2(model))
-    assert wrong < model
-    monkeypatch.setattr(
-        pairsearch, "_class_representatives", lambda q: {**reps, model: wrong}
-    )
-    message = f"y^2=x^3+{model[0]}x+{model[1]} over F_{p}"
-    with pytest.raises(AssertionError, match=re.escape(message)):
-        find_pairs(p, p)
+@pytest.mark.parametrize("p", [5, 7, 13, 29, 47])
+def test_class_n2_matches_the_trace_recursion(p):
+    # The genus-1 oracle: N_2 summed over F_{p^2} equals the N_2 that the
+    # search derives from N_1 by a_p = p + 1 - N_1, N_2 = p^2 + 1 - (a_p^2 - 2p).
+    tables = _count_tables(p)
+    n2 = {}
+    for (a, b), n1 in _class_counts(p).items():
+        trace = p + 1 - n1
+        n2[a, b] = f_p2_count(p, a, b, tables)
+        assert n2[a, b] == p * p + 1 - (trace * trace - 2 * p)
+    for r in find_pairs(p, p):
+        for curve in (r.curve_a, r.curve_b):
+            assert r.counts[1] == n2[curve.a, curve.b]
 
 
 def test_budget_is_checked_before_any_table(monkeypatch):
-    monkeypatch.setattr(pairsearch, "_count_tables", None)  # never reached
+    monkeypatch.setattr(pairsearch, "_class_representatives", None)  # never reached
     with pytest.raises(BudgetExceededError) as exc:
         find_pairs(2147483629, 2147483647)
     assert exc.value.required > exc.value.budget
@@ -193,6 +164,14 @@ def test_budget_is_checked_before_any_table(monkeypatch):
 def test_default_budget_admits_the_benchmark_range():
     primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert _sweep_primes(-3, 47, DEFAULT_BUDGET) == primes
+
+
+def test_default_budget_boundary():
+    # (3p + 6) p per prime: 5..859 tally 98,706,519, and 863 adds 2,239,485.
+    assert _sweep_primes(5, 859, DEFAULT_BUDGET)[-1] == 859
+    with pytest.raises(BudgetExceededError) as exc:
+        _sweep_primes(5, 863, DEFAULT_BUDGET)
+    assert exc.value.required == 100946004
 
 
 def test_results_sorted_and_deterministic():
@@ -216,6 +195,47 @@ def test_curve_model_serialization():
     assert d["counts"] == [4, 32]
     assert d["zeta"]["num"] == [1, -2, 5]
     assert CurveModel(**d["curve_b"]) == r.curve_b
+
+
+def _count_tables(p):
+    """Quadratic characters of F_p and F_{p^2}, and cubes in F_{p^2}, as flat
+    lists on field indices (c_0 p + c_1 for c_0 + c_1 T): chi1[s],
+    chi2[field.index_of(t)], and the index of t^3 at cubes[field.index_of(t)]."""
+    chi1 = [-1] * p
+    chi1[0] = 0
+    for x in range(1, p):
+        chi1[x * x % p] = 1
+
+    field = make_extension(p, 2)
+    chi2 = [-1] * (p * p)
+    cubes = [0] * (p * p)
+    for x1 in range(p):
+        # Row x = x0 + x1 T, T the generator: two products at x0 = 0, then
+        # (x + 1)^3 = x^3 + 3x^2 + 3x + 1 and (x + 1)^2 = x^2 + 2x + 1.
+        t = (0, x1)
+        s0, s1 = field._mul(t, t)
+        c0, c1 = field._mul((s0, s1), t)
+        for x0 in range(p):
+            chi2[s0 * p + s1] = 1
+            cubes[x0 * p + x1] = c0 * p + c1
+            c0 = (c0 + 3 * (s0 + x0) + 1) % p
+            c1 = (c1 + 3 * (s1 + x1)) % p
+            s0 = (s0 + 2 * x0 + 1) % p
+            s1 = (s1 + 2 * x1) % p
+    chi2[0] = 0  # the square of zero
+    return chi1, chi2, cubes
+
+
+def f_p2_count(p, a, b, tables):
+    """N_2 of y^2 = x^3 + ax + b: p^2 + 1 + the sum of chi2(x^3 + ax + b)
+    over x in F_{p^2}, read off ``_count_tables(p)``."""
+    _, chi2, cubes = tables
+    count = p * p + 1
+    for i, c in enumerate(cubes):
+        x0, x1 = divmod(i, p)
+        c0, c1 = divmod(c, p)
+        count += chi2[(c0 + a * x0 + b) % p * p + (c1 + a * x1) % p]
+    return count
 
 
 def _count_tables_reference(p):
