@@ -4,35 +4,36 @@ A field is built as F_p[x] / (m(x)) where m is the lexicographically
 smallest monic irreducible polynomial of degree k over F_p, comparing the
 non-leading coefficient vectors (c_0, ..., c_{k-1}) entry by entry from the
 constant term up.  This choice is deterministic across runs and platforms.
-Scalars are coefficient tuples (c_0, ..., c_{k-1}) reduced mod p, which
-zero, one and element() give and ExtensionField._add, _sub, _mul, _inv and
-_pow combine exactly.  The vectorized kernel below works on their integer
-indices (index_of, tuple_at).
+
+A scalar c_0 + c_1 x + ... + c_{k-1} x^(k-1) is its index, the int with
+base-p digits c_0 c_1 ... c_{k-1}, c_0 most significant: zero is 0 and one
+is p^(k-1).  zero, one and element() give scalars, and ExtensionField._add,
+_sub, _mul, _inv and _pow combine them exactly: over F_p as residues, for
+p = 2 adding by XOR, otherwise digit by digit.  Digits are read only there
+and at the spec boundary (from_digits, to_digits); add_digits adds and
+negates scalars knowing only p, so a count is planned with no field built.
 
 A field never changes its modulus or arithmetic, but it is not immutable:
 numpy_tables fills its exp/log tables on first use.  Two threads that race
 there build equal tables, and either may be kept.
 
 ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
-arrays of element indices (index_of: coefficients as base-p digits, c_0
-first).  Over F_p it adds and multiplies the indices mod p.  For k > 1 and
-at most _CHUNK = 2^17 elements it multiplies by exp/log tables,
+arrays of scalars.  Over F_p it adds and multiplies them mod p.  For k > 1
+and at most _CHUNK = 2^17 elements it multiplies by exp/log tables,
 a*b = exp[log a + log b] for a generator g (numpy_tables), and adds by XOR
-of the indices for p = 2 and digit-wise otherwise.  A larger field adds
-digit-wise and multiplies by convolution, then reduces mod m; that kernel
-also fills exp, in about log2(order) vector products.  No
-intermediate exceeds k*(p-1)^2 + p or the order, so the kernel is exact in
-int64 for every p < 2^31 and order < 2^63.  A larger field has indices
-int64 cannot hold: vector_ops refuses it with BudgetExceededError before any
-array is built, so a count that would evaluate there exits like one over
-budget.  Counting fetches the kernel once per count, and only if its plan
-evaluates points: by fibres, halves or directly, for blocks with two or
-more free coordinates or cut by a span.  Only those blocks' scalars are then
-mapped to indices, through an embedding of the spec's F_{p^k} into the
-counting field when k > 1.  A whole block with at most one free coordinate
-is counted over the spec's own field, with the _fq_* polynomial helpers
-below, so a line in P^1 or the lone point of P^0 is counted over any
-F_{p^n}.
+for p = 2 and digit-wise otherwise.  A larger field adds digit-wise and
+multiplies by convolution, then reduces mod m; that kernel also fills exp,
+in about log2(order) vector products.  No intermediate exceeds
+k*(p-1)^2 + p or the order, so the kernel is exact in int64 for every
+p < 2^31 and order < 2^63.  A larger field has indices int64 cannot hold:
+vector_ops refuses it with BudgetExceededError before any array is built,
+so a count that would evaluate there exits like one over budget.  Counting
+fetches the kernel once per count, and only if its plan evaluates points:
+by fibres, halves or directly, for blocks with two or more free coordinates
+or cut by a span.  Only those blocks' scalars are then embedded in the
+counting field.  A whole block with at most one free coordinate is counted
+over the spec's own field, with the _fq_* polynomial helpers below, so a
+line in P^1 or the lone point of P^0 is counted over any F_{p^n}.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from .errors import BudgetExceededError, NotPrimeError
 
 MAX_CHARACTERISTIC = 1 << 31
 
-# Element indices are int64 values.
+# The kernel holds scalars in int64.
 _MAX_INDEXED_ORDER = (1 << 63) - 1
 # Elements per vectorized step; digit-wise kernels work on k times as many
-# int64 values, so loops over index arrays step by _CHUNK // k.  Also the
-# largest field with exp/log tables.
+# int64 values, so loops over scalar arrays step by _CHUNK // k (_chunks).
+# Also the largest field with exp/log tables.
 _CHUNK = 1 << 17
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
@@ -79,14 +80,48 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _chunks(lo: int, hi: int, k: int):
+    """(c0, c1) for consecutive runs c0..c1 covering lo..hi, for arrays over F_{p^k}."""
+    step = _CHUNK // k
+    for c0 in range(lo, hi, step):
+        yield c0, min(c0 + step, hi)
+
+
+def from_digits(digits, p: int) -> int:
+    """The scalar with coefficients (c_0, ..., c_{k-1}), each reduced mod p."""
+    idx = 0
+    for c in digits:
+        idx = idx * p + c % p
+    return idx
+
+
+def to_digits(idx: int, p: int, k: int) -> list[int]:
+    """The coefficients [c_0, ..., c_{k-1}] of a scalar of F_{p^k}."""
+    out = [0] * k
+    for j in range(k - 1, -1, -1):
+        idx, out[j] = divmod(idx, p)
+    return out
+
+
+def add_digits(a: int, b: int, p: int, sign: int = 1) -> int:
+    """a + sign * b in any F_{p^k}: digit by digit mod p, with no carry."""
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + sign * y) % p * place
+        place *= p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomial helpers over F_q = field, F_p included (k = 1); coefficients are
-# the field's tuples, low degree first.
+# the field's scalars, low degree first.
 # ---------------------------------------------------------------------------
 
 
-def _fq_trim(a: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    while a and not any(a[-1]):
+def _fq_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -94,7 +129,7 @@ def _fq_trim(a: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def _fq_mod(a: list, m: list, field: "ExtensionField") -> list:
     """a mod m, for a monic m."""
     sub, mul, top = field._sub, field._mul, len(m) - 1
-    tail = [(i, cm) for i, cm in enumerate(m[:-1]) if any(cm)]
+    tail = [(i, cm) for i, cm in enumerate(m[:-1]) if cm]
     a = _fq_trim(list(a))
     while len(a) > top:
         lead = a.pop()
@@ -112,7 +147,7 @@ def _fq_mulmod(a: list, b: list, m: list, field: "ExtensionField") -> list:
     add, mul = field._add, field._mul
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if any(ca):
+        if ca:
             for j, cb in enumerate(b):
                 out[i + j] = add(out[i + j], mul(ca, cb))
     return _fq_mod(out, m, field)
@@ -171,12 +206,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # c_0 c_1 ... c_{k-1}, decoded lazily since p may be close to 2^31.  A zero
     # constant term means x divides the candidate, so start at c_0 = 1.
     for numeral in range(p ** (k - 1), p**k):
-        f = [1]
-        for _ in range(k):
-            numeral, c = divmod(numeral, p)
-            f.append(c)
-        f.reverse()
-        if _is_irreducible([(c,) for c in f], prime_field):
+        f = to_digits(numeral, p, k) + [1]
+        if _is_irreducible(f, prime_field):
             return tuple(f)
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
 
@@ -204,80 +235,57 @@ class ExtensionField:
                 cur = [(c - lead * m) % p for c, m in zip(cur, modulus[:-1])]
         self._reduction_rows = tuple(red)
         self._np_tables = None
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
+        self.zero = 0
+        self.one = p ** (k - 1)
 
     # -- scalars ----------------------------------------------------------------
 
-    def element(self, coeffs) -> tuple[int, ...]:
+    def element(self, coeffs) -> int:
         """The scalar with these coefficients (an int is c_0), reduced mod p."""
         if isinstance(coeffs, int):
-            coeffs = (coeffs,) + (0,) * (self.k - 1)
-        coeffs = tuple(int(c) % self.p for c in coeffs)
+            return coeffs % self.p * self.one
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return coeffs
+        return from_digits(coeffs, self.p)
 
-    def _tuples(self):
-        """All p^k scalars in index order: lexicographic, c_0 slowest."""
-        # Lazy: itertools.product would first materialize range(p).
-        return map(self.tuple_at, range(self.order))
-
-    def index_of(self, coeffs: tuple[int, ...]) -> int:
-        idx = 0
-        for c in coeffs:
-            idx = idx * self.p + c
-        return idx
-
-    def tuple_at(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            idx, c = divmod(idx, self.p)
-            out.append(c)
-        return tuple(reversed(out))
-
-    # -- raw tuple arithmetic ---------------------------------------------------
-
-    def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
+    def _add(self, a: int, b: int) -> int:
         if self.k == 1:
-            return ((a[0] + b[0]) % p,)
-        return tuple((x + y) % p for x, y in zip(a, b))
+            return (a + b) % self.p
+        return a ^ b if self.p == 2 else add_digits(a, b, self.p)
 
-    def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
+    def _sub(self, a: int, b: int) -> int:
         if self.k == 1:
-            return ((a[0] - b[0]) % p,)
-        return tuple((x - y) % p for x, y in zip(a, b))
+            return (a - b) % self.p
+        return a ^ b if self.p == 2 else add_digits(a, b, self.p, -1)
 
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def _mul(self, a: int, b: int) -> int:
         p, k = self.p, self.k
         if k == 1:
-            return (a[0] * b[0] % p,)
+            return a * b % p
         conv = [0] * (2 * k - 1)
-        for i, ca in enumerate(a):
+        db = to_digits(b, p, k)
+        for i, ca in enumerate(to_digits(a, p, k)):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in enumerate(db):
                     conv[i + j] += ca * cb
-        out = [c % p for c in conv[:k]]
+        out = conv[:k]
         for j in range(k - 1):
             hi = conv[k + j] % p
             if hi:
                 row = self._reduction_rows[j]
                 for t in range(k):
-                    out[t] = (out[t] + hi * row[t]) % p
-        return tuple(out)
+                    out[t] += hi * row[t]
+        return from_digits(out, p)
 
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
+    def _inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return self._pow(a, self.order - 2)
 
-    def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+    def _pow(self, a: int, e: int) -> int:
         if e < 0:
             return self._pow(self._inv(a), -e)
-        result = self.one
-        base = a
+        result, base = self.one, a
         while e:
             if e & 1:
                 result = self._mul(result, base)
@@ -285,10 +293,25 @@ class ExtensionField:
             e >>= 1
         return result
 
+    def embedding(self, field: "ExtensionField", root: int):
+        """The field map into ``field`` sending x to ``root``, a root there of the modulus."""
+        powers = [field.one]
+        for _ in range(self.k - 1):
+            powers.append(field._mul(powers[-1], root))
+
+        def embed(a: int) -> int:
+            acc = field.zero
+            for c, power in zip(to_digits(a, self.p, self.k), powers):
+                if c:
+                    acc = field._add(acc, field._mul(field.element(c), power))
+            return acc
+
+        return embed
+
     # -- vectorized kernel ------------------------------------------------------
 
     def vector_ops(self):
-        """(add, mul) on equal-length int64 arrays of indices; see the module docstring."""
+        """(add, mul) on equal-length int64 arrays of scalars; see the module docstring."""
         if self.order > _MAX_INDEXED_ORDER:
             raise BudgetExceededError(
                 f"indexing the {self.order} elements of F_{self.p}^{self.k} "
@@ -312,7 +335,7 @@ class ExtensionField:
             return x
 
         if k == 1:
-            # An index is its residue, and p < 2^31 keeps a * b below 2^62.
+            # A scalar is its residue, and p < 2^31 keeps a * b below 2^62.
             return (lambda a, b: reduce(a + b)), (lambda a, b: reduce(a * b))
 
         import numpy as np
@@ -352,15 +375,13 @@ class ExtensionField:
             q = self.order
             _, mul = self._digit_ops()
             exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-            exp[0] = self.index_of(self.one)
+            exp[0] = self.one
             # Doubling: exp[s + i] = g^s * exp[i] for the next run of powers.
-            s, g_s, step = 1, self._generator(), _CHUNK // self.k
+            s, g_s = 1, self._generator()
             while s < q - 1:
-                run = min(s, q - 1 - s)
-                factor = np.full(min(run, step), self.index_of(g_s), dtype=np.int64)
-                for c0 in range(0, run, step):
-                    c1 = min(c0 + step, run)
-                    exp[s + c0 : s + c1] = mul(exp[c0:c1], factor[: c1 - c0])
+                for c0, c1 in _chunks(0, min(s, q - 1 - s), self.k):
+                    factor = np.full(c1 - c0, g_s, dtype=np.int64)
+                    exp[s + c0 : s + c1] = mul(exp[c0:c1], factor)
                 s, g_s = 2 * s, self._mul(g_s, g_s)
             exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
             log = np.empty(q, dtype=np.int64)
@@ -369,13 +390,13 @@ class ExtensionField:
             self._np_tables = (exp, log)
         return self._np_tables
 
-    def _generator(self) -> tuple[int, ...]:
-        """The first nonzero scalar, in index order, of multiplicative order Q - 1."""
+    def _generator(self) -> int:
+        """The least nonzero scalar of multiplicative order Q - 1."""
         n = self.order - 1
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         return next(
             g
-            for g in map(self.tuple_at, range(1, self.order))
+            for g in range(1, self.order)
             if all(self._pow(g, n // r) != self.one for r in primes)
         )
 

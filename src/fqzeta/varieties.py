@@ -42,10 +42,10 @@ Of the last three, a block takes the one that evaluates the fewest points,
 ties going first to fibres, then to halves.  A partial block is always
 counted directly, so partitions of a span cross-check the strategies.
 count_points then runs the plan.  Only the last three build F_{q^n}, once
-for all their blocks, map their planned scalars to its element indices and
-evaluate with its vectorized kernel (ExtensionField.vector_ops) on chunks
-of int64 element indices.  The tests keep a pure-Python counter that
-evaluates every point as the oracle for all four.
+for all their blocks, embed their planned scalars in it and evaluate with
+its vectorized kernel (ExtensionField.vector_ops) on chunks of int64
+scalars.  The tests keep a pure-Python counter that evaluates every point
+as the oracle for all four.
 """
 
 from __future__ import annotations
@@ -58,16 +58,20 @@ from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
 from .fields import (
     _CHUNK,
     ExtensionField,
+    _chunks,
     _fq_frobenius_gcd,
     _fq_gcd,
     _fq_powmod,
+    add_digits,
     check_characteristic,
+    from_digits,
     make_extension,
+    to_digits,
 )
 
 DEFAULT_BUDGET = 10**8
 
-Term = tuple[tuple[int, ...], tuple[int, ...]]  # (coefficient vector, exponents)
+Term = tuple[int, tuple[int, ...]]  # (coefficient, exponents)
 
 
 def _is_int(x) -> bool:
@@ -148,17 +152,16 @@ class VarietySpec:
                         raise MalformedSpecError(
                             f"equation {eq_idx}: coefficient must be an int when k=1"
                         )
-                    coeff = (coeff_raw % p,)
-                else:
-                    if (
-                        not isinstance(coeff_raw, list)
-                        or len(coeff_raw) != k
-                        or not all(_is_int(c) for c in coeff_raw)
-                    ):
-                        raise MalformedSpecError(
-                            f"equation {eq_idx}: coefficient must be a length-{k} list of ints"
-                        )
-                    coeff = tuple(c % p for c in coeff_raw)
+                    coeff_raw = [coeff_raw]
+                elif (
+                    not isinstance(coeff_raw, list)
+                    or len(coeff_raw) != k
+                    or not all(_is_int(c) for c in coeff_raw)
+                ):
+                    raise MalformedSpecError(
+                        f"equation {eq_idx}: coefficient must be a length-{k} list of ints"
+                    )
+                coeff = from_digits(coeff_raw, p)
                 if not isinstance(exps_raw, list) or len(exps_raw) != nvars:
                     raise MalformedSpecError(
                         f"equation {eq_idx}: exponent vector must have length {nvars}"
@@ -167,7 +170,7 @@ class VarietySpec:
                     raise MalformedSpecError(
                         f"equation {eq_idx}: exponents must be nonnegative integers"
                     )
-                if any(coeff):
+                if coeff:
                     terms.append((coeff, tuple(exps_raw)))
             if ambient.kind == "projective" and terms:
                 degrees = {sum(exps) for _, exps in terms}
@@ -183,7 +186,7 @@ class VarietySpec:
         for eq in self.equations:
             terms = []
             for coeff, exps in eq:
-                c = coeff[0] if self.k == 1 else list(coeff)
+                c = coeff if self.k == 1 else to_digits(coeff, self.p, self.k)
                 terms.append([c, list(exps)])
             eqs.append(terms)
         return {
@@ -272,14 +275,10 @@ def count_points(
     if jobs:
         field = make_extension(spec.p, spec.k * n)
         embed = _make_embedding(spec, field)
-
-        def index(scalar):
-            return field.index_of(embed(scalar))
-
         ops = field.vector_ops()
         for _, counter, polys, args in jobs:
-            indexed = [(index(c), [(index(s), free) for s, free in terms]) for c, terms in polys]
-            count += counter(field, ops, indexed, *args)
+            embedded = [(embed(c), [(embed(s), free) for s, free in terms]) for c, terms in polys]
+            count += counter(field, ops, embedded, *args)
     return count
 
 
@@ -299,39 +298,24 @@ def count_series(
 
 
 def _make_embedding(spec: VarietySpec, field: ExtensionField):
-    k = spec.k
-    if k == 1:
-        pad = (0,) * (field.k - 1)
-        return lambda coeff: (coeff[0],) + pad
-    base = make_extension(spec.p, k)
-    if field.k == k:
-        return lambda coeff: coeff
-    # Map the base generator to the lexicographically first root of the base
+    if spec.k == 1:
+        return field.element
+    if field.k == spec.k:
+        return lambda scalar: scalar
+    # Map the base generator to the first root, in scalar order, of the base
     # modulus in the larger field; a root exists because k divides field.k.
-    root = field.tuple_at(_first_root(base.modulus, field))
-    powers = [field.one]
-    for _ in range(k - 1):
-        powers.append(field._mul(powers[-1], root))
-
-    def embed(coeff):
-        acc = field.zero
-        for c, pw in zip(coeff, powers):
-            if c:
-                acc = field._add(acc, field._mul(field.element(c), pw))
-        return acc
-
-    return embed
+    base = make_extension(spec.p, spec.k)
+    return base.embedding(field, _first_root(base.modulus, field))
 
 
 def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
-    """Index of the first root, in index order, of a polynomial over F_p."""
+    """The first root, in scalar order, of a polynomial over F_p."""
     import numpy as np
 
     add, mul = field.vector_ops()
-    coeffs = [field.index_of(field.element(c)) for c in reversed(poly)]
-    step = _CHUNK // field.k
-    for c0 in range(0, field.order, step):
-        x = np.arange(c0, min(c0 + step, field.order), dtype=np.int64)
+    coeffs = [field.element(c) for c in reversed(poly)]
+    for c0, c1 in _chunks(0, field.order, field.k):
+        x = np.arange(c0, c1, dtype=np.int64)
         acc = np.zeros_like(x)
         for c in coeffs:
             acc = add(mul(acc, x), np.full_like(x, c))
@@ -369,8 +353,8 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
     """(points, counter, polys, args) for each block meeting lo..hi; builds no field.
 
     counter(field, ops, polys, *args) counts a block from its polynomials
-    over F_q (see _block_plan), scalars mapped to indices of field = F_order,
-    by evaluating ``points`` points.  _count_roots runs over F_q instead and
+    over F_q (see _block_plan), scalars embedded in field = F_order, by
+    evaluating ``points`` points.  _count_roots runs over F_q instead and
     evaluates none.  An empty or whole block has no counter; args holds the
     points it adds.  The embedding into F_order is injective and additive,
     so every choice made over F_q holds over F_order.
@@ -428,10 +412,8 @@ def _count_roots(field, plan, order) -> int:
 
 def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
     """Points of the block offsets block_lo..block_hi where every equation vanishes."""
-    chunk = _CHUNK // field.k
     count = 0
-    for c0 in range(block_lo, block_hi, chunk):
-        c1 = min(c0 + chunk, block_hi)
+    for c0, c1 in _chunks(block_lo, block_hi, field.k):
         evaluate = _evaluator(field, ops, n_free, c0, c1)
         alive = None
         for const, terms in plan:
@@ -456,12 +438,9 @@ def _count_fibres(field, ops, parts, n_other) -> int:
 
     add, mul = ops
     q = field.order
-    one = field.index_of(field.one)
-    minus_four = field.index_of(field.element(-4))
-    chunk = _CHUNK // field.k
+    one, minus_four = field.one, field.element(-4)
     count = 0
-    for c0 in range(0, q**n_other, chunk):
-        c1 = min(c0 + chunk, q**n_other)
+    for c0, c1 in _chunks(0, q**n_other, field.k):
         evaluate = _evaluator(field, ops, n_other, c0, c1)
         values = [evaluate(const, terms) for const, terms in parts]
         c, b, a = values + [np.zeros_like(values[0])] * (3 - len(values))
@@ -495,12 +474,10 @@ def _count_halves(field, ops, sides, sizes) -> int:
     import numpy as np
 
     q = field.order
-    chunk = _CHUNK // field.k
     hists = []
     for n_side, (const, terms) in zip(sizes, sides):
         hist = np.zeros(q, dtype=np.int64)
-        for c0 in range(0, q**n_side, chunk):
-            c1 = min(c0 + chunk, q**n_side)
+        for c0, c1 in _chunks(0, q**n_side, field.k):
             values = _evaluator(field, ops, n_side, c0, c1)(const, terms)
             hist += np.bincount(values, minlength=q)
         hists.append(hist)
@@ -518,12 +495,11 @@ def _exact_dot(a, b) -> int:
 
 
 def _evaluator(field, ops, n_free, c0, c1):
-    """Evaluates block polynomials, scalars as indices, at the block offsets c0..c1."""
+    """Evaluates block polynomials, scalars of ``field``, at the block offsets c0..c1."""
     import numpy as np
 
     add, mul = ops
-    q = field.order
-    one = field.index_of(field.one)
+    q, one = field.order, field.one
     offs = np.arange(c0, c1, dtype=np.int64)
     coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
     powers: dict[tuple[int, int], np.ndarray] = {}
@@ -573,15 +549,14 @@ def _fibre_split(p, poly, n_free):
     y = min(range(n_free), key=degree.__getitem__)
     if degree[y] > (1 if p == 2 else 2):
         return None
-    zero = (0,) * len(const)
-    parts = [[const, []]] + [[zero, []] for _ in range(degree[y])]
+    parts = [[const, []]] + [[0, []] for _ in range(degree[y])]
     for scalar, free in terms:
         part = parts[dict(free).get(y, 0)]
         rest = tuple((t - (t > y), e) for t, e in free if t != y)
         if rest:
             part[1].append((scalar, rest))
         else:
-            part[0] = tuple((a + b) % p for a, b in zip(part[0], scalar))
+            part[0] = add_digits(part[0], scalar, p)
     return [(c, tuple(ts)) for c, ts in parts]
 
 
@@ -614,9 +589,9 @@ def _halves_split(p, poly, n_free):
         if free[0][0] in x:
             g.append((scalar, free))
         else:
-            minus_h.append((tuple(-c % p for c in scalar), free))
+            minus_h.append((add_digits(0, scalar, p, -1), free))
     sides = []
-    for coords, c, side in ((x, const, g), (set(range(n_free)) - x, (0,) * len(const), minus_h)):
+    for coords, c, side in ((x, const, g), (set(range(n_free)) - x, 0, minus_h)):
         index = {t: i for i, t in enumerate(sorted(coords))}
         renamed = tuple((s, tuple((index[t], e) for t, e in free)) for s, free in side)
         sides.append((len(coords), (c, renamed)))
@@ -627,15 +602,15 @@ def _block_plan(p, equations, prefix):
     """Equations as (constant, [(scalar, ((free coordinate, exponent), ...))]).
 
     The block's fixed prefix of 0s and 1 is folded into scalars and
-    constants, which takes only coefficient addition over F_p, so no field
-    is built; None means some equation is a nonzero constant on the block.
+    constants, which takes only add_digits, so no field is built; None
+    means some equation is a nonzero constant on the block.
     """
     plan = []
     j = len(prefix)
     for eq in equations:
         if not eq:
             continue
-        const, terms = (0,) * len(eq[0][0]), []
+        const, terms = 0, []
         for coeff, exps in eq:
             if any(e and not fixed for e, fixed in zip(exps, prefix)):
                 continue
@@ -643,9 +618,9 @@ def _block_plan(p, equations, prefix):
             if free:
                 terms.append((coeff, free))
             else:
-                const = tuple((a + b) % p for a, b in zip(const, coeff))
+                const = add_digits(const, coeff, p)
         if terms:
             plan.append((const, terms))
-        elif any(const):
+        elif const:
             return None
     return plan

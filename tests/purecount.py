@@ -1,7 +1,7 @@
 """The pure-Python point counter: the tests' oracle for every counting strategy.
 
 count_pure evaluates every point of a span in the order varieties._blocks
-documents, over coefficient tuples, with no numpy and no strategy.
+documents, one scalar at a time, with no numpy and no strategy.
 """
 
 from __future__ import annotations
@@ -26,20 +26,15 @@ def count_pure(spec, field, equations, lo, hi) -> int:
             for i, e in enumerate(exps):
                 max_exp[i] = max(max_exp[i], e)
     one = field.one
-    elems = None
     count = 0
     fixed = (field.zero, one)
     for prefix, n_free, block_lo, block_hi, _ in _blocks(spec, field.order, lo, hi):
         prefix = tuple(fixed[c] for c in prefix)
         if n_free <= 1:
             # One free coordinate may range over a huge field; stay lazy.
-            points = ((t,) for t in field._tuples()) if n_free else iter([()])
+            points = ((t,) for t in range(field.order)) if n_free else iter([()])
         else:
-            # q**n_free <= budget bounds the field order here, so the
-            # materialized element list needed by product() is small.
-            if elems is None:
-                elems = list(field._tuples())
-            points = itertools.product(elems, repeat=n_free)
+            points = itertools.product(range(field.order), repeat=n_free)
         points = itertools.islice(points, block_lo, block_hi)
         for free in points:
             coords = prefix + free
@@ -59,7 +54,7 @@ def count_pure(spec, field, equations, lo, hi) -> int:
                             powers[i] = ps
                         v = field._mul(v, powers[i][e])
                     acc = v if acc is None else field._add(acc, v)
-                if acc is not None and any(acc):
+                if acc is not None and acc:
                     ok = False
                     break
             if ok:

@@ -179,7 +179,7 @@ def test_acceptance_4_elliptic_pipeline(fixtures_dir):
         )
         f25 = make_extension(5, 2)
         add, mul = f25._add, f25._mul
-        elems = list(f25._tuples())
+        elems = range(f25.order)
         n2_oracle = 1 + sum(
             1
             for x in elems
@@ -290,7 +290,7 @@ def _field_axiom_suite():
         rng = random.Random(97 * p + k)
         add, mul = field._add, field._mul
         pool = [
-            tuple(rng.randrange(p) for _ in range(k))
+            field.element([rng.randrange(p) for _ in range(k)])
             for _ in range(min(3 * field.order, 120))
         ]
         for _ in range(10_000):
@@ -301,7 +301,7 @@ def _field_axiom_suite():
             assert mul(a, b) == mul(b, a)
             assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         for a in pool:
-            if any(a):
+            if a:
                 assert mul(a, field._inv(a)) == field.one
 
 

@@ -441,6 +441,33 @@ def test_solve_output_is_pinned_large_d(capsys, fmt, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "6bc806973cc6d789e8630db8cc654ecfabdbd244fa844edb6206a6955193c0e4"),
+        ("human", "ded336c3346cf8106a22f79f8381b83ed807d8b73b446618c88b3faf3bf63f07"),
+    ],
+)
+def test_fixture_runs_are_pinned(capsys, fixtures_dir, fmt, digest):
+    # The sha256 of exit codes and stdout for count -n 3 on every spec
+    # fixture, zeta on every spec and profile with and without
+    # --extra-terms 2, and compare on every pair of specs under every
+    # profile, taken while scalars were still coefficient tuples.
+    specs = sorted(p for p in fixtures_dir.glob("*.json") if not p.name.startswith("profile_"))
+    profiles = sorted(fixtures_dir.glob("profile_*.json"))
+    runs = [("count", str(s), "-n", "3") for s in specs]
+    for s, prof in itertools.product(specs, profiles):
+        for extra in ((), ("--extra-terms", "2")):
+            runs.append(("zeta", str(s), "--profile", str(prof), *extra))
+    for (a, b), prof in itertools.product(itertools.combinations(specs, 2), profiles):
+        runs.append(("compare", str(a), str(b), "--profile", str(prof)))
+    h = hashlib.sha256()
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == digest
+
+
 def test_find_pair_empty_range(capsys):
     code, out, _ = run_cli(capsys, "find-pair", "--p-min", "24", "--p-max", "28")
     assert code == 0

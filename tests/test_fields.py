@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fqzeta.errors import NotPrimeError
-from fqzeta.fields import _CHUNK, is_prime, make_extension
+from fqzeta.fields import _CHUNK, add_digits, from_digits, is_prime, make_extension, to_digits
 
 
 def test_is_prime_matches_trial_division():
@@ -92,30 +92,33 @@ def test_modulus_deterministic_and_cached():
 
 def test_prime_field_arithmetic_examples():
     f5 = make_extension(5, 1)
-    assert f5._add((3,), (4,)) == (2,)
-    assert f5._inv((2,)) == (3,)
-    assert f5._sub(f5.zero, (2,)) == (3,)
-    assert f5._sub((1,), (3,)) == (3,)
-    assert f5._mul((2,), (4,)) == (3,)
+    assert f5._add(3, 4) == 2
+    assert f5._inv(2) == 3
+    assert f5._sub(f5.zero, 2) == 3
+    assert f5._sub(1, 3) == 3
+    assert f5._mul(2, 4) == 3
 
 
 def test_f4_square_of_generator():
     # Modulus is x^2 + x + 1, so x * x reduces to x + 1.
     f4 = make_extension(2, 2)
-    x = (0, 1)
-    assert f4._mul(x, x) == (1, 1)
-    assert f4._inv(x) == (1, 1)
+    x, x_plus_1 = f4.element((0, 1)), f4.element((1, 1))
+    assert (x, x_plus_1, f4.one) == (1, 3, 2)
+    assert f4._mul(x, x) == x_plus_1
+    assert f4._inv(x) == x_plus_1
     assert f4._mul(x, f4._inv(x)) == f4.one
 
 
 def test_enumerate_elements_examples():
-    assert list(make_extension(2, 1)._tuples()) == [(0,), (1,)]
-    assert list(make_extension(3, 1)._tuples()) == [(0,), (1,), (2,)]
-    f9 = list(make_extension(3, 2)._tuples())
+    # Scalars in order list their digits lexicographically, c_0 slowest.
+    assert [to_digits(i, 2, 1) for i in range(2)] == [[0], [1]]
+    assert [to_digits(i, 3, 1) for i in range(3)] == [[0], [1], [2]]
+    f9 = [tuple(to_digits(i, 3, 2)) for i in range(9)]
     assert f9 == sorted(set(f9))
-    assert len(f9) == 9
     assert f9[0] == (0, 0)
     assert f9[-1] == (2, 2)
+    field = make_extension(3, 2)
+    assert (field.zero, field.one, field.element((2, 2))) == (0, 3, 8)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4)])
@@ -123,7 +126,7 @@ def test_field_axioms_random_triples(p, k):
     field = make_extension(p, k)
     add, mul = field._add, field._mul
     rng = random.Random(20240 + p * 10 + k)
-    elems = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(60)]
+    elems = [field.element([rng.randrange(p) for _ in range(k)]) for _ in range(60)]
     for _ in range(2000):
         a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
         assert add(add(a, b), c) == add(a, add(b, c))
@@ -132,15 +135,15 @@ def test_field_axioms_random_triples(p, k):
         assert mul(a, b) == mul(b, a)
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         assert add(field._sub(a, b), b) == a
-        if any(a):
+        if a:
             assert mul(a, field._inv(a)) == field.one
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (7, 1)])
 def test_frobenius_is_additive(p, k):
     field = make_extension(p, k)
-    for a in field._tuples():
-        for b in field._tuples():
+    for a in range(field.order):
+        for b in range(field.order):
             lhs = field._pow(field._add(a, b), p)
             assert lhs == field._add(field._pow(a, p), field._pow(b, p))
 
@@ -149,10 +152,9 @@ def test_frobenius_is_additive(p, k):
 def test_multiplicative_group_order(p, k):
     field = make_extension(p, k)
     n = p**k
-    for a in field._tuples():
-        if any(a):
-            assert field._pow(a, n - 1) == field.one
-            assert field._mul(a, field._inv(a)) == field.one
+    for a in range(1, n):
+        assert field._pow(a, n - 1) == field.one
+        assert field._mul(a, field._inv(a)) == field.one
 
 
 def test_numpy_tables_match_direct():
@@ -168,10 +170,9 @@ def test_numpy_tables_match_direct():
         add, mul = field.vector_ops()
         assert field._np_tables is not None
         got_add, got_mul = add(a, b).tolist(), mul(a, b).tolist()
-        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-            x, y = field.tuple_at(ai), field.tuple_at(bi)
-            assert got_add[i] == field.index_of(field._add(x, y)), (p, k, ai, bi)
-            assert got_mul[i] == field.index_of(field._mul(x, y)), (p, k, ai, bi)
+        for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            assert got_add[i] == field._add(x, y), (p, k, x, y)
+            assert got_mul[i] == field._mul(x, y), (p, k, x, y)
 
 
 @pytest.mark.parametrize("p,k", [(31, 2), (37, 2), (2, 10), (3, 7)])
@@ -223,9 +224,8 @@ def test_vector_ops_match_scalar_arithmetic(p, k, digits, fresh_tables):
     got_add = add(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     got_mul = mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     for i, (x, y) in enumerate(zip(a, b)):
-        tx, ty = field.tuple_at(x), field.tuple_at(y)
-        assert got_add[i] == field.index_of(field._add(tx, ty))
-        assert got_mul[i] == field.index_of(field._mul(tx, ty))
+        assert got_add[i] == field._add(x, y)
+        assert got_mul[i] == field._mul(x, y)
 
 
 def test_vector_ops_reuses_cached_tables(monkeypatch):
@@ -256,20 +256,26 @@ def test_zero_inversion_raises():
 
 
 def test_index_tuple_round_trip():
-    field = make_extension(3, 3)
-    for i, t in enumerate(field._tuples()):
-        assert field.index_of(t) == i
-        assert field.tuple_at(i) == t
+    # The spec boundary: digits (c_0, ..., c_{k-1}) in lexicographic order
+    # are the scalars 0, 1, ... in order, and back.
+    for i, t in enumerate(itertools.product(range(3), repeat=3)):
+        assert from_digits(t, 3) == i
+        assert to_digits(i, 3, 3) == list(t)
+        assert from_digits([c + 3 * i for c in t], 3) == i  # reduced mod p
+        # add_digits adds and subtracts digit by digit, with no carry.
+        for j, u in enumerate(itertools.product(range(3), repeat=3)):
+            assert add_digits(i, j, 3) == from_digits([a + b for a, b in zip(t, u)], 3)
+            assert add_digits(i, j, 3, -1) == from_digits([a - b for a, b in zip(t, u)], 3)
 
 
 def test_element_int_coercion_and_pow():
     field = make_extension(5, 2)
-    assert field.element(-4) == (1, 0)
-    assert field.element((7, -2)) == (2, 3)
-    assert (field.zero, field.one) == ((0, 0), (1, 0))
+    assert field.element(-4) == field.element((1, 0)) == 5
+    assert field.element((7, -2)) == 2 * 5 + 3
+    assert (field.zero, field.one) == (0, 5)
     with pytest.raises(ValueError):
         field.element((1, 2, 3))
-    a = (2, 3)
+    a = field.element((2, 3))
     assert field._pow(a, -1) == field._inv(a)
     assert field._pow(a, -2) == field._mul(field._inv(a), field._inv(a))
     assert field._pow(a, 0) == field.one

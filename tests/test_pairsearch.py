@@ -199,8 +199,8 @@ def test_curve_model_serialization():
 
 def _count_tables(p):
     """Quadratic characters of F_p and F_{p^2}, and cubes in F_{p^2}, as flat
-    lists on field indices (c_0 p + c_1 for c_0 + c_1 T): chi1[s],
-    chi2[field.index_of(t)], and the index of t^3 at cubes[field.index_of(t)]."""
+    lists on field scalars (c_0 p + c_1 for c_0 + c_1 T): chi1[s], chi2[t],
+    and t^3 at cubes[t]."""
     chi1 = [-1] * p
     chi1[0] = 0
     for x in range(1, p):
@@ -212,9 +212,9 @@ def _count_tables(p):
     for x1 in range(p):
         # Row x = x0 + x1 T, T the generator: two products at x0 = 0, then
         # (x + 1)^3 = x^3 + 3x^2 + 3x + 1 and (x + 1)^2 = x^2 + 2x + 1.
-        t = (0, x1)
-        s0, s1 = field._mul(t, t)
-        c0, c1 = field._mul((s0, s1), t)
+        s = field._mul(x1, x1)  # x1 is the scalar x1 T
+        c0, c1 = divmod(field._mul(s, x1), p)
+        s0, s1 = divmod(s, p)
         for x0 in range(p):
             chi2[s0 * p + s1] = 1
             cubes[x0 * p + x1] = c0 * p + c1
@@ -246,10 +246,10 @@ def _count_tables_reference(p):
     for s in range(1, p):
         chi1[s] = 1 if s in squares else -1
     field = make_extension(p, 2)
-    elems = list(field._tuples())
-    sq2 = {field._mul(t, t) for t in elems if any(t)}
-    chi2 = [0 if not any(t) else (1 if t in sq2 else -1) for t in elems]
-    cubes = [field.index_of(field._mul(field._mul(t, t), t)) for t in elems]
+    elems = range(field.order)
+    sq2 = {field._mul(t, t) for t in elems if t}
+    chi2 = [0 if not t else (1 if t in sq2 else -1) for t in elems]
+    cubes = [field._mul(field._mul(t, t), t) for t in elems]
     return chi1, chi2, cubes
 
 
