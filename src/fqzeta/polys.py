@@ -2,15 +2,14 @@
 
 Polynomials are tuples of coefficients, low degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-fractions.Fraction.  gcd takes either: it clears denominators and runs a
-primitive remainder sequence over Z, so it does no rational arithmetic until
-it makes its result monic.
+rationals.  gcd takes either: it clears denominators and runs a
+primitive remainder sequence over Z, so it does no rational arithmetic and
+returns an integer polynomial.
 sturm_sequence takes ints and shares that remainder sequence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
@@ -96,22 +95,19 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def gcd(a, b) -> tuple:
-    """Monic gcd over Q of int or Fraction polynomials, as Fractions.
+    """gcd over Q, as the primitive integer polynomial with positive lead.
 
-    A primitive polynomial remainder sequence over Z (Brown, 1971): every
-    pseudo-remainder is divided by its content, so that the scalings of one
-    step do not compound into the next, and no Fraction is formed until the
-    final scaling.
+    a and b may have int or rational coefficients.  A primitive polynomial
+    remainder sequence over Z (Brown, 1971): every pseudo-remainder is
+    divided by its content, so that the scalings of one step do not
+    compound into the next, and no rational is formed.
     """
     a, b = _primitive(normalize(a)), _primitive(normalize(b))
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))
-    if not a:
-        return ZERO
-    lead = a[-1]
-    return tuple(Fraction(c, lead) for c in a)
+    return tuple(a) if not a or a[-1] > 0 else neg(a)
 
 
 def sturm_sequence(a) -> list[list[int]]:
@@ -143,7 +139,7 @@ def derivative(a) -> tuple:
 
 
 def is_integral(a) -> bool:
-    return all(Fraction(c).denominator == 1 for c in a)
+    return all(c.denominator == 1 for c in a)
 
 
 def to_ints(a) -> tuple[int, ...]:

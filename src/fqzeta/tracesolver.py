@@ -21,12 +21,13 @@ plus one explicit relation per unforced pivot.  Columns are eliminated from
 degree 2d down to 0, so free parameters sit in the lowest unforced degrees
 and residual relations express higher traces in terms of lower ones.
 
-Every entry is a monomial c * q^e, stored as the pair (c, e) with c
-rational, and every row is homogeneous once D_i has weight i/2 and q
-weight 1: 2e + i is the same over the row's support.  The Q(q) reduction
-is then a reduction of the c's over Q, done in Z with primitive rows, with
-the powers of q put back from the grading (see solve_forced).  A row that
-is not homogeneous is refused with a ValueError.
+Every entry is a monomial c * q^e, stored as the pair (c, e) with c rational
+(an int, +-1 or 0, in the rows build_constraint_system makes), and every row
+is homogeneous once D_i has weight i/2 and q weight 1: 2e + i is the same over
+the row's support.  The Q(q) reduction is then a reduction of the c's over Q,
+done in Z with primitive rows, with the powers of q put back from the grading
+(see solve_forced).  A row that is not homogeneous is refused with a
+ValueError.
 
 instantiate_at_q specializes the system at a rational q0 > 1, and
 solve_forced_numeric re-derives the forced set there by an independent
@@ -65,7 +66,7 @@ def unknown_names(d: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class ConstraintRow:
     label: str
-    coeffs: tuple[tuple[Fraction, int], ...]  # entry i is c * q^e, as (c, e)
+    coeffs: tuple[tuple[int | Fraction, int], ...]  # entry i is c * q^e, as (c, e)
 
 
 @dataclass(frozen=True)
@@ -151,35 +152,35 @@ def build_constraint_system(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     n = 2 * d + 1
-    one, zero = Fraction(1), (Fraction(0), 0)
+    zero = (0, 0)
     rows = []
 
     even = [zero] * n
     for i in range(d + 1):
-        even[2 * i] = (one, -i)
+        even[2 * i] = (1, -i)
     rows.append(ConstraintRow("EVEN_MUKAI", tuple(even)))
 
     odd = [zero] * n
     for i in range(1, d + 1):
-        odd[2 * i - 1] = (one, -i)
+        odd[2 * i - 1] = (1, -i)
     rows.append(ConstraintRow("ODD_MUKAI", tuple(odd)))
 
     if include_hard_lefschetz:
         for i in range(d):
             row = [zero] * n
-            row[2 * d - i] = (one, 0)
-            row[i] = (-one, d - i)
+            row[2 * d - i] = (1, 0)
+            row[i] = (-1, d - i)
             rows.append(ConstraintRow(f"HL({i})", tuple(row)))
 
     if include_trivial:
         for i in (0, 2 * d):
             row = [zero] * n
-            row[i] = (one, 0)
+            row[i] = (1, 0)
             rows.append(ConstraintRow(f"TRIVIAL({i})", tuple(row)))
 
     if include_albanese:
         row = [zero] * n
-        row[1] = (one, 0)
+        row[1] = (1, 0)
         rows.append(ConstraintRow("ALBANESE", tuple(row)))
 
     return TraceConstraintSystem(
@@ -189,7 +190,7 @@ def build_constraint_system(
     )
 
 
-def _graded_row(row: ConstraintRow) -> list[Fraction]:
+def _graded_row(row: ConstraintRow) -> list[int | Fraction]:
     """The c_i of a row whose entries c_i * q^(e_i) have 2 e_i + i constant."""
     if len({2 * e + i for i, (c, e) in enumerate(row.coeffs) if c}) > 1:
         raise ValueError(

@@ -8,12 +8,14 @@ denominator.  This module converts exactly between:
 * point-count series and zeta functions (both directions),
 * a zeta function and its factors P_0..P_{2d} by the weight of their inverse
   roots, one factor per cohomological degree, split by exact polynomial gcds,
-* factor coefficients and the traces of the q^n-power Frobenius per degree,
-  via Newton's identities.
+* factor coefficients and the traces of the q^n-power Frobenius per degree.
 
-All reported objects are integer polynomials computed exactly, and both
-checks are exact: check_riemann_hypothesis certifies every factor in
-integers (_is_weil).
+Both conversions from a polynomial in 1 + tZ[t] to the power sums of its
+inverse roots, counts_from_zeta and traces_from_factorization, are one
+routine, _power_sums; _series_from_counts is its inverse.  Counts, zeta
+functions, factors and traces are ints, computed exactly; Fractions arise
+only from counts that no variety has.  Both checks are exact:
+check_riemann_hypothesis certifies every factor in integers (_is_weil).
 """
 
 from __future__ import annotations
@@ -137,9 +139,9 @@ class TraceVector:
     q: int
     d: int
     depth: int
-    traces: tuple[tuple[Fraction, ...], ...]
+    traces: tuple[tuple[int, ...], ...]
 
-    def trace(self, i: int, n: int) -> Fraction:
+    def trace(self, i: int, n: int) -> int:
         return self.traces[i][n - 1]
 
 
@@ -215,10 +217,14 @@ def _coeff_list(poly) -> str:
     return "[" + ", ".join(str(c) for c in poly) + "]"
 
 
-def _log_derivative_counts(int_poly, terms: int) -> list[int]:
-    """Coefficients of t*A'/A up to t^terms for A in 1 + tZ[t]."""
-    ta_prime = [0] + [i * c for i, c in enumerate(int_poly) if i >= 1]
-    return _series_mul(ta_prime, _series_div([1], int_poly, terms), terms)
+def _power_sums(poly, terms: int) -> list[int]:
+    """p_1..p_terms, p_n the sum of alpha^n over the inverse roots alpha of poly.
+
+    For poly = prod (1 - alpha t) in 1 + tZ[t], t poly'/poly is
+    -sum_n p_n t^n, so the p_n are ints, read off by series division.
+    """
+    ta_prime = [0] + [-i * c for i, c in enumerate(poly) if i >= 1]
+    return _series_mul(ta_prime, _series_div([1], poly, terms), terms)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -231,46 +237,43 @@ def zeta_from_counts(
     num_degree: int,
     den_degree: int,
     *,
-    known_numerator=(1,),
     known_denominator=(1,),
 ) -> ZetaFunction:
     """The unique rational function matching the supplied counts exactly.
 
     num_degree and den_degree bound the degrees of numerator and denominator.
-    Factors that are pinned a priori (for a geometrically connected variety
-    the degree-0 and degree-2d factors are 1 - t and 1 - q^d t; see
-    connected_denominator) may be passed in, which lowers the number of counts
-    needed by the number of coefficients they fix.  The remaining coefficients
-    are solved by exact linear algebra on the power-series expansion; every
-    supplied count beyond the minimum acts as a consistency check.
+    A denominator factor that is pinned a priori (for a geometrically
+    connected variety the degree-0 and degree-2d factors 1 - t and 1 - q^d t;
+    see connected_denominator) may be passed in, which lowers the number of
+    counts needed by its degree.  The remaining coefficients are solved by
+    exact linear algebra on the power-series expansion; every supplied count
+    beyond the minimum acts as a consistency check.
     """
     counts = series.counts
-    kn = polys.normalize(polys.to_ints(known_numerator))
     kd = polys.normalize(polys.to_ints(known_denominator))
-    if not kn or kn[0] != 1 or not kd or kd[0] != 1:
-        raise ValueError("known factors must have constant term 1")
-    free_num = num_degree - polys.degree(kn)
+    if not kd or kd[0] != 1:
+        raise ValueError("the known denominator must have constant term 1")
     free_den = den_degree - polys.degree(kd)
-    if free_num < 0 or free_den < 0:
-        raise ValueError("known factors exceed the requested degrees")
-    needed = free_num + free_den
+    if num_degree < 0 or free_den < 0:
+        raise ValueError("degrees must be nonnegative and cover the known denominator")
+    needed = num_degree + free_den
     if len(counts) < needed:
         raise InsufficientCountsError(
             f"{needed} counts needed to fit degrees ({num_degree},{den_degree}) "
-            f"with the given known factors; got {len(counts)}",
+            f"with the given known denominator; got {len(counts)}",
             needed=needed,
             given=len(counts),
         )
     order = len(counts)
     z = _series_from_counts(counts)
-    w = _series_div(_series_mul(z, kd, order), kn, order)
+    w = _series_mul(z, kd, order)
 
     # Find Q_u with Q_u(0)=1, deg <= free_den, killing the series tail of
-    # Q_u * w beyond degree free_num.
+    # Q_u * w beyond degree num_degree.
     if free_den:
         rows = []
         rhs = []
-        for j in range(free_num + 1, order + 1):
+        for j in range(num_degree + 1, order + 1):
             rows.append([w[j - i] if j - i >= 0 else 0 for i in range(1, free_den + 1)])
             rhs.append(-w[j])
         sol = linalg.solve(rows, rhs) if rows else [0] * free_den
@@ -282,13 +285,11 @@ def zeta_from_counts(
         q_u = _ints_if_integral((1, *sol))
     else:
         q_u = (1,)
-    p_u = polys.normalize(_series_mul(q_u, w, free_num))
-
-    num = polys.mul(kn, p_u)
+    num = polys.normalize(_series_mul(q_u, w, num_degree))
     den = polys.mul(kd, q_u)
     g = polys.gcd(num, den)
     if polys.degree(g) > 0:
-        g = _ints_if_integral(polys.scale(g, Fraction(1) / g[0]))
+        g = _ints_if_integral(polys.scale(g, Fraction(1, g[0])))
         num = _exact_quotient(num, g)
         den = _exact_quotient(den, g)
 
@@ -310,28 +311,25 @@ def zeta_from_counts(
 
 
 def counts_from_zeta(zeta: ZetaFunction, terms: int) -> PointCountSeries:
-    """N_n read off t (d/dt) log zeta, in ints since num, den lie in 1 + tZ[t].
+    """N_n = p_n(den) - p_n(num), the power sums of the inverse roots, in ints.
 
     A negative N_n, which no variety has, raises NonIntegralCountError.
     """
-    from_num = _log_derivative_counts(zeta.num, terms)
-    from_den = _log_derivative_counts(zeta.den, terms)
-    counts = []
-    for n in range(1, terms + 1):
-        c = from_num[n] - from_den[n]
+    pairs = zip(_power_sums(zeta.den, terms), _power_sums(zeta.num, terms))
+    counts = tuple(a - b for a, b in pairs)
+    for n, c in enumerate(counts, start=1):
         if c < 0:
             raise NonIntegralCountError(
                 f"zeta expands to N_{n} = {c}, not a nonnegative integer"
             )
-        counts.append(c)
-    return PointCountSeries(zeta.q, tuple(counts))
+    return PointCountSeries(zeta.q, counts)
 
 
 def connected_denominator(q: int, d: int) -> tuple[int, ...]:
     """(1 - t)(1 - q^d t), the pinned degree-0 and degree-2d factors; (1 - t) if d = 0."""
     if d == 0:
         return (1, -1)
-    return polys.to_ints(polys.mul((1, -1), (1, -(q**d))))
+    return polys.mul((1, -1), (1, -(q**d)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +402,21 @@ def factor_by_weights(
     factors are therefore peeled exactly, weight 0 first, from the numerator
     (odd i) or the denominator (even i), here called F:
 
-        P_i = gcd(F, F_i),  F_i(t) = sum_m F[deg F - m] q^(im) t^m,
+        P_i = g(0) g,  g = gcd(F, F_i),
+        F_i(t) = sum_m F[deg F - m] q^(im) t^m,
 
-    scaled to constant term 1, then divided out of F.  F_i has the inverse
-    roots q^i / alpha, so the gcd keeps every weight-i root with its
-    multiplicity.  A root of weight j > i would need a partner of weight
-    2i - j < i, which is already peeled.  Degrees with b_i = 0 are peeled too,
-    so that no root is absorbed at a weight the profile has no slot for.
-    Inverse roots that are not q-Weil numbers may still pair up and be split;
-    check_riemann_hypothesis reports them.
+    then divided out of F.  F_i has the inverse roots q^i / alpha, so the gcd
+    keeps every weight-i root with its multiplicity.  A root of weight j > i
+    would need a partner of weight 2i - j < i, which is already peeled.
+    Degrees with b_i = 0 are peeled too, so that no root is absorbed at a
+    weight the profile has no slot for.  Inverse roots that are not q-Weil
+    numbers may still pair up and be split; check_riemann_hypothesis reports
+    them.
 
-    Each P_i divides an integer polynomial with constant term 1, so by Gauss's
-    lemma it has integer coefficients, and once every deg P_i = b_i the
-    degree checks below leave nothing unpeeled.
+    The primitive integer g divides F, which has constant term 1, so by
+    Gauss's lemma g(0) = +-1 and P_i is g scaled to constant term 1, in
+    integers.  Once every deg P_i = b_i the degree checks below leave nothing
+    unpeeled.
     """
     d, betti, q = profile.d, profile.betti, zeta.q
     if polys.degree(zeta.num) != profile.odd_total:
@@ -435,7 +435,7 @@ def factor_by_weights(
     for i in range(2 * d + 1):
         f = rest[i % 2]
         g = polys.gcd(f, [c * q ** (i * m) for m, c in enumerate(reversed(f))])
-        p_i = polys.to_ints(polys.scale(g, Fraction(1) / g[0]))
+        p_i = polys.scale(g, g[0])
         if polys.degree(p_i) != betti[i]:
             raise WeightSeparationError(
                 f"degree {i}: expected {betti[i]} inverse roots of weight {i}, "
@@ -447,23 +447,9 @@ def factor_by_weights(
 
 
 def traces_from_factorization(w: WeilFactorization, depth: int) -> TraceVector:
-    """Power sums of the inverse roots of each P_i, by Newton's identities."""
-    all_traces = []
-    for f in w.factors:
-        b = len(f) - 1
-        e = [Fraction(0)] * (b + 1)
-        for j in range(1, b + 1):
-            e[j] = Fraction((-1) ** j * f[j])
-        ps: list[Fraction] = []
-        for n in range(1, depth + 1):
-            acc = Fraction(0)
-            for j in range(1, min(n - 1, b) + 1):
-                acc += (-1) ** (j - 1) * e[j] * ps[n - 1 - j]
-            if n <= b:
-                acc += (-1) ** (n - 1) * n * e[n]
-            ps.append(acc)
-        all_traces.append(tuple(ps))
-    return TraceVector(w.q, w.d, depth, tuple(all_traces))
+    """Power sums of the inverse roots of each P_i, in ints."""
+    traces = tuple(tuple(_power_sums(f, depth)) for f in w.factors)
+    return TraceVector(w.q, w.d, depth, traces)
 
 
 def check_functional_equation(w: WeilFactorization) -> dict:

@@ -31,13 +31,15 @@ def test_mul_and_divmod_round_trip():
     assert rem2 == F(7)
 
 
-def test_gcd_is_monic_common_factor():
+def test_gcd_is_primitive_common_factor():
     common = F(1, 1)
     a = polys.mul(common, F(1, -2))
     b = polys.mul(common, F(3, 1))
-    g = polys.gcd(a, b)
-    assert g == F(1, 1)
-    assert polys.gcd(F(2, 2), ()) == F(1, 1)
+    assert polys.gcd(a, b) == (1, 1)
+    assert polys.gcd(F(2, 2), ()) == (1, 1)
+    # Primitive with a positive lead: -1 + 2t, not the monic -1/2 + t.
+    assert polys.gcd(F(Fraction(-1, 3), Fraction(2, 3)), (-4, 8)) == (-1, 2)
+    assert polys.gcd(polys.mul((3, 2), (1, 1)), polys.mul((3, 2), (1, 5))) == (3, 2)
 
 
 def _euclid_gcd(a, b) -> tuple:
@@ -79,8 +81,9 @@ def _weight_twist(f, q, i):
 def test_gcd_matches_euclidean_oracle(a, b, common):
     a, b = polys.mul(common, a), polys.mul(common, b)
     got = polys.gcd(a, b)
-    assert got == _euclid_gcd(a, b)
-    assert all(type(c) is Fraction for c in got)
+    # The monic oracle as the primitive integer polynomial, lead positive.
+    assert got == qpolys.clear_integer_pair(_euclid_gcd(a, b), ())[0]
+    assert all(type(c) is int for c in got)
 
 
 def test_evaluate_and_derivative():

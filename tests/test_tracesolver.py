@@ -39,12 +39,12 @@ def system(d, alb=True, hl=True, triv=True):
     )
 
 
-ZERO = (Fraction(0), 0)
+ZERO = (0, 0)
 
 
 def qp(e, c=1):
     """The row entry c * q^e."""
-    return (Fraction(c), e)
+    return (c, e)
 
 
 def over_qq(entry):
@@ -63,6 +63,13 @@ def scaled(row, c, e):
 # ---------------------------------------------------------------------------
 # System construction
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_rows_are_integer_monomials(d):
+    for alb, hl, triv in ALL_FLAGS:
+        for row in system(d, alb, hl, triv).rows:
+            assert all(type(c) is int and type(e) is int for c, e in row.coeffs)
 
 
 def test_d3_full_system_shape():

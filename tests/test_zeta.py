@@ -451,6 +451,67 @@ def test_traces_from_factorization_examples():
     assert tv.trace(1, 1) == -3
 
 
+def newton_power_sums(f, depth):
+    """Oracle: the power sums of the inverse roots of f, by Newton's
+    identities in Fraction arithmetic, from the elementary symmetric
+    functions e_j = (-1)^j f[j]."""
+    b = len(f) - 1
+    e = [Fraction(0)] * (b + 1)
+    for j in range(1, b + 1):
+        e[j] = Fraction((-1) ** j * f[j])
+    ps = []
+    for n in range(1, depth + 1):
+        acc = Fraction(0)
+        for j in range(1, min(n - 1, b) + 1):
+            acc += (-1) ** (j - 1) * e[j] * ps[n - 1 - j]
+        if n <= b:
+            acc += (-1) ** (n - 1) * n * e[n]
+        ps.append(acc)
+    return tuple(ps)
+
+
+def synthetic_weil_factors(rng, d, q):
+    """P_0..P_{2d}: up to two genus-1 factors 1 - a q^j t + q^i t^2 in odd
+    weight i = 2j + 1, up to two of 1 +- q^j t in even weight i = 2j, and
+    none in one randomly chosen degree 1..d, so that some b_i is 0.  Weights
+    above d are the q^(i-d) twists that the functional equation asks."""
+    bound = math.isqrt(4 * q)
+    empty = rng.randint(1, d)
+    factors = [(1, -1)]
+    for i in range(1, d + 1):
+        j, factor = i // 2, (1,)
+        for _ in range(0 if i == empty else rng.randint(1, 2)):
+            if i % 2:
+                part = (1, -rng.randint(-bound, bound) * q**j, q**i)
+            else:
+                part = (1, rng.choice((-1, 1)) * q**j)
+            factor = product_poly(factor, part)
+        factors.append(factor)
+    for i in range(d + 1, 2 * d + 1):
+        scale = q ** (i - d)
+        factors.append(tuple(c * scale**m for m, c in enumerate(factors[2 * d - i])))
+    return tuple(factors)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_traces_match_newtons_identities(d, seed):
+    rng = random.Random(100 * d + seed)
+    for _ in range(3):
+        q = rng.choice((2, 3, 4, 5, 7, 9, 11, 25))
+        factors = synthetic_weil_factors(rng, d, q)
+        profile = CohomologyProfile(d, tuple(len(f) - 1 for f in factors))
+        assert 0 in profile.betti
+        zeta = ZetaFunction(q, product_poly(*factors[1::2]), product_poly(*factors[0::2]))
+        w = factor_by_weights(zeta, profile)
+        assert w.factors == factors
+        assert all(type(c) is int for f in w.factors for c in f)
+        depth = max(profile.betti) + 3
+        tv = traces_from_factorization(w, depth)
+        assert tv.traces == tuple(newton_power_sums(f, depth) for f in factors)
+        assert all(type(x) is int for row in tv.traces for x in row)
+
+
 def test_lefschetz_alternating_sum_reproduces_counts():
     for q, num, den, profile in [
         (5, (1, 3, 5), (1, -6, 5), CURVE_PROFILE),
