@@ -14,21 +14,25 @@ and at the spec boundary (from_digits, to_digits); add_digits adds and
 negates scalars knowing only p, so a count is planned with no field built.
 
 A field never changes its modulus or arithmetic, but it is not immutable:
-numpy_tables fills its exp/log tables on first use.  Two threads that race
-there build equal tables, and either may be kept.
+numpy_tables and quadratic_character fill their tables on first use.  Two
+threads that race there build equal tables, and either may be kept.
 
 ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
 arrays of scalars.  Over F_p it adds and multiplies them mod p.  For k > 1
 and at most _CHUNK = 2^17 elements it multiplies by exp/log tables,
 a*b = exp[log a + log b] for a generator g (numpy_tables), and adds by XOR
-for p = 2 and digit-wise otherwise.  A larger field adds digit-wise and
-multiplies by convolution, then reduces mod m; that kernel also fills exp,
-in about log2(order) vector products.  No intermediate exceeds
-k*(p-1)^2 + p or the order, so the kernel is exact in int64 for every
-p < 2^31 and order < 2^63.  A larger field has indices int64 cannot hold:
-vector_ops refuses it with BudgetExceededError before any array is built,
-so a count that would evaluate there exits like one over budget.  Counting
-fetches the kernel once per count, and only if its plan evaluates points:
+for p = 2 and otherwise by Zech logarithms, a + b = a (1 + b/a) =
+exp[log a + zech[log b - log a]] with 1 + g^d = g^zech[d].  A larger field
+adds digit-wise and multiplies by convolution, then reduces mod m; that
+kernel also fills exp, in about log2(order) vector products.  No
+intermediate exceeds k*(p-1)^2 + p or the order, so the kernel is exact in
+int64 for every p < 2^31 and order < 2^63.  A larger field has indices
+int64 cannot hold: vector_ops refuses it with BudgetExceededError before
+any array is built, so a count that would evaluate there exits like one
+over budget.  Every field of at most _CHUNK elements, F_p included, also
+keeps a table of its quadratic character (quadratic_character), built from
+one kernel product, the squares of its nonzero elements.  Counting fetches
+the kernel once per count, and only if its plan evaluates points:
 by fibres, halves or directly, for blocks with two or more free coordinates
 or cut by a span.  Only those blocks' scalars are then embedded in the
 counting field.  A whole block with at most one free coordinate is counted
@@ -49,7 +53,7 @@ MAX_CHARACTERISTIC = 1 << 31
 _MAX_INDEXED_ORDER = (1 << 63) - 1
 # Elements per vectorized step; digit-wise kernels work on k times as many
 # int64 values, so loops over scalar arrays step by _CHUNK // k (_chunks).
-# Also the largest field with exp/log tables.
+# Also the largest field with exp/log and quadratic character tables.
 _CHUNK = 1 << 17
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
@@ -78,6 +82,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division up to sqrt(n)."""
+    primes, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _chunks(lo: int, hi: int, k: int):
@@ -235,6 +253,7 @@ class ExtensionField:
                 cur = [(c - lead * m) % p for c, m in zip(cur, modulus[:-1])]
         self._reduction_rows = tuple(red)
         self._np_tables = None
+        self._np_chi = None
         self.zero = 0
         self.one = p ** (k - 1)
 
@@ -322,10 +341,19 @@ class ExtensionField:
         tables = self.numpy_tables()
         if tables is None:
             return self._digit_ops()
-        exp, log = tables
-        # XOR adds base-2 digits mod 2.
-        add = operator.xor if self.p == 2 else self._digit_ops()[0]
-        return add, lambda a, b: exp[log[a] + log[b]]
+        exp, log, zech = tables
+
+        def mul(a, b):
+            return exp[log[a] + log[b]]
+
+        if zech is None:  # p = 2: XOR adds base-2 digits mod 2.
+            return operator.xor, mul
+
+        def add(a, b):
+            log_a = log[a]
+            return exp[log_a + zech[log[b] - log_a]]
+
+        return add, mul
 
     def _digit_ops(self):
         p, k = self.p, self.k
@@ -361,11 +389,18 @@ class ExtensionField:
         return add, mul
 
     def numpy_tables(self):
-        """(exp, log) int64 tables for 1 < k and order <= _CHUNK, else None.
+        """(exp, log, zech) int64 tables for 1 < k and order <= _CHUNK, else None.
 
         With Q the order, exp holds 4(Q-1) + 1 indices: g^(i mod (Q-1)) for
         i < 2(Q-1), then 0.  log[a] < Q-1 is the exponent of a nonzero a,
         and log[0] = 2(Q-1), so exp[log[a] + log[b]] is a*b, 0 if a or b is.
+
+        zech, None for p = 2, has 4(Q-1) + 1 entries read at d = log b - log a,
+        negative d from the end.  zech[d] = log(1 + g^d) for |d| < Q-1, so
+        exp[log a + zech[d]] is a + b; where 1 + g^d = 0 it is log 0, which
+        sends a + (-a) into the zeros of exp.  The sentinels: zech[d] = 0
+        for Q-1 <= d (b = 0 gives a), zech[d] = d for d <= -(Q-1) (a = 0
+        gives b), and a = b = 0 lands in the zeros of exp.
         """
         if self.k == 1 or self.order > _CHUNK:
             return None
@@ -387,13 +422,40 @@ class ExtensionField:
             log = np.empty(q, dtype=np.int64)
             log[exp[: q - 1]] = np.arange(q - 1)
             log[0] = 2 * (q - 1)
-            self._np_tables = (exp, log)
+            zech = None
+            if self.p != 2:
+                zech = np.zeros_like(exp)
+                # Adding one adds 1 mod p to c_0, the leading digit.
+                zech[: q - 1] = log[(exp[: q - 1] + self.one) % q]
+                zech[3 * (q - 1) + 1 :] = zech[: q - 1]
+                zech[2 * (q - 1) + 1 : 3 * (q - 1) + 1] = np.arange(-2 * (q - 1), -(q - 1))
+            self._np_tables = (exp, log, zech)
         return self._np_tables
+
+    def quadratic_character(self):
+        """chi as an int8 table over the scalars for order <= _CHUNK, else None.
+
+        chi[0] = 0, chi[s] = 1 for a nonzero square s and -1 otherwise; it
+        is built from one kernel product, the squares of the nonzero
+        elements.  Above the cap a count uses Euler's criterion instead.
+        """
+        if self.order > _CHUNK:
+            return None
+        if self._np_chi is None:
+            import numpy as np
+
+            _, mul = self.vector_ops()
+            nonzero = np.arange(1, self.order, dtype=np.int64)
+            chi = np.full(self.order, -1, dtype=np.int8)
+            chi[mul(nonzero, nonzero)] = 1
+            chi[0] = 0
+            self._np_chi = chi
+        return self._np_chi
 
     def _generator(self) -> int:
         """The least nonzero scalar of multiplicative order Q - 1."""
         n = self.order - 1
-        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        primes = _prime_factors(n)
         return next(
             g
             for g in range(1, self.order)

@@ -28,8 +28,9 @@ wholly on the variety, and every other block gets one of four strategies:
   1 if p = 2).  The equation reads A y^2 + B y + C with A, B, C in the
   other free coordinates, which are evaluated at the q^(n(m-1)) other
   points only; the number of y in each fibre follows from
-  #{y : y^2 = s} = 1 + chi(s), with the quadratic character chi read off by
-  Euler's criterion.
+  #{y : y^2 = s} = 1 + chi(s), with the quadratic character chi read from
+  the counting field's cached table if it has at most _CHUNK elements, and
+  by Euler's criterion above.
 * by halves, for a block wholly inside ``span`` of a one-equation spec
   whose free coordinates fall into two or more groups that no monomial
   links, over a field F_Q of at most _CHUNK elements.  The groups are
@@ -41,6 +42,9 @@ wholly on the variety, and every other block gets one of four strategies:
 Of the last three, a block takes the one that evaluates the fewest points,
 ties going first to fibres, then to halves.  A partial block is always
 counted directly, so partitions of a span cross-check the strategies.
+The half of the plan that no n changes, each block's polynomials and their
+fibre and halves splits, is derived once per spec and kept with it
+(VarietySpec._block_plans), so every term of a series reuses it.
 count_points then runs the plan.  Only the last three build F_{q^n}, once
 for all their blocks, embed their planned scalars in it and evaluate with
 its vectorized kernel (ExtensionField.vector_ops) on chunks of int64
@@ -53,6 +57,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
 from .fields import (
@@ -108,6 +113,25 @@ class VarietySpec:
     @property
     def q(self) -> int:
         return self.p**self.k
+
+    @cached_property
+    def _block_plans(self) -> dict:
+        """The half of every count's plan that no n changes, derived once per spec.
+
+        Maps each block's prefix (see _blocks) to (polys, fibre parts,
+        halves sides): its _block_plan and, for a one-equation spec and two
+        or more free coordinates, its _fibre_split and _halves_split, else
+        None.  Every count_points of a series reuses it.
+        """
+        plans = {}
+        for prefix, n_free in _shapes(self.ambient):
+            polys = _block_plan(self.p, self.equations, prefix)
+            parts = sides = None
+            if polys and n_free > 1 and len(self.equations) == 1:
+                parts = _fibre_split(self.p, polys[0], n_free)
+                sides = _halves_split(self.p, polys[0], n_free)
+            plans[prefix] = polys, parts, sides
+        return plans
 
     @staticmethod
     def from_dict(data: dict) -> "VarietySpec":
@@ -325,6 +349,14 @@ def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
     raise AssertionError("base modulus has no root in the extension")
 
 
+def _shapes(ambient: Ambient):
+    """(prefix, n_free) for each block, in enumeration order; see _blocks."""
+    m = ambient.dim
+    if ambient.kind == "affine":
+        return [((), m)]
+    return [((0,) * j + (1,), m - j) for j in range(m + 1)]
+
+
 def _blocks(spec: VarietySpec, order: int, lo: int, hi: int):
     """(prefix, n_free, block_lo, block_hi, whole) for each block meeting lo..hi.
 
@@ -335,13 +367,8 @@ def _blocks(spec: VarietySpec, order: int, lo: int, hi: int):
     offsets of the span within a block of order^n_free points, and whole
     says the span covers it.
     """
-    m = spec.ambient.dim
-    if spec.ambient.kind == "affine":
-        shapes = [((), m)]
-    else:
-        shapes = [((0,) * j + (1,), m - j) for j in range(m + 1)]
     start = 0
-    for prefix, n_free in shapes:
+    for prefix, n_free in _shapes(spec.ambient):
         size = order**n_free
         block_lo, block_hi = max(lo - start, 0), min(hi - start, size)
         if block_lo < block_hi:
@@ -360,7 +387,7 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
     so every choice made over F_q holds over F_order.
     """
     for prefix, n_free, block_lo, block_hi, whole in _blocks(spec, order, lo, hi):
-        polys = _block_plan(spec.p, spec.equations, prefix)
+        polys, parts, sides = spec._block_plans[prefix]
         if not polys:
             yield 0, None, polys, (0 if polys is None else block_hi - block_lo,)
             continue
@@ -371,14 +398,11 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
         # on the direct path, so partitions of a span cross-check the
         # strategies.
         options = []
-        if whole and len(spec.equations) == 1:
-            parts = _fibre_split(spec.p, polys[0], n_free)
-            if parts is not None:
-                options.append((order ** (n_free - 1), _count_fibres, parts, (n_free - 1,)))
-            sides = _halves_split(spec.p, polys[0], n_free) if order <= _CHUNK else None
-            if sides is not None:
-                sizes, halves = zip(*sides)
-                options.append((sum(order**m for m in sizes), _count_halves, halves, (sizes,)))
+        if whole and parts is not None:
+            options.append((order ** (n_free - 1), _count_fibres, parts, (n_free - 1,)))
+        if whole and sides is not None and order <= _CHUNK:
+            sizes, halves = zip(*sides)
+            options.append((sum(order**m for m in sizes), _count_halves, halves, (sizes,)))
         options.append((block_hi - block_lo, _count_direct, polys, (n_free, block_lo, block_hi)))
         yield min(options, key=lambda option: option[0])
 
@@ -432,7 +456,9 @@ def _count_fibres(field, ops, parts, n_other) -> int:
     coordinates.  Each of their q^n_other points is the fibre of q values of
     y, and the fibre holds q points if A = B = C = 0, none if only C != 0,
     one if A = 0 != B, and 1 + chi(B^2 - 4AC) if A != 0 (p odd), where chi
-    is the quadratic character, read off by Euler's criterion.
+    is the quadratic character: read from the field's cached table
+    (ExtensionField.quadratic_character) up to _CHUNK elements, and by
+    Euler's criterion above.
     """
     import numpy as np
 
@@ -447,19 +473,24 @@ def _count_fibres(field, ops, parts, n_other) -> int:
         count += q * int(np.count_nonzero((a == 0) & (b == 0) & (c == 0)))
         count += int(np.count_nonzero((a == 0) & (b != 0)))
         quad = a != 0
-        if quad.any():
-            a, b, c = a[quad], b[quad], c[quad]
-            disc = add(mul(b, b), mul(mul(a, c), np.full_like(a, minus_four)))
-            # chi(disc) = disc^((q-1)/2): 1, -1, or 0 for disc = 0.
-            power, base, e = None, disc, (q - 1) // 2
-            while e:
-                if e & 1:
-                    power = base if power is None else mul(power, base)
-                e >>= 1
-                if e:
-                    base = mul(base, base)
-            count += 2 * int(np.count_nonzero(power == one))
-            count += int(np.count_nonzero(disc == 0))
+        if not quad.any():
+            continue
+        a, b, c = a[quad], b[quad], c[quad]
+        disc = add(mul(b, b), mul(mul(a, c), np.full_like(a, minus_four)))
+        chi = field.quadratic_character()
+        if chi is not None:
+            count += disc.size + int(chi[disc].sum())
+            continue
+        # chi(disc) = disc^((q-1)/2): 1, -1, or 0 for disc = 0.
+        power, base, e = None, disc, (q - 1) // 2
+        while e:
+            if e & 1:
+                power = base if power is None else mul(power, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        count += 2 * int(np.count_nonzero(power == one))
+        count += int(np.count_nonzero(disc == 0))
     return count
 
 

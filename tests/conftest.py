@@ -18,7 +18,7 @@ def fixtures_dir() -> pathlib.Path:
 
 @pytest.fixture
 def fresh_tables():
-    """Drop a field's cached exp/log tables for one test, then restore them.
+    """Drop a field's cached exp/log and chi tables for one test, then restore them.
 
     make_extension shares one field per (p, k) for the whole session, so a
     test that checks whether a count builds tables must not see tables that
@@ -27,10 +27,10 @@ def fresh_tables():
     saved = []
 
     def clear(field):
-        saved.append((field, field._np_tables))
-        field._np_tables = None
+        saved.append((field, field._np_tables, field._np_chi))
+        field._np_tables = field._np_chi = None
         return field
 
     yield clear
-    for field, tables in reversed(saved):
-        field._np_tables = tables
+    for field, tables, chi in reversed(saved):
+        field._np_tables, field._np_chi = tables, chi

@@ -4,7 +4,15 @@ import random
 import pytest
 
 from fqzeta.errors import NotPrimeError
-from fqzeta.fields import _CHUNK, add_digits, from_digits, is_prime, make_extension, to_digits
+from fqzeta.fields import (
+    _CHUNK,
+    _prime_factors,
+    add_digits,
+    from_digits,
+    is_prime,
+    make_extension,
+    to_digits,
+)
 
 
 def test_is_prime_matches_trial_division():
@@ -158,11 +166,12 @@ def test_multiplicative_group_order(p, k):
 
 
 def test_numpy_tables_match_direct():
-    # Every sum and product in F_4, F_8 and F_27 through the exp/log kernel,
-    # 0 included as either operand and as both; p = 2 adds by XOR.
+    # Every sum and product in F_4, F_8, F_9, F_25, F_27 and F_49 through the
+    # exp/log kernel, 0 included as either operand and as both, and b = -a
+    # among the pairs; p = 2 adds by XOR, odd p by Zech logarithms.
     import numpy as np
 
-    for p, k in [(2, 2), (2, 3), (3, 3)]:
+    for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]:
         field = make_extension(p, k)
         n = field.order
         a = np.repeat(np.arange(n, dtype=np.int64), n)
@@ -179,16 +188,25 @@ def test_numpy_tables_match_direct():
 def test_exp_table_runs_through_every_nonzero_index(p, k):
     # g is primitive iff its first Q - 1 powers are the Q - 1 nonzero
     # elements.  In F_{31^2} and F_{37^2} the class of x, the root of the
-    # modulus, is not primitive.
+    # modulus, is not primitive.  Odd p adds by Zech logarithms:
+    # exp[zech[d]] = 1 + g^d, for negative d read from the end, and 0 where
+    # g^d = -1; p = 2 adds by XOR and keeps no zech.
     import numpy as np
 
     field = make_extension(p, k)
-    exp, log = field.numpy_tables()
+    exp, log, zech = field.numpy_tables()
     q = field.order
     assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
     assert (exp[: 2 * (q - 1)] == np.tile(exp[: q - 1], 2)).all()
     assert not exp[2 * (q - 1) :].any() and len(exp) == 4 * (q - 1) + 1
     assert (log[exp[: q - 1]] == np.arange(q - 1)).all() and log[0] == 2 * (q - 1)
+    if p == 2:
+        assert zech is None
+        return
+    assert len(zech) == len(exp)
+    powers = exp[: q - 1].tolist()
+    for d in range(-(q - 2), q - 1):
+        assert exp[zech[d]] == field._add(field.one, powers[d % (q - 1)]), d
 
 
 @pytest.mark.parametrize(
@@ -241,10 +259,51 @@ def test_vector_ops_reuses_cached_tables(monkeypatch):
     assert field._np_tables is tables
 
 
+def _euler_character(field):
+    """chi of every scalar by Euler's criterion, s^((Q-1)/2), on the digit kernel."""
+    import numpy as np
+
+    _, mul = field._digit_ops()
+    power, base = np.full(field.order, field.one, dtype=np.int64), np.arange(field.order, dtype=np.int64)
+    e = (field.order - 1) // 2
+    while e:
+        if e & 1:
+            power = mul(power, base)
+        base, e = mul(base, base), e >> 1
+    chi = np.where(power == field.one, 1, -1)
+    chi[0] = 0
+    return chi
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (31, 1), (1031, 1), (3, 4), (31, 2), (3, 10)])
+def test_quadratic_character_table_matches_euler(p, k, fresh_tables):
+    field = fresh_tables(make_extension(p, k))
+    chi = field.quadratic_character()
+    assert field._np_chi is chi
+    assert (chi == _euler_character(field)).all()
+    # Half the nonzero elements are squares.
+    assert int((chi == 1).sum()) == (field.order - 1) // 2
+
+
+def test_prime_factors_match_the_full_scan():
+    # Every order Q - 1 of a field with exp/log tables, 1 < k and Q <= 2^17;
+    # the generator search needs exactly the primes the old scan over every
+    # r <= Q - 1 found, in the same order.
+    orders = [p**k for p in range(2, 363) if is_prime(p) for k in range(2, 18) if p**k <= _CHUNK]
+    for q in orders:
+        n = q - 1
+        assert _prime_factors(n) == [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)], q
+    assert _prime_factors(1) == [] and _prime_factors(2**31 - 2) == [2, 3, 7, 11, 31, 151, 331]
+
+
 def test_numpy_tables_refused_for_large_fields():
-    # 367^2 is the least prime power above the cap 2^17 with k > 1.
+    # 367^2 is the least prime power above the cap 2^17 with k > 1.  F_p has
+    # no exp/log tables, but a chi table up to the cap; 131101 is the least
+    # prime above it.
     assert make_extension(367, 2).numpy_tables() is None
     assert make_extension(1031, 1).numpy_tables() is None
+    assert make_extension(367, 2).quadratic_character() is None
+    assert make_extension(131101, 1).quadratic_character() is None
 
 
 def test_zero_inversion_raises():

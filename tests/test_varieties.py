@@ -482,7 +482,9 @@ def test_field_beyond_int64_is_indexed_only_where_a_count_must():
 
 
 # The point counter builds exp/log tables for a field F_{p^k} with k > 1 and
-# at most 2^17 elements, and none over F_p or above 2^17.  fresh_tables
+# at most 2^17 elements, and none over F_p or above 2^17.  A fibre count with
+# a quadratic fibre also builds the quadratic character table of a field of
+# at most 2^17 elements, F_p included; no other count does.  fresh_tables
 # clears the session-wide cached tables first, so these checks do not
 # depend on test order.
 
@@ -497,7 +499,7 @@ def test_projective_line_over_f1024_builds_tables(fresh_tables):
     size = domain_size(spec, 10)
     assert field._np_tables is None
     halves = count_points(spec, 10, span=(0, 512)) + count_points(spec, 10, span=(512, size))
-    assert field._np_tables is not None
+    assert field._np_tables is not None and field._np_chi is None
     eqs = embedded_equations(spec, field)
     assert got == halves == count_pure(spec, field, eqs, 0, size)
 
@@ -507,6 +509,7 @@ def test_plane_curve_count_builds_tables(fresh_tables):
     # them all, so the 625 points of the chart x = 1 over F_{5^2} are
     # evaluated.  (The chart x = 0, y = 1 has one free coordinate and is
     # counted by a gcd.)  Counted over F_5, the same chart builds no tables.
+    # Neither count goes by fibres, so neither builds chi.
     spec = VarietySpec.from_dict(
         {
             "label": "linked cubic",
@@ -520,6 +523,7 @@ def test_plane_curve_count_builds_tables(fresh_tables):
     field = fresh_tables(make_extension(5, 2))
     counts = count_series(spec, 2).counts
     assert base._np_tables is None and field._np_tables is not None
+    assert base._np_chi is None and field._np_chi is None
     for n, got in enumerate(counts, start=1):
         ext = make_extension(5, n)
         assert got == count_pure(spec, ext, embedded_equations(spec, ext), 0, domain_size(spec, n))
@@ -527,16 +531,38 @@ def test_plane_curve_count_builds_tables(fresh_tables):
 
 def test_weierstrass_n2_over_f31_squared_builds_tables(fresh_tables):
     # Counted by fibres over y, the 923,521 points of the chart x = 1 cost
-    # 961 evaluations through the exp/log tables of F_{31^2}.  count_pure
-    # over all of P^2(F_{31^2}) would take about 40 s, so it counts N_1 and
-    # the genus-1 trace recursion gives N_2.
+    # 961 evaluations through the exp/log tables of F_{31^2}, and chi of
+    # each discriminant is read from its quadratic character table.
+    # count_pure over all of P^2(F_{31^2}) would take about 40 s, so it
+    # counts N_1 and the genus-1 trace recursion gives N_2.
     p = 31
     spec = _curve(p, 2, 9)  # smooth: 4*2^3 + 27*9^2 is 18 mod 31
+    base = fresh_tables(make_extension(p, 1))
     field = fresh_tables(make_extension(p, 2))
     got = count_points(spec, 2)
-    assert field._np_tables is not None
-    base = make_extension(p, 1)
+    assert field._np_tables is not None and field._np_chi is not None
+    assert base._np_chi is None
     n1 = count_pure(spec, base, embedded_equations(spec, base), 0, domain_size(spec, 1))
+    trace = p + 1 - n1
+    assert got == p**2 + 1 - (trace**2 - 2 * p)
+
+
+def test_weierstrass_n2_over_f367_squared_runs_euler(fresh_tables):
+    # F_{367^2} lies above the 2^17 cap, so it has no chi table and the fibre
+    # count takes chi by Euler's criterion on the digit-wise kernel.  N_1
+    # counts y^2 = x^3 + 2x + 3 by Legendre symbols, and the genus-1 trace
+    # recursion gives N_2.
+    p = 367
+    spec = _curve(p, 2, 3)  # smooth: 4*2^3 + 27*3^2 = 275 is not 0 mod 367
+    field = fresh_tables(make_extension(p, 2))
+    got = count_points(spec, 2, budget=10**11)
+    assert field.quadratic_character() is None and field._np_tables is None
+
+    def legendre(v):
+        e = pow(v, (p - 1) // 2, p)
+        return -1 if e == p - 1 else e
+
+    n1 = 1 + sum(1 + legendre(x**3 + 2 * x + 3) for x in range(p))
     trace = p + 1 - n1
     assert got == p**2 + 1 - (trace**2 - 2 * p)
 
@@ -873,6 +899,12 @@ def test_each_block_is_planned_once(monkeypatch):
     trace = p + 1 - n1
     assert count_points(_curve(p, 2, 3), 2) == p**2 + 1 - (trace**2 - 2 * p)
     assert len(calls) == 3
+    # A series plans each block once for all its terms.
+    calls.clear()
+    spec = _curve(p, 2, 3)
+    counts = count_series(spec, 3).counts
+    assert counts[:2] == (n1, p**2 + 1 - (trace**2 - 2 * p))
+    assert [prefix for _, _, prefix in calls] == [(1,), (0, 1), (0, 0, 1)]
 
 
 def test_plan_builds_no_field(monkeypatch):
