@@ -2,10 +2,32 @@
 
 Polynomials are tuples of coefficients, low degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-rationals.  gcd takes either: it clears denominators and runs a
-primitive remainder sequence over Z, so it does no rational arithmetic and
-returns an integer polynomial.
-sturm_sequence takes ints and shares that remainder sequence.
+rationals.
+
+gcd takes either and returns the primitive integer gcd with a positive
+lead.  It is the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J.
+Symbolic Comput. 7, 1989): after clearing denominators and contents, one
+evaluation of each input at an integer xi, one integer gcd, and a candidate
+read back from the symmetric base-xi digits of that gcd, returned only if
+it divides both inputs exactly (quotient).  Both inputs are primitive and
+xi starts at 2 min(|a|, |b|) + 2, |.| the largest coefficient magnitude.
+
+* Certificate.  Say |a| is the smaller norm.  Every root alpha of a has
+  |alpha| < 1 + |a| <= xi / 2 (Cauchy's bound).  Let G be the candidate,
+  the primitive part of the digit polynomial H, with H(xi) = gcd(a(xi),
+  b(xi)) = c G(xi), c the content of H.  If G divides a and b, the true
+  gcd g is G k for some k dividing a, and g(xi) divides c G(xi), so k(xi)
+  divides c.  Were deg k >= 1, then |k(xi)| >= prod |xi - alpha| > xi / 2
+  over the roots of k, while 0 < c <= xi / 2, as c divides every digit; so
+  k is a constant, +-1 as G and g are primitive.  A candidate that passes
+  is the gcd.
+* Termination.  With a = g abar and b = g bbar, gcd(a(xi), b(xi)) is
+  |g(xi)| times gcd(abar(xi), bbar(xi)), which divides Res(abar, bbar) != 0.
+  Once xi > 2 |Res| |g|, the digits of that product are the coefficients of
+  a multiple of g, whose primitive part is g.  A failed candidate retries at
+  xi <- 2 xi + 1, so the loop ends.
+
+sturm_sequence takes ints and runs a pseudo-remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -63,8 +85,11 @@ def mul(a, b) -> tuple:
 
 def _primitive(a) -> list[int]:
     """The primitive integer polynomial that is a positive rational multiple of a."""
-    den = int_lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
+    if all(type(c) is int for c in a):
+        ints = list(a)
+    else:
+        den = int_lcm(*(c.denominator for c in a))
+        ints = [c.numerator * (den // c.denominator) for c in a]
     content = int_gcd(*ints)
     return [c // content for c in ints] if content > 1 else ints
 
@@ -94,20 +119,62 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return list(normalize(rem))
 
 
+def quotient(a, b) -> tuple | None:
+    """a / b if b divides a exactly, else None; b is nonzero.
+
+    Long division from the top.  Over ints each quotient coefficient must be
+    an integer, which for a primitive b (say b(0) = 1) is divisibility over
+    Q, by Gauss's lemma; a rational a or b divides over Q.
+    """
+    rem, lead, top = list(a), b[-1], len(b) - 1
+    quo = [0] * max(len(rem) - top, 0)
+    exact = type(lead) is int
+    for k in reversed(range(len(quo))):
+        c = rem[k + top]
+        if not c:
+            continue
+        if exact and type(c) is int:
+            c, r = divmod(c, lead)
+            if r:
+                return None
+        else:
+            c = c / lead
+        quo[k] = c
+        for i in range(top):
+            rem[k + i] -= c * b[i]
+    return None if any(rem[:top]) else normalize(quo)
+
+
+def _symmetric_digits(n: int, base: int) -> list[int]:
+    """The digits of n in base >= 2, each in (-base/2, base/2], low first."""
+    digits, half = [], base // 2
+    while n:
+        n, d = divmod(n, base)
+        if d > half:
+            n, d = n + 1, d - base
+        digits.append(d)
+    return digits
+
+
 def gcd(a, b) -> tuple:
     """gcd over Q, as the primitive integer polynomial with positive lead.
 
-    a and b may have int or rational coefficients.  A primitive polynomial
-    remainder sequence over Z (Brown, 1971): every pseudo-remainder is
-    divided by its content, so that the scalings of one step do not
-    compound into the next, and no rational is formed.
+    a and b may have int or rational coefficients.  GCDHEU: see the module
+    docstring for why a candidate that divides both is the gcd, and why one
+    is found.
     """
     a, b = _primitive(normalize(a)), _primitive(normalize(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return tuple(a) if not a or a[-1] > 0 else neg(a)
+    if not a or not b:
+        g = a or b
+        return tuple(g) if not g or g[-1] > 0 else neg(g)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        g = _primitive(_symmetric_digits(int_gcd(evaluate(a, xi), evaluate(b, xi)), xi))
+        if g[-1] < 0:
+            g = [-c for c in g]
+        if len(g) == 1 or quotient(a, g) is not None and quotient(b, g) is not None:
+            return tuple(g)
+        xi = 2 * xi + 1
 
 
 def sturm_sequence(a) -> list[list[int]]:

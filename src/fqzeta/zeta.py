@@ -36,6 +36,24 @@ from .errors import (
 from .varieties import PointCountSeries, _is_int
 
 
+def _is_integral(x) -> bool:
+    """An int, or a Fraction or float of integral value; a bool is none of these."""
+    if isinstance(x, Fraction):
+        return x.denominator == 1
+    return _is_int(x) or isinstance(x, float) and x.is_integer()
+
+
+def _int_poly(coeffs, what: str) -> tuple[int, ...]:
+    """coeffs as ints without trailing zeros; a non-integral one raises ValueError."""
+    coeffs = tuple(coeffs)
+    if not all(type(c) is int for c in coeffs):
+        for c in coeffs:
+            if not _is_integral(c):
+                raise ValueError(f"{what} coefficients must be integers, got {c!r}")
+        coeffs = tuple(int(c) for c in coeffs)
+    return polys.normalize(coeffs)
+
+
 @dataclass(frozen=True)
 class ZetaFunction:
     """A reduced rational function in t; num and den have constant term 1."""
@@ -45,10 +63,8 @@ class ZetaFunction:
     den: tuple[int, ...]
 
     def __post_init__(self):
-        num = polys.normalize(self.num)
-        den = polys.normalize(self.den)
-        object.__setattr__(self, "num", tuple(int(c) for c in num))
-        object.__setattr__(self, "den", tuple(int(c) for c in den))
+        object.__setattr__(self, "num", _int_poly(self.num, "numerator"))
+        object.__setattr__(self, "den", _int_poly(self.den, "denominator"))
         if not self.num or self.num[0] != 1 or not self.den or self.den[0] != 1:
             raise ValueError("numerator and denominator must have constant term 1")
         g = polys.gcd(self.num, self.den)
@@ -75,7 +91,7 @@ class CohomologyProfile:
             raise ValueError(f"profile d must be an integer, got {self.d!r}")
         # Integral floats such as 1.0 are Betti numbers too; 2.5 or True is not.
         if not isinstance(self.betti, (list, tuple)) or not all(
-            _is_int(b) or isinstance(b, float) and b.is_integer() for b in self.betti
+            _is_integral(b) for b in self.betti
         ):
             raise ValueError(f"profile betti must be a list of integers, got {self.betti!r}")
         object.__setattr__(self, "betti", tuple(int(b) for b in self.betti))
@@ -117,7 +133,7 @@ class WeilFactorization:
     factors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        factors = tuple(tuple(int(c) for c in polys.normalize(f)) for f in self.factors)
+        factors = tuple(_int_poly(f, "factor") for f in self.factors)
         object.__setattr__(self, "factors", factors)
         if len(self.factors) != 2 * self.d + 1:
             raise ValueError(f"expected {2 * self.d + 1} factors, got {len(self.factors)}")
@@ -193,15 +209,9 @@ def _series_div(a, b, order: int) -> list:
     return out
 
 
-def _quotient(a, b):
-    """a / b for b(0) = 1 by series division, or None unless multiplying back gives a."""
-    quo = polys.normalize(_series_div(a, b, polys.degree(a) - polys.degree(b)))
-    return quo if polys.mul(quo, b) == polys.normalize(a) else None
-
-
 def _exact_quotient(a, b) -> tuple:
-    """a / b for b | a with b(0) = 1."""
-    quo = _quotient(a, b)
+    """a / b for b | a with b(0) = 1, so that an integer b is primitive (polys.quotient)."""
+    quo = polys.quotient(a, b)
     if quo is None:
         raise ArithmeticError(f"{_coeff_list(b)} does not divide {_coeff_list(a)}")
     return quo
@@ -224,7 +234,7 @@ def _power_sums(poly, terms: int) -> list[int]:
     -sum_n p_n t^n, so the p_n are ints, read off by series division.
     """
     ta_prime = [0] + [-i * c for i, c in enumerate(poly) if i >= 1]
-    return _series_mul(ta_prime, _series_div([1], poly, terms), terms)[1:]
+    return _series_div(ta_prime, poly, terms)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +383,7 @@ def _is_weil(f, Q: int) -> bool:
     """
     r = math.isqrt(Q)
     for real_pair in ((1, -r), (1, r)) if r * r == Q else ((1, 0, -Q),):
-        while (quo := _quotient(f, real_pair)) is not None:
+        while (quo := polys.quotient(f, real_pair)) is not None:
             f = quo
     m, odd = divmod(len(f) - 1, 2)
     if odd or any(f[m + j] != Q**j * f[m - j] for j in range(1, m + 1)):

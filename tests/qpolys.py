@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from fqzeta.polys import ZERO, normalize
+from fqzeta.polys import ZERO, _primitive, _pseudo_remainder, neg, normalize
 
 ONE: tuple = (Fraction(1),)
 
@@ -33,6 +33,22 @@ def div_mod(a, b) -> tuple[tuple, tuple]:
             rem[shift + i] -= factor * cb
         rem.pop()
     return normalize(quo), normalize(rem)
+
+
+def prs_gcd(a, b) -> tuple:
+    """gcd over Q as the primitive integer polynomial with positive lead, by PRS.
+
+    The oracle for fqzeta.polys.gcd: a primitive polynomial remainder
+    sequence over Z (Brown, 1971), in which every pseudo-remainder is divided
+    by its content, so that the scalings of one step do not compound into
+    the next, and no rational is formed.
+    """
+    a, b = _primitive(normalize(a)), _primitive(normalize(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return tuple(a) if not a or a[-1] > 0 else neg(a)
 
 
 def clear_integer_pair(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:

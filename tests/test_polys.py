@@ -83,7 +83,46 @@ def test_gcd_matches_euclidean_oracle(a, b, common):
     got = polys.gcd(a, b)
     # The monic oracle as the primitive integer polynomial, lead positive.
     assert got == qpolys.clear_integer_pair(_euclid_gcd(a, b), ())[0]
+    assert got == qpolys.prs_gcd(a, b)
     assert all(type(c) is int for c in got)
+
+
+def test_gcd_retries_when_the_first_candidate_fails(monkeypatch):
+    # a = (1 + t)(1 + t + t^2), b = (1 + t)(t - 1): at xi = 4, a(4) = 105 and
+    # b(4) = 15, whose gcd 15 = 4^2 - 1 reads back as t^2 - 1, which does not
+    # divide a; at xi = 2*4 + 1 = 9 the candidate is 1 + t.
+    a, b = (1, 2, 2, 1), (-1, 0, 1)
+    assert polys.quotient(a, (-1, 0, 1)) is None
+    points = []
+    evaluate = polys.evaluate
+
+    def recording(poly, x):
+        points.append(x)
+        return evaluate(poly, x)
+
+    monkeypatch.setattr(polys, "evaluate", recording)
+    assert polys.gcd(a, b) == (1, 1) == qpolys.prs_gcd(a, b)
+    assert points == [4, 4, 9, 9]
+
+
+def test_quotient_is_exact_division_or_none():
+    assert polys.quotient((1, 2, 1), (1, 1)) == (1, 1)
+    assert polys.quotient((1, 2, 2), (1, 1)) is None
+    assert polys.quotient((1,), (1, 1)) is None
+    assert polys.quotient((), (1, 1)) == ()
+    assert polys.quotient((-4, 6), (-2,)) == (2, -3)
+    # Over Z a non-integral quotient coefficient fails; over Q it divides.
+    assert polys.quotient((1, 1), (2,)) is None
+    assert polys.quotient(F(1, 1), F(2)) == F(Fraction(1, 2), Fraction(1, 2))
+    assert polys.quotient((1, 2, 1), F(Fraction(1, 2), Fraction(1, 2))) == (2, 2)
+
+
+@given(a=_polys, b=_polys.filter(bool), r=_polys)
+def test_quotient_undoes_mul(a, b, r):
+    assert polys.quotient(polys.mul(a, b), b) == a
+    r = r[: len(b) - 1]
+    if any(r):
+        assert polys.quotient(polys.add(polys.mul(a, b), r), b) is None
 
 
 def test_evaluate_and_derivative():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from fqzeta.zeta import (
     counts_from_zeta,
     factor_by_weights,
     _is_weil,
+    _series_from_counts,
     traces_from_factorization,
     zeta_from_counts,
 )
@@ -232,6 +234,31 @@ def test_zeta_function_validation():
         ZetaFunction(3, (1, -1), (1, -3, 2))  # both divisible by 1 - t
     z = ZetaFunction(3, (1, 0, 0), (1, -3))
     assert z.num == (1,)  # trailing zeros normalized away
+
+
+@pytest.mark.parametrize(
+    "num", [(1, Fraction(1, 2)), (1, 2.7), (1, True), (1, 3, float("nan"))], ids=repr
+)
+def test_non_integral_coefficients_raise(num):
+    # int() alone would truncate 1/2 to 0 and 2.7 to 2.
+    with pytest.raises(ValueError, match="numerator coefficients must be integers"):
+        ZetaFunction(5, num, (1, -1))
+    with pytest.raises(ValueError, match="numerator coefficients must be integers"):
+        ZetaFunction.from_dict({"q": 5, "num": list(num), "den": [1, -1]})
+    with pytest.raises(ValueError, match="factor coefficients must be integers"):
+        WeilFactorization(5, 1, ((1, -1), num, (1, -5)))
+    with pytest.raises(ValueError, match="factor coefficients must be integers"):
+        WeilFactorization(5, 0, ((1, 0.5),))
+
+
+def test_integral_fractions_and_floats_are_read_as_ints():
+    z = ZetaFunction(5, (1, Fraction(6, 2), 5.0, Fraction(0), 0.0), (1.0, -6, Fraction(5)))
+    assert z == ZetaFunction(5, (1, 3, 5), (1, -6, 5))
+    assert z == ZetaFunction.from_dict({"q": 5, "num": [1, 3.0, 5, 0], "den": [1, -6.0, 5]})
+    assert all(type(c) is int for c in (*z.num, *z.den))
+    w = WeilFactorization(5, 1, ((1, -1.0), (1, Fraction(3), 5, 0.0), (1, -5)))
+    assert w.factors == ((1, -1), (1, 3, 5), (1, -5))
+    assert all(type(c) is int for f in w.factors for c in f)
 
 
 def test_zeta_equality_is_structural():
@@ -598,6 +625,35 @@ def test_curve_powers_pass_without_float_roots(q, a, n):
     if n == 3:
         assert max(abs(c) for c in w.factors[3]).bit_length() > 53
     assert all(_is_weil(f, q**i) for i, f in enumerate(w.factors))
+    assert check_riemann_hypothesis(w) == {"ok": True, "violations": []}
+
+
+def test_threefold_split_at_full_size():
+    # E^3 over F_13 with a_13 = 3: b_3 = 20, coefficients of 179 bits.  P_k is
+    # exp(-sum p_n t^n / n) of the Kunneth power sums p_n(H^k) = sum over
+    # k_1 + k_2 + k_3 = k of prod_j p_n(H^(k_j) E), with p_n(H^0 E) = 1,
+    # p_n(H^1 E) = s_n and p_n(H^2 E) = q^n.
+    q, a = 13, 3
+    profile = CohomologyProfile(3, (1, 6, 15, 20, 15, 6, 1))
+    s = [2] + frobenius_power_sums(a, q, 20)
+    factors = []
+    for k, b in enumerate(profile.betti):
+        sums = [
+            sum(
+                math.prod((1, s[n], q**n)[j] for j in ks)
+                for ks in itertools.product(range(3), repeat=3)
+                if sum(ks) == k
+            )
+            for n in range(1, b + 1)
+        ]
+        factors.append(tuple(_series_from_counts([-p for p in sums])))
+    factors = tuple(factors)
+    assert factors == curve_power_factors(a, q, 3)
+    zeta = ZetaFunction(q, product_poly(*factors[1::2]), product_poly(*factors[0::2]))
+    assert max(abs(c) for c in (*zeta.num, *zeta.den)).bit_length() == 179
+    w = factor_by_weights(zeta, profile)
+    assert w.factors == factors
+    assert check_functional_equation(w)["ok"]
     assert check_riemann_hypothesis(w) == {"ok": True, "violations": []}
 
 
