@@ -18,7 +18,9 @@ numpy_tables and quadratic_character fill their tables on first use.  Two
 threads that race there build equal tables, and either may be kept.
 
 ExtensionField.vector_ops is the one vectorized kernel: add and mul on int64
-arrays of scalars.  Over F_p it adds and multiplies them mod p.  For k > 1
+arrays of scalars, whose second operand may also be one scalar, a Python
+int, so that a coefficient is never broadcast into an array of its own.
+Over F_p it adds and multiplies them mod p.  For k > 1
 and at most _CHUNK = 2^17 elements it multiplies by exp/log tables,
 a*b = exp[log a + log b] for a generator g (numpy_tables), and adds by XOR
 for p = 2 and otherwise by Zech logarithms, a + b = a (1 + b/a) =
@@ -330,7 +332,11 @@ class ExtensionField:
     # -- vectorized kernel ------------------------------------------------------
 
     def vector_ops(self):
-        """(add, mul) on equal-length int64 arrays of scalars; see the module docstring."""
+        """(add, mul) on int64 arrays of scalars; see the module docstring.
+
+        add(a, b) and mul(a, b) take an array a and either an array b of
+        the same length or one scalar b, an int, and return a new array.
+        """
         if self.order > _MAX_INDEXED_ORDER:
             raise BudgetExceededError(
                 f"indexing the {self.order} elements of F_{self.p}^{self.k} "
@@ -373,7 +379,8 @@ class ExtensionField:
         rows = np.array(self._reduction_rows, dtype=np.int64).reshape(k - 1, k).T
 
         def digits(a):
-            return reduce(a // place[:, None])  # (k, len(a)): row j holds c_j
+            # (k, len(a)), or (k, 1) for one scalar: row j holds c_j.
+            return reduce(a // place[:, None])
 
         def add(a, b):
             return place @ reduce(digits(a) + digits(b))
@@ -415,8 +422,7 @@ class ExtensionField:
             s, g_s = 1, self._generator()
             while s < q - 1:
                 for c0, c1 in _chunks(0, min(s, q - 1 - s), self.k):
-                    factor = np.full(c1 - c0, g_s, dtype=np.int64)
-                    exp[s + c0 : s + c1] = mul(exp[c0:c1], factor)
+                    exp[s + c0 : s + c1] = mul(exp[c0:c1], g_s)
                 s, g_s = 2 * s, self._mul(g_s, g_s)
             exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
             log = np.empty(q, dtype=np.int64)

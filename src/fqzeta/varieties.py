@@ -21,16 +21,19 @@ wholly on the variety, and every other block gets one of four strategies:
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
   whatever the number of equations.  With g the gcd of their polynomials
   in y over F_q, the block holds deg gcd(g, y^(q^n) - y) points, since
-  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}; y^(q^n) mod g
-  takes square-and-multiply over F_q[y], and F_{q^n} is never built.
+  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}, and F_{q^n}
+  is never built.  y^(q^n) mod g is the q-th power of y^(q^(n-1)) mod g,
+  so the spec keeps, for each g, the highest such power computed so far
+  (VarietySpec._frobenius), and a series takes one q-th power per term.
 * by fibres, for a block wholly inside ``span`` of a one-equation spec with
   two or more free coordinates, one of them y of degree at most 2 (at most
   1 if p = 2).  The equation reads A y^2 + B y + C with A, B, C in the
   other free coordinates, which are evaluated at the q^(n(m-1)) other
-  points only; the number of y in each fibre follows from
-  #{y : y^2 = s} = 1 + chi(s), with the quadratic character chi read from
-  the counting field's cached table if it has at most _CHUNK elements, and
-  by Euler's criterion above.
+  points only.  Since #{y : y^2 = s} = 1 + chi(s), each fibre holds
+  1 + chi(B^2 - 4AC) - [A = 0] + q^n [A = B = C = 0] points, so a chunk
+  of them costs one sum of the quadratic character chi, read from the
+  counting field's cached table if it has at most _CHUNK elements, and by
+  Euler's criterion above; where A vanishes identically, none.
 * by halves, for a block wholly inside ``span`` of a one-equation spec
   whose free coordinates fall into two or more groups that no monomial
   links, over a field F_Q of at most _CHUNK elements.  The groups are
@@ -132,6 +135,18 @@ class VarietySpec:
                 sides = _halves_split(self.p, polys[0], n_free)
             plans[prefix] = polys, parts, sides
         return plans
+
+    @cached_property
+    def _frobenius(self) -> dict:
+        """The spec's Frobenius chain: g -> (q^m, y^(q^m) mod g), filled by _count_roots.
+
+        Keyed by g, not by block: reducing exponents mod q^n - 1 can give a
+        block a different g at small n.  Each entry holds the largest q^m
+        counted so far, so the next term of a series starts from it.  Every
+        entry is exact, so two threads that race there lose work, never a
+        count.
+        """
+        return {}
 
     @staticmethod
     def from_dict(data: dict) -> "VarietySpec":
@@ -293,7 +308,7 @@ def count_points(
         if counter is None:
             count += args[0]
         elif counter is _count_roots:
-            count += _count_roots(make_extension(spec.p, spec.k), polys, order)
+            count += _count_roots(make_extension(spec.p, spec.k), polys, order, *args)
         else:
             jobs.append(job)
     if jobs:
@@ -342,7 +357,7 @@ def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
         x = np.arange(c0, c1, dtype=np.int64)
         acc = np.zeros_like(x)
         for c in coeffs:
-            acc = add(mul(acc, x), np.full_like(x, c))
+            acc = add(mul(acc, x), c)
         roots = np.flatnonzero(acc == 0)
         if roots.size:
             return c0 + int(roots[0])
@@ -392,7 +407,7 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
             yield 0, None, polys, (0 if polys is None else block_hi - block_lo,)
             continue
         if n_free == 1 and whole:
-            yield 0, _count_roots, polys, ()
+            yield 0, _count_roots, polys, (spec._frobenius,)
             continue
         # Fewest points first, ties to the earliest.  A partial block stays
         # on the direct path, so partitions of a span cross-check the
@@ -407,16 +422,21 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
         yield min(options, key=lambda option: option[0])
 
 
-def _count_roots(field, plan, order) -> int:
+def _count_roots(field, plan, order, frobenius) -> int:
     """Points of a whole block with one free coordinate y, over F_order.
 
     ``plan`` is the block's plan over ``field`` = F_q, a subfield of F_order.
     With g the gcd of its equations' polynomials in y, the count is
     deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
-    on F_order (g = 0 means every y is a point).  y^order mod g takes
-    log2(order) squarings mod g.  An exponent e >= order becomes
-    ((e - 1) mod (order - 1)) + 1, which gives the same power of every y in
-    F_order, so g has degree below order.
+    on F_order (g = 0 means every y is a point).  An exponent e >= order
+    becomes ((e - 1) mod (order - 1)) + 1, which gives the same power of
+    every y in F_order, so g has degree below order.
+
+    ``frobenius`` is the spec's Frobenius chain (VarietySpec._frobenius):
+    it maps g to (q^m, y^(q^m) mod g) for the largest q^m counted so far.
+    If q^m <= order, y^order mod g is reached from it by q-th powers,
+    y^(q^i) = (y^(q^(i-1)))^q, so a series N_1..N_B takes one q-th power
+    per term; otherwise y^order mod g takes log2(order) squarings from y.
     """
     zero = field.zero
     g = []
@@ -430,8 +450,19 @@ def _count_roots(field, plan, order) -> int:
         g = _fq_gcd(g, poly, field)
     if not g:
         return order
-    frobenius = _fq_powmod([zero, field.one], order, g, field)
-    return len(_fq_frobenius_gcd(g, frobenius, field)) - 1
+    key = tuple(g)
+    stored = frobenius.get(key)
+    if stored is not None and stored[0] <= order:
+        known, power = stored
+        while known < order:
+            power = _fq_powmod(power, field.order, g, field)
+            known *= field.order
+        frobenius[key] = order, power
+    else:
+        power = _fq_powmod([zero, field.one], order, g, field)
+        if stored is None:
+            frobenius[key] = order, power
+    return len(_fq_frobenius_gcd(g, power, field)) - 1
 
 
 def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
@@ -452,46 +483,73 @@ def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
 def _count_fibres(field, ops, parts, n_other) -> int:
     """Points of a whole block whose one equation reads A y^2 + B y + C.
 
-    ``parts`` holds C, B, A (as far as y occurs) over the other n_other free
-    coordinates.  Each of their q^n_other points is the fibre of q values of
-    y, and the fibre holds q points if A = B = C = 0, none if only C != 0,
-    one if A = 0 != B, and 1 + chi(B^2 - 4AC) if A != 0 (p odd), where chi
-    is the quadratic character: read from the field's cached table
-    (ExtensionField.quadratic_character) up to _CHUNK elements, and by
-    Euler's criterion above.
+    ``parts`` holds C, B, -4A (as far as y occurs; see _fibre_split) over
+    the other n_other free coordinates.  Each of their Q^n_other points is
+    the fibre of Q values of y, and with D = B^2 - 4AC it holds
+    1 + chi(D) - [A = 0] + Q [A = B = C = 0] points, where chi is the
+    quadratic character and chi(0) = 0: 1 + chi(D) if A != 0 (p odd), and
+    if A = 0, so that D = B^2, one if B != 0, Q if B = C = 0 and none
+    otherwise.  A chunk of M points thus holds
+    M + sum chi(D) - #{A = 0} + Q #{A = B = C = 0}: one chi sum, read from
+    the field's cached table (ExtensionField.quadratic_character) up to
+    _CHUNK elements and by Euler's criterion above.  Where A vanishes
+    identically, as always for p = 2, that is #{B != 0} + Q #{B = C = 0},
+    with no chi at all.  A part that vanishes identically is not evaluated.
     """
     import numpy as np
 
     add, mul = ops
     q = field.order
-    one, minus_four = field.one, field.element(-4)
+    # None stands for a part that vanishes identically or lies past y's degree.
+    parts = [part if part[0] or part[1] else None for part in parts]
+    parts += [None] * (3 - len(parts))
+    chi = None if parts[2] is None else field.quadratic_character()
     count = 0
     for c0, c1 in _chunks(0, q**n_other, field.k):
         evaluate = _evaluator(field, ops, n_other, c0, c1)
-        values = [evaluate(const, terms) for const, terms in parts]
-        c, b, a = values + [np.zeros_like(values[0])] * (3 - len(values))
-        count += q * int(np.count_nonzero((a == 0) & (b == 0) & (c == 0)))
-        count += int(np.count_nonzero((a == 0) & (b != 0)))
-        quad = a != 0
-        if not quad.any():
-            continue
-        a, b, c = a[quad], b[quad], c[quad]
-        disc = add(mul(b, b), mul(mul(a, c), np.full_like(a, minus_four)))
-        chi = field.quadratic_character()
-        if chi is not None:
-            count += disc.size + int(chi[disc].sum())
-            continue
-        # chi(disc) = disc^((q-1)/2): 1, -1, or 0 for disc = 0.
-        power, base, e = None, disc, (q - 1) // 2
-        while e:
-            if e & 1:
-                power = base if power is None else mul(power, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        count += 2 * int(np.count_nonzero(power == one))
-        count += int(np.count_nonzero(disc == 0))
+        values = [None if part is None else evaluate(*part) for part in parts]
+        c, b, minus_4a = values
+        size = c1 - c0
+        if minus_4a is None:
+            zero_a = size
+            count += 0 if b is None else int(np.count_nonzero(b))
+        else:
+            zero_a = size - int(np.count_nonzero(minus_4a))
+            count += size - zero_a
+            disc = None  # B^2 + (-4A) C, None if it vanishes identically
+            for u, v in ((b, b), (minus_4a, c)):
+                if v is not None:
+                    disc = mul(u, v) if disc is None else add(disc, mul(u, v))
+            if disc is not None:
+                count += _chi_sum(field, mul, chi, disc)
+        if zero_a:
+            vanish = None
+            for value in values:
+                if value is not None:
+                    vanish = value == 0 if vanish is None else vanish & (value == 0)
+            count += q * (size if vanish is None else int(np.count_nonzero(vanish)))
     return count
+
+
+def _chi_sum(field, mul, chi, values) -> int:
+    """The sum of the quadratic character over an array of scalars.
+
+    chi is the field's table, or None above _CHUNK elements: then
+    s^((Q-1)/2) is 1, -1 or 0 for s = 0 (Euler's criterion), and the sum
+    is 2 #{s^((Q-1)/2) = 1} - #{s != 0}.
+    """
+    import numpy as np
+
+    if chi is not None:
+        return int(chi[values].sum())
+    power, base, e = None, values, (field.order - 1) // 2
+    while e:
+        if e & 1:
+            power = base if power is None else mul(power, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return 2 * int(np.count_nonzero(power == field.one)) - int(np.count_nonzero(values))
 
 
 def _count_halves(field, ops, sides, sizes) -> int:
@@ -554,23 +612,23 @@ def _evaluator(field, ops, n_free, c0, c1):
             for t, e in free:
                 vec = power(t, e) if vec is None else mul(vec, power(t, e))
             if scalar != one:
-                vec = mul(np.full_like(vec, scalar), vec)
+                vec = mul(vec, scalar)
             acc = vec if acc is None else add(acc, vec)
         if acc is None:
             return np.full(c1 - c0, const, dtype=np.int64)
-        if const:
-            acc = add(acc, np.full_like(acc, const))
-        return acc
+        return add(acc, const) if const else acc
 
     return evaluate
 
 
 def _fibre_split(p, poly, n_free):
-    """The block polynomial as [C, B, A] with poly = A y^2 + B y + C, or None.
+    """The block polynomial as [C, B, -4A] with poly = A y^2 + B y + C, or None.
 
     y is a free coordinate of least degree, which must be at most 2 (at most
-    1 in characteristic 2, where B^2 - 4AC says nothing); C, B, A are block
-    polynomials in the other free coordinates, listed up to y's degree.
+    1 in characteristic 2, where B^2 - 4AC says nothing); C, B, -4A are
+    block polynomials in the other free coordinates, listed up to y's
+    degree.  A is kept as -4A, nonzero where A is for odd p, so that the
+    discriminant is B^2 + (-4A) C.
     """
     const, terms = poly
     degree = [0] * n_free
@@ -582,7 +640,10 @@ def _fibre_split(p, poly, n_free):
         return None
     parts = [[const, []]] + [[0, []] for _ in range(degree[y])]
     for scalar, free in terms:
-        part = parts[dict(free).get(y, 0)]
+        power = dict(free).get(y, 0)
+        if power == 2:  # -4A, so that B^2 - 4AC = B^2 + (-4A) C
+            scalar = add_digits(0, scalar, p, -4)
+        part = parts[power]
         rest = tuple((t - (t > y), e) for t, e in free if t != y)
         if rest:
             part[1].append((scalar, rest))

@@ -609,6 +609,36 @@ def test_find_pair_imports_no_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_roots_only_count_imports_no_numpy(fixtures_dir, tmp_path):
+    # A line in P^1 over F_4 and x_0^3 = 2 x_1^3 in P^1 over F_5, the two
+    # `count` jobs of the zeta_large_fields benchmark, have only blocks
+    # counted by roots, over F_q with polynomial gcds.  Importing numpy
+    # would add about 150 ms to each.
+    binomial = tmp_path / "binomial.json"
+    binomial.write_text(
+        json.dumps(
+            {
+                "label": "x_0^3 - 2 x_1^3",
+                "p": 5,
+                "k": 1,
+                "ambient": {"type": "projective", "dim": 1},
+                "equations": [[[1, [3, 0]], [-2, [0, 3]]]],
+            }
+        )
+    )
+    script = (
+        "import contextlib, io, sys\n"
+        "from fqzeta import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['count', {str(fixtures_dir / 'line_f4.json')!r}, '-n', '8']) == 0\n"
+        f"    assert cli.main(['count', {str(binomial)!r}, '-n', '7']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_console_entry_point_subprocess():
     proc = _run_module("solve", "-d", "3", "--format", "json")
     assert proc.returncode == 0

@@ -215,9 +215,14 @@ def test_exp_table_runs_through_every_nonzero_index(p, k):
         pytest.param(3, 3, True, id="3-3-digit-kernel"),
         pytest.param(3, 3, False, id="3-3"),
         pytest.param(7, 1, False, id="7-1-digit-kernel"),
+        pytest.param(31, 1, False, id="31-1"),
         pytest.param(1031, 1, False, id="1031-1"),
         pytest.param(2**31 - 1, 1, False, id="2147483647-1"),
+        pytest.param(3, 4, False, id="3-4"),
+        pytest.param(31, 2, False, id="31-2"),
         pytest.param(37, 2, False, id="37-2"),
+        pytest.param(367, 2, False, id="367-2"),
+        pytest.param(2, 7, False, id="2-7"),
         pytest.param(2, 11, False, id="2-11"),
         pytest.param(2, 17, False, id="2-17"),
         pytest.param(2, 18, False, id="2-18"),
@@ -230,7 +235,10 @@ def test_vector_ops_match_scalar_arithmetic(p, k, digits, fresh_tables):
     # above it and, with ``digits``, in F_27, where it adds and fills exp;
     # the residue kernel of F_p; and, at p = 2^31 - 1, digits and residues
     # whose products reach 2^62: the int64 headroom both kernels must
-    # respect.
+    # respect.  Each kernel also takes one scalar, an int, as the second
+    # operand, and must treat it as that scalar broadcast to an array:
+    # residues (F_31, F_{2^31 - 1}), XOR (F_{2^7}), Zech tables (F_{3^4},
+    # F_{31^2}) and digits (F_{367^2}).
     import numpy as np
 
     field = fresh_tables(make_extension(p, k))
@@ -244,6 +252,11 @@ def test_vector_ops_match_scalar_arithmetic(p, k, digits, fresh_tables):
     for i, (x, y) in enumerate(zip(a, b)):
         assert got_add[i] == field._add(x, y)
         assert got_mul[i] == field._mul(x, y)
+    vec = np.array(a, dtype=np.int64)
+    for s in (0, field.one, field._sub(0, field.one), rng.randrange(field.order)):
+        broadcast = np.full_like(vec, s)
+        assert (add(vec, s) == add(vec, broadcast)).all(), s
+        assert (mul(vec, s) == mul(vec, broadcast)).all(), s
 
 
 def test_vector_ops_reuses_cached_tables(monkeypatch):

@@ -567,6 +567,16 @@ def test_weierstrass_n2_over_f367_squared_runs_euler(fresh_tables):
     assert got == p**2 + 1 - (trace**2 - 2 * p)
 
 
+def test_linear_fibres_build_no_chi(fresh_tables):
+    # y x^2 z^2 + x^2 + z^2 - 1 over F_7 is linear in y, so A vanishes
+    # identically: each fibre holds [B != 0] + 7 [B = C = 0] points, and no
+    # quadratic character is taken.
+    spec = _four_kinds(7, 1, linear=True)
+    field = fresh_tables(make_extension(7, 1))
+    assert count_points(spec, 1) == count_pure(spec, field, embedded_equations(spec, field), 0, 7**3)
+    assert field._np_chi is None
+
+
 def test_first_root_builds_no_tables(fixtures_dir, fresh_tables):
     # F_{4^9} = F_{2^18} lies above the 2^17 cap, so the search for a root of
     # F_4's modulus runs on the digit-wise kernel.
@@ -603,6 +613,24 @@ def _one_equation(p, k, kind, dim, terms):
             "equations": [[[c, list(e)] for c, e in terms]],
         }
     )
+
+
+def _four_kinds(p, k, linear=False):
+    """y^2 x^2 z^2 + y x^2 + z^2 - 1 in A^3 over F_{p^k}, y first.
+
+    A = x^2 z^2, B = x^2 and C = z^2 - 1 vanish on different lines, so the
+    fibres over (x, z) are of all four kinds: A != 0; A = 0 != B (z = 0 !=
+    x); A = B = 0 != C (x = 0, z != +-1); A = B = C = 0 (x = 0, z = +-1).
+    With ``linear``, y x^2 z^2 + x^2 + z^2 - 1, whose fibres mix B != 0,
+    B = 0 != C and B = C = 0.
+    """
+    one = [1] + [0] * (k - 1) if k > 1 else 1
+    minus_one = [p - 1] + [0] * (k - 1) if k > 1 else -1
+    if linear:
+        terms = [(one, (1, 2, 2)), (one, (0, 2, 0)), (one, (0, 0, 2)), (minus_one, (0, 0, 0))]
+    else:
+        terms = [(one, (2, 2, 2)), (one, (1, 2, 0)), (one, (0, 0, 2)), (minus_one, (0, 0, 0))]
+    return _one_equation(p, k, "affine", 3, terms)
 
 
 def _assert_matches_oracle(spec):
@@ -662,6 +690,11 @@ def test_fibre_count_matches_oracle(spec):
         ),
         # y^2 z = x^3 + 2 x z^2 + 3 z^3 over F_49: a quadratic fibre per z in the chart x = 1.
         pytest.param(_curve(7, 2, 3), True, id="weierstrass-quadratic"),
+        # Fibres of all four kinds: the identity
+        # 1 + chi(B^2 - 4AC) - [A = 0] + Q [A = B = C = 0] on each.
+        pytest.param(_four_kinds(7, 1), True, id="four-kinds-f7"),
+        pytest.param(_four_kinds(3, 2), True, id="four-kinds-f9"),
+        pytest.param(_four_kinds(2, 3, linear=True), True, id="linear-kinds-f8"),
     ],
 )
 def test_fibre_or_direct_path_matches_oracle(spec, fibres):
@@ -905,6 +938,43 @@ def test_each_block_is_planned_once(monkeypatch):
     counts = count_series(spec, 3).counts
     assert counts[:2] == (n1, p**2 + 1 - (trace**2 - 2 * p))
     assert [prefix for _, _, prefix in calls] == [(1,), (0, 1), (0, 0, 1)]
+    # A roots block takes one q-th power per term of a series: x_0^3 = 2 x_1^3
+    # over F_5 has one point for odd n, where cubing permutes F_{5^n}, and
+    # three for even n, where 2 is a cube.
+    exponents = []
+    powmod = varieties._fq_powmod
+    monkeypatch.setattr(
+        varieties, "_fq_powmod", lambda base, e, *rest: exponents.append(e) or powmod(base, e, *rest)
+    )
+    binomial = _binary_form_p1(5, [[1, [3, 0]], [-2, [0, 3]]])
+    assert count_series(binomial, 7).counts == (1, 3, 1, 3, 1, 3, 1)
+    assert exponents == [5] * 7
+
+
+def test_frobenius_chain_matches_the_oracle():
+    # y^4 + y + 1 in A^1 over F_3: at n = 1 the exponent 4 enters g as y^2,
+    # so g = y^2 + y + 1, and from n = 2 on g = y^4 + y + 1.  The series
+    # keeps one chain for each g.  A fresh spec computes y^(3^6) mod g from
+    # y, and a smaller n after the series starts again from y.
+    def spec():
+        return VarietySpec.from_dict(
+            {
+                "label": "y^4 + y + 1",
+                "p": 3,
+                "k": 1,
+                "ambient": {"type": "affine", "dim": 1},
+                "equations": [[[1, [4]], [1, [1]], [1, [0]]]],
+            }
+        )
+
+    series = spec()
+    counts = count_series(series, 6).counts
+    assert counts == (1, 1, 4, 1, 1, 4) and len(series._frobenius) == 2
+    for n in (1, 2, 3):
+        field = make_extension(3, n)
+        assert counts[n - 1] == count_pure(series, field, embedded_equations(series, field), 0, 3**n)
+    assert count_points(spec(), 6) == counts[5]
+    assert count_points(series, 3) == counts[2]
 
 
 def test_plan_builds_no_field(monkeypatch):
