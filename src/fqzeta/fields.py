@@ -33,13 +33,15 @@ int64 cannot hold: vector_ops refuses it with BudgetExceededError before
 any array is built, so a count that would evaluate there exits like one
 over budget.  Every field of at most _CHUNK elements, F_p included, also
 keeps a table of its quadratic character (quadratic_character), built from
-one kernel product, the squares of its nonzero elements.  Counting fetches
-the kernel once per count, and only if its plan evaluates points:
-by fibres, halves or directly, for blocks with two or more free coordinates
-or cut by a span.  Only those blocks' scalars are then embedded in the
-counting field.  A whole block with at most one free coordinate is counted
-over the spec's own field, with the _fq_* polynomial helpers below, so a
-line in P^1 or the lone point of P^0 is counted over any F_{p^n}.
+one kernel product, the squares of its nonzero elements; chi_sum reads a
+character sum from that table, or by Euler's criterion on the kernel in a
+larger field.  Counting fetches the kernel once per count, and only if its
+plan evaluates points: by fibres, halves or directly, for blocks with two or
+more free coordinates or cut by a span.  Only those blocks' scalars are then
+embedded in the counting field.  A whole block with at most one free
+coordinate is counted over the spec's own field, with the _fq_* polynomial
+helpers below, so a line in P^1 or the lone point of P^0 is counted over any
+F_{p^n}.
 """
 
 from __future__ import annotations
@@ -365,7 +367,9 @@ class ExtensionField:
         p, k = self.p, self.k
 
         def reduce(x):
-            x -= x // p * p  # x %= p; numpy divides by a scalar much faster
+            # x %= p; numpy 2.4.6 beats a * b % p with this from 961 elements
+            # up (4.0 vs 5.3 us; 2^17: 422 vs 677 us), losing on 31 (2.2 vs 1.1).
+            x -= x // p * p
             return x
 
         if k == 1:
@@ -443,7 +447,7 @@ class ExtensionField:
 
         chi[0] = 0, chi[s] = 1 for a nonzero square s and -1 otherwise; it
         is built from one kernel product, the squares of the nonzero
-        elements.  Above the cap a count uses Euler's criterion instead.
+        elements.
         """
         if self.order > _CHUNK:
             return None
@@ -457,6 +461,29 @@ class ExtensionField:
             chi[0] = 0
             self._np_chi = chi
         return self._np_chi
+
+    def chi_sum(self, values) -> int:
+        """The sum of the quadratic character over an int64 array of scalars.
+
+        Read from the cached table (quadratic_character) up to _CHUNK
+        elements.  Above it, s^((Q-1)/2) on the kernel is 1, -1 or 0 for
+        s = 0 (Euler's criterion), and the sum is
+        2 #{s^((Q-1)/2) = 1} - #{s != 0}.
+        """
+        import numpy as np
+
+        chi = self.quadratic_character()
+        if chi is not None:
+            return int(chi[values].sum())
+        _, mul = self.vector_ops()
+        power, base, e = None, values, (self.order - 1) // 2
+        while e:
+            if e & 1:
+                power = base if power is None else mul(power, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        return 2 * int(np.count_nonzero(power == self.one)) - int(np.count_nonzero(values))
 
     def _generator(self) -> int:
         """The least nonzero scalar of multiplicative order Q - 1."""

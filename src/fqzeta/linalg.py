@@ -7,16 +7,18 @@ Q(q) in a rational-function class that only they use; no program code
 calls it.  ``primitive_rref`` reduces the trace solver's rows
 (weight-graded, so over Q) sparse in Z: each row is a dict of its nonzero
 integer entries, kept primitive.  ``solve``, for the zeta fit's linear
-systems, also works in integers: it scales each row to Z and eliminates
-fraction-free (Bareiss, 1968), so that the only Fractions it forms are its
-solution.
+systems, also works in integers and eliminates fraction-free (Bareiss,
+1968), so that the only Fractions it forms are its solution.  Both scale
+their rows to Z with ``polys.primitive``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from . import polys
 
 
 def rref(matrix: Sequence[Sequence], col_order: Sequence[int] | None = None):
@@ -68,15 +70,9 @@ def primitive_rref(matrix: Sequence[Sequence], col_order: Sequence[int]):
     Each step replaces every row with a nonzero f in the pivot column by
     pv * row - f * pivot row, pv > 0 the pivot entry, divided by its content.
     """
-    rows = []
-    for entries in matrix:
-        den = lcm(*(x.denominator for x in entries if x))
-        row = {
-            i: x.numerator * (den // x.denominator)
-            for i, x in enumerate(entries)
-            if x
-        }
-        rows.append(_primitive(row))
+    rows = [
+        {i: x for i, x in enumerate(polys.primitive(entries)) if x} for entries in matrix
+    ]
     pivots: list[tuple[int, int]] = []
     for col in col_order:
         r = len(pivots)
@@ -106,7 +102,10 @@ def primitive_rref(matrix: Sequence[Sequence], col_order: Sequence[int]):
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries; an empty row stays empty."""
+    """The row divided by the gcd of its entries; an empty row stays empty.
+
+    The rows are integral, so polys.primitive here would only slow the loop.
+    """
     g = gcd(*row.values())
     return {i: x // g for i, x in row.items()} if g > 1 else row
 
@@ -124,11 +123,7 @@ def solve(matrix, rhs):
     side over its pivot.
     """
     nunk = len(matrix[0]) if matrix else 0
-    aug = []
-    for row, b in zip(matrix, rhs):
-        entries = [Fraction(x) for x in row] + [Fraction(b)]
-        den = lcm(*(x.denominator for x in entries))
-        aug.append([x.numerator * (den // x.denominator) for x in entries])
+    aug = [list(polys.primitive([*row, b])) for row, b in zip(matrix, rhs)]
     pivots: list[tuple[int, int]] = []
     prev = 1
     for col in range(nunk):

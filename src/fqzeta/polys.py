@@ -2,15 +2,19 @@
 
 Polynomials are tuples of coefficients, low degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-rationals.
+rationals, except that quotient takes ints only.
 
-gcd takes either and returns the primitive integer gcd with a positive
-lead.  It is the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J.
-Symbolic Comput. 7, 1989): after clearing denominators and contents, one
-evaluation of each input at an integer xi, one integer gcd, and a candidate
-read back from the symmetric base-xi digits of that gcd, returned only if
-it divides both inputs exactly (quotient).  Both inputs are primitive and
-xi starts at 2 min(|a|, |b|) + 2, |.| the largest coefficient magnitude.
+primitive is the one routine that clears denominators: it scales ints or
+rationals by a positive rational to the primitive integer multiple.  gcd
+takes either and returns (g, abar, bbar): g is the primitive integer gcd
+with a positive lead, and abar and bbar are the integer cofactors, the
+primitive parts of a and b divided by g.  It is the heuristic gcd of Char,
+Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989): after clearing
+denominators and contents, one evaluation of each input at an integer xi,
+one integer gcd, and a candidate read back from the symmetric base-xi
+digits of that gcd, returned only if it divides both inputs exactly
+(quotient), whose quotients are the cofactors.  Both inputs are primitive
+and xi starts at 2 min(|a|, |b|) + 2, |.| the largest coefficient magnitude.
 
 * Certificate.  Say |a| is the smaller norm.  Every root alpha of a has
   |alpha| < 1 + |a| <= xi / 2 (Cauchy's bound).  Let G be the candidate,
@@ -83,15 +87,18 @@ def mul(a, b) -> tuple:
     return normalize(out)
 
 
-def _primitive(a) -> list[int]:
-    """The primitive integer polynomial that is a positive rational multiple of a."""
+def primitive(a) -> tuple[int, ...]:
+    """The primitive integer multiple of ints or rationals a by a positive rational.
+
+    Zeros, trailing ones included, stay, so a matrix row keeps its length.
+    """
     if all(type(c) is int for c in a):
-        ints = list(a)
+        ints = a
     else:
         den = int_lcm(*(c.denominator for c in a))
         ints = [c.numerator * (den // c.denominator) for c in a]
     content = int_gcd(*ints)
-    return [c // content for c in ints] if content > 1 else ints
+    return tuple(c // content for c in ints) if content > 1 else tuple(ints)
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -120,25 +127,21 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def quotient(a, b) -> tuple | None:
-    """a / b if b divides a exactly, else None; b is nonzero.
+    """a / b if b divides a exactly in Z[t], else None; a and b hold ints, b nonzero.
 
-    Long division from the top.  Over ints each quotient coefficient must be
-    an integer, which for a primitive b (say b(0) = 1) is divisibility over
-    Q, by Gauss's lemma; a rational a or b divides over Q.
+    Long division from the top, in which every quotient coefficient must be
+    an integer; for a primitive b (say b(0) = 1) that is divisibility over
+    Q, by Gauss's lemma.
     """
     rem, lead, top = list(a), b[-1], len(b) - 1
     quo = [0] * max(len(rem) - top, 0)
-    exact = type(lead) is int
     for k in reversed(range(len(quo))):
         c = rem[k + top]
         if not c:
             continue
-        if exact and type(c) is int:
-            c, r = divmod(c, lead)
-            if r:
-                return None
-        else:
-            c = c / lead
+        c, r = divmod(c, lead)
+        if r:
+            return None
         quo[k] = c
         for i in range(top):
             rem[k + i] -= c * b[i]
@@ -156,28 +159,35 @@ def _symmetric_digits(n: int, base: int) -> list[int]:
     return digits
 
 
-def gcd(a, b) -> tuple:
-    """gcd over Q, as the primitive integer polynomial with positive lead.
+def gcd(a, b) -> tuple[tuple, tuple, tuple]:
+    """(g, abar, bbar): the gcd over Q and the cofactors, all in Z[t].
 
-    a and b may have int or rational coefficients.  GCDHEU: see the module
-    docstring for why a candidate that divides both is the gcd, and why one
-    is found.
+    a and b may have int or rational coefficients.  g is the primitive
+    integer gcd with a positive lead, and g abar and g bbar are the
+    primitive parts of a and b; a zero input has the cofactor 0, so that
+    gcd(0, 0) is (0, 0, 0).  GCDHEU: see the module docstring for why a
+    candidate that divides both is the gcd, and why one is found.
     """
-    a, b = _primitive(normalize(a)), _primitive(normalize(b))
+    a, b = primitive(normalize(a)), primitive(normalize(b))
     if not a or not b:
         g = a or b
-        return tuple(g) if not g or g[-1] > 0 else neg(g)
+        sign = -1 if g and g[-1] < 0 else 1
+        return scale(g, sign), a and (sign,), b and (sign,)
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
-        g = _primitive(_symmetric_digits(int_gcd(evaluate(a, xi), evaluate(b, xi)), xi))
+        g = primitive(_symmetric_digits(int_gcd(evaluate(a, xi), evaluate(b, xi)), xi))
         if g[-1] < 0:
-            g = [-c for c in g]
-        if len(g) == 1 or quotient(a, g) is not None and quotient(b, g) is not None:
-            return tuple(g)
+            g = neg(g)
+        if len(g) == 1:
+            return g, a, b
+        abar = quotient(a, g)
+        bbar = None if abar is None else quotient(b, g)
+        if bbar is not None:
+            return g, abar, bbar
         xi = 2 * xi + 1
 
 
-def sturm_sequence(a) -> list[list[int]]:
+def sturm_sequence(a) -> list[tuple[int, ...]]:
     """Sturm sequence of an integer polynomial a of degree >= 0, in integers.
 
     a, then positive multiples of a' and of each negated remainder, made
@@ -186,10 +196,10 @@ def sturm_sequence(a) -> list[list[int]]:
     textbook sequence; the last entry is a multiple of gcd(a, a'), so
     V(x) - V(y) counts the distinct real roots in (x, y) for x < y.
     """
-    seq = [list(normalize(a))]
-    nxt = list(derivative(a))
+    seq = [normalize(a)]
+    nxt = derivative(a)
     while nxt:
-        seq.append(_primitive(nxt))
+        seq.append(primitive(nxt))
         nxt = [-c for c in _pseudo_remainder(seq[-2], seq[-1])]
     return seq
 

@@ -29,9 +29,10 @@ done in Z with primitive rows, with the powers of q put back from the grading
 (see solve_forced).  A row that is not homogeneous is refused with a
 ValueError.
 
-instantiate_at_q specializes the system at a rational q0 > 1, and
-solve_forced_numeric re-derives the forced set there by an independent
-rank-comparison elimination, serving as an oracle for the symbolic result.
+instantiate_at_q specializes the system at a rational q0 > 1, keeping its
+flags, and solve_forced_numeric re-derives the forced set there by an
+independent rank-comparison elimination, serving as an oracle for the
+symbolic result.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class TraceConstraintSystem:
 class NumericTraceSystem:
     d: int
     q0: Fraction
-    labels: tuple[str, ...]
+    flags: SolverFlags
     rows: tuple[tuple[Fraction, ...], ...]
 
 
@@ -254,9 +255,7 @@ def instantiate_at_q(system: TraceConstraintSystem, q0) -> NumericTraceSystem:
     rows = tuple(
         tuple(c * q0**e for c, e in row.coeffs) for row in system.rows
     )
-    return NumericTraceSystem(
-        system.d, q0, tuple(r.label for r in system.rows), rows
-    )
+    return NumericTraceSystem(system.d, q0, system.flags, rows)
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
@@ -303,12 +302,7 @@ def solve_forced_numeric(nsys: NumericTraceSystem) -> ForcedReport:
     # Residual relations are presentation only; read them off the same
     # integer reduction as solve_forced.
     _, residual = _reduce(nsys.rows, n, graded=False)
-    flags = SolverFlags(
-        "ALBANESE" in nsys.labels,
-        any(lbl.startswith("HL(") for lbl in nsys.labels),
-        any(lbl.startswith("TRIVIAL(") for lbl in nsys.labels),
-    )
-    return ForcedReport(nsys.d, flags, tuple(forced), tuple(residual), q0=nsys.q0)
+    return ForcedReport(nsys.d, nsys.flags, tuple(forced), tuple(residual), q0=nsys.q0)
 
 
 @dataclass(frozen=True)

@@ -490,11 +490,10 @@ def _count_fibres(field, ops, parts, n_other) -> int:
     quadratic character and chi(0) = 0: 1 + chi(D) if A != 0 (p odd), and
     if A = 0, so that D = B^2, one if B != 0, Q if B = C = 0 and none
     otherwise.  A chunk of M points thus holds
-    M + sum chi(D) - #{A = 0} + Q #{A = B = C = 0}: one chi sum, read from
-    the field's cached table (ExtensionField.quadratic_character) up to
-    _CHUNK elements and by Euler's criterion above.  Where A vanishes
-    identically, as always for p = 2, that is #{B != 0} + Q #{B = C = 0},
-    with no chi at all.  A part that vanishes identically is not evaluated.
+    M + sum chi(D) - #{A = 0} + Q #{A = B = C = 0}: one chi sum
+    (ExtensionField.chi_sum).  Where A vanishes identically, as always for
+    p = 2, that is #{B != 0} + Q #{B = C = 0}, with no chi at all.  A part
+    that vanishes identically is not evaluated.
     """
     import numpy as np
 
@@ -503,7 +502,6 @@ def _count_fibres(field, ops, parts, n_other) -> int:
     # None stands for a part that vanishes identically or lies past y's degree.
     parts = [part if part[0] or part[1] else None for part in parts]
     parts += [None] * (3 - len(parts))
-    chi = None if parts[2] is None else field.quadratic_character()
     count = 0
     for c0, c1 in _chunks(0, q**n_other, field.k):
         evaluate = _evaluator(field, ops, n_other, c0, c1)
@@ -521,7 +519,7 @@ def _count_fibres(field, ops, parts, n_other) -> int:
                 if v is not None:
                     disc = mul(u, v) if disc is None else add(disc, mul(u, v))
             if disc is not None:
-                count += _chi_sum(field, mul, chi, disc)
+                count += field.chi_sum(disc)
         if zero_a:
             vanish = None
             for value in values:
@@ -529,27 +527,6 @@ def _count_fibres(field, ops, parts, n_other) -> int:
                     vanish = value == 0 if vanish is None else vanish & (value == 0)
             count += q * (size if vanish is None else int(np.count_nonzero(vanish)))
     return count
-
-
-def _chi_sum(field, mul, chi, values) -> int:
-    """The sum of the quadratic character over an array of scalars.
-
-    chi is the field's table, or None above _CHUNK elements: then
-    s^((Q-1)/2) is 1, -1 or 0 for s = 0 (Euler's criterion), and the sum
-    is 2 #{s^((Q-1)/2) = 1} - #{s != 0}.
-    """
-    import numpy as np
-
-    if chi is not None:
-        return int(chi[values].sum())
-    power, base, e = None, values, (field.order - 1) // 2
-    while e:
-        if e & 1:
-            power = base if power is None else mul(power, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return 2 * int(np.count_nonzero(power == field.one)) - int(np.count_nonzero(values))
 
 
 def _count_halves(field, ops, sides, sizes) -> int:

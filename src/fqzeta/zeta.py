@@ -12,9 +12,11 @@ denominator.  This module converts exactly between:
 
 Both conversions from a polynomial in 1 + tZ[t] to the power sums of its
 inverse roots, counts_from_zeta and traces_from_factorization, are one
-routine, _power_sums; _series_from_counts is its inverse.  Counts, zeta
-functions, factors and traces are ints, computed exactly; Fractions arise
-only from counts that no variety has.  Both checks are exact:
+routine, _power_sums; _series_from_counts is its inverse.  Both the fit's
+reduction and the weight split take their quotients from polys.gcd, whose
+certificate has already divided exactly.  Counts, zeta functions, factors
+and traces are ints, computed exactly; Fractions arise only from counts
+that no variety has.  Both checks are exact:
 check_riemann_hypothesis certifies every factor in integers (_is_weil).
 """
 
@@ -67,7 +69,7 @@ class ZetaFunction:
         object.__setattr__(self, "den", _int_poly(self.den, "denominator"))
         if not self.num or self.num[0] != 1 or not self.den or self.den[0] != 1:
             raise ValueError("numerator and denominator must have constant term 1")
-        g = polys.gcd(self.num, self.den)
+        g = polys.gcd(self.num, self.den)[0]
         if polys.degree(g) > 0:
             raise ValueError(f"numerator and denominator share a factor: {_coeff_list(g)}")
 
@@ -209,14 +211,6 @@ def _series_div(a, b, order: int) -> list:
     return out
 
 
-def _exact_quotient(a, b) -> tuple:
-    """a / b for b | a with b(0) = 1, so that an integer b is primitive (polys.quotient)."""
-    quo = polys.quotient(a, b)
-    if quo is None:
-        raise ArithmeticError(f"{_coeff_list(b)} does not divide {_coeff_list(a)}")
-    return quo
-
-
 def _ints_if_integral(poly) -> tuple:
     """poly with int coefficients if they are all integral, else as given."""
     return polys.to_ints(poly) if polys.is_integral(poly) else tuple(poly)
@@ -297,11 +291,10 @@ def zeta_from_counts(
         q_u = (1,)
     num = polys.normalize(_series_mul(q_u, w, num_degree))
     den = polys.mul(kd, q_u)
-    g = polys.gcd(num, den)
+    g, num_bar, den_bar = polys.gcd(num, den)
     if polys.degree(g) > 0:
-        g = _ints_if_integral(polys.scale(g, Fraction(1, g[0])))
-        num = _exact_quotient(num, g)
-        den = _exact_quotient(den, g)
+        num = _ints_if_integral(polys.scale(num_bar, Fraction(1, num_bar[0])))
+        den = _ints_if_integral(polys.scale(den_bar, Fraction(1, den_bar[0])))
 
     # Verify den * Z = num through every supplied term.
     check = _series_mul(den, z, order)
@@ -415,18 +408,20 @@ def factor_by_weights(
         P_i = g(0) g,  g = gcd(F, F_i),
         F_i(t) = sum_m F[deg F - m] q^(im) t^m,
 
-    then divided out of F.  F_i has the inverse roots q^i / alpha, so the gcd
-    keeps every weight-i root with its multiplicity.  A root of weight j > i
+    and F becomes g(0) Fbar, where F = g Fbar with Fbar the gcd's cofactor.
+    F_i has the inverse roots q^i / alpha, so the gcd keeps every weight-i
+    root with its multiplicity.  A root of weight j > i
     would need a partner of weight 2i - j < i, which is already peeled.
     Degrees with b_i = 0 are peeled too, so that no root is absorbed at a
     weight the profile has no slot for.  Inverse roots that are not q-Weil
     numbers may still pair up and be split; check_riemann_hypothesis reports
     them.
 
-    The primitive integer g divides F, which has constant term 1, so by
-    Gauss's lemma g(0) = +-1 and P_i is g scaled to constant term 1, in
-    integers.  Once every deg P_i = b_i the degree checks below leave nothing
-    unpeeled.
+    F lies in Z[t] with F(0) = 1, so F is its own primitive part and
+    F = g Fbar exactly; the primitive integer g divides F, so by Gauss's
+    lemma g(0) = +-1, P_i is g scaled to constant term 1, in integers, and
+    P_i g(0) Fbar = F.  No division is made outside the gcd.  Once every
+    deg P_i = b_i the degree checks below leave nothing unpeeled.
     """
     d, betti, q = profile.d, profile.betti, zeta.q
     if polys.degree(zeta.num) != profile.odd_total:
@@ -444,14 +439,14 @@ def factor_by_weights(
     factors = []
     for i in range(2 * d + 1):
         f = rest[i % 2]
-        g = polys.gcd(f, [c * q ** (i * m) for m, c in enumerate(reversed(f))])
+        g, cofactor, _ = polys.gcd(f, [c * q ** (i * m) for m, c in enumerate(reversed(f))])
         p_i = polys.scale(g, g[0])
         if polys.degree(p_i) != betti[i]:
             raise WeightSeparationError(
                 f"degree {i}: expected {betti[i]} inverse roots of weight {i}, "
                 f"found the factor {p_i}"
             )
-        rest[i % 2] = _exact_quotient(f, p_i)
+        rest[i % 2] = polys.scale(cofactor, g[0])
         factors.append(p_i)
     return WeilFactorization(q, d, tuple(factors))
 

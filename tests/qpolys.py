@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from fqzeta.polys import ZERO, _primitive, _pseudo_remainder, neg, normalize
+from fqzeta.polys import ZERO, _pseudo_remainder, neg, normalize, primitive
 
 ONE: tuple = (Fraction(1),)
 
@@ -43,11 +43,11 @@ def prs_gcd(a, b) -> tuple:
     by its content, so that the scalings of one step do not compound into
     the next, and no rational is formed.
     """
-    a, b = _primitive(normalize(a)), _primitive(normalize(b))
+    a, b = primitive(normalize(a)), primitive(normalize(b))
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+        a, b = b, primitive(_pseudo_remainder(a, b))
     return tuple(a) if not a or a[-1] > 0 else neg(a)
 
 

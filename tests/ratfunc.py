@@ -28,7 +28,7 @@ def _canonical(num, den):
         shift = min(low_num, low_den)
         num, den = num[shift:], den[shift:]
     else:
-        g = polys.gcd(num, den)
+        g = polys.gcd(num, den)[0]
         if polys.degree(g) > 0:
             num = qpolys.div_mod(num, g)[0]
             den = qpolys.div_mod(den, g)[0]

@@ -338,7 +338,7 @@ def _relation_over_qq(row, pivot_col):
     entries = [(i, c) for i, c in enumerate(row) if c]
     common_den = qpolys.ONE
     for _, c in entries:
-        g = polys.gcd(common_den, c.den)
+        g = polys.gcd(common_den, c.den)[0]
         common_den = qpolys.div_mod(polys.mul(common_den, c.den), g)[0]
     cleared = []
     for i, c in entries:

@@ -628,11 +628,13 @@ def test_curve_powers_pass_without_float_roots(q, a, n):
     assert check_riemann_hypothesis(w) == {"ok": True, "violations": []}
 
 
-def test_threefold_split_at_full_size():
-    # E^3 over F_13 with a_13 = 3: b_3 = 20, coefficients of 179 bits.  P_k is
-    # exp(-sum p_n t^n / n) of the Kunneth power sums p_n(H^k) = sum over
-    # k_1 + k_2 + k_3 = k of prod_j p_n(H^(k_j) E), with p_n(H^0 E) = 1,
-    # p_n(H^1 E) = s_n and p_n(H^2 E) = q^n.
+def _threefold_zeta():
+    """(profile, factors, zeta) of E^3 over F_13 with a_13 = 3, b_3 = 20.
+
+    P_k is exp(-sum p_n t^n / n) of the Kunneth power sums p_n(H^k) = sum
+    over k_1 + k_2 + k_3 = k of prod_j p_n(H^(k_j) E), with p_n(H^0 E) = 1,
+    p_n(H^1 E) = s_n and p_n(H^2 E) = q^n.
+    """
     q, a = 13, 3
     profile = CohomologyProfile(3, (1, 6, 15, 20, 15, 6, 1))
     s = [2] + frobenius_power_sums(a, q, 20)
@@ -650,11 +652,41 @@ def test_threefold_split_at_full_size():
     factors = tuple(factors)
     assert factors == curve_power_factors(a, q, 3)
     zeta = ZetaFunction(q, product_poly(*factors[1::2]), product_poly(*factors[0::2]))
+    return profile, factors, zeta
+
+
+def test_threefold_split_at_full_size():
+    # E^3 over F_13: coefficients of 179 bits.
+    profile, factors, zeta = _threefold_zeta()
     assert max(abs(c) for c in (*zeta.num, *zeta.den)).bit_length() == 179
     w = factor_by_weights(zeta, profile)
     assert w.factors == factors
     assert check_functional_equation(w)["ok"]
     assert check_riemann_hypothesis(w) == {"ok": True, "violations": []}
+
+
+def test_weight_split_divides_only_inside_the_gcd(monkeypatch):
+    # The gcd's certificate divides F by g exactly and hands back the
+    # cofactor, so the split peels every weight with no division of its own.
+    profile, factors, zeta = _threefold_zeta()
+    gcd, quotient = polys.gcd, polys.quotient
+    depth, in_gcd = [0], []
+
+    def counting_gcd(a, b):
+        depth[0] += 1
+        try:
+            return gcd(a, b)
+        finally:
+            depth[0] -= 1
+
+    def spying_quotient(a, b):
+        in_gcd.append(depth[0] > 0)
+        return quotient(a, b)
+
+    monkeypatch.setattr(polys, "gcd", counting_gcd)
+    monkeypatch.setattr(polys, "quotient", spying_quotient)
+    assert factor_by_weights(zeta, profile).factors == factors
+    assert in_gcd and all(in_gcd)
 
 
 # Bases of Q = q^i, square and not; Q = (2^31 - 1)^3 puts every coefficient
