@@ -41,7 +41,9 @@ more free coordinates or cut by a span.  Only those blocks' scalars are then
 embedded in the counting field.  A whole block with at most one free
 coordinate is counted over the spec's own field, with the _fq_* polynomial
 helpers below, so a line in P^1 or the lone point of P^0 is counted over any
-F_{p^n}.
+F_{p^n}.  So is a whole plane-curve block, but for the character sums over
+F_q..F_{q^g} that its curve of genus g needs once (varieties._count_curve):
+over F_p, S_1 takes no field and no kernel at all.
 """
 
 from __future__ import annotations
@@ -308,6 +310,8 @@ class ExtensionField:
     def _pow(self, a: int, e: int) -> int:
         if e < 0:
             return self._pow(self._inv(a), -e)
+        if self.k == 1:
+            return pow(a, e, self.p)
         result, base = self.one, a
         while e:
             if e & 1:

@@ -19,8 +19,9 @@ the trace a_p = p + 1 - N_1 fixes the zeta function,
     Z(t) = (1 - a_p t + p t^2) / ((1 - t)(1 - p t)),   N_2 = p^2 + 1 - (a_p^2 - 2p),
 
 so nothing is counted over F_{p^2}.  The tests keep an F_{p^2} character sum
-as the oracle for that recursion.  varieties.count_points would count the
-same fibres, but it imports numpy, which costs more than the whole search.
+as the oracle for that recursion.  varieties.count_points would take the
+same sum with no numpy either, but by Horner's rule over a generic
+polynomial, which costs about twice the inline sum below per class.
 
 Classes are bucketed by N_1.  A bucket holding two or more classes
 witnesses an equal-zeta pair of non-isomorphic curves; since equality of

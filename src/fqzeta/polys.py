@@ -32,10 +32,17 @@ and xi starts at 2 min(|a|, |b|) + 2, |.| the largest coefficient magnitude.
   xi <- 2 xi + 1, so the loop ends.
 
 sturm_sequence takes ints and runs a pseudo-remainder sequence over Z.
+
+_power_sums turns a polynomial in 1 + tZ[t] into the power sums of its
+inverse roots, and _series_from_counts turns power sums back into the
+polynomial's leading coefficients, exp(sum N_n t^n / n).  The zeta
+functions of zeta and the character sums of a plane curve in varieties
+both go through them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
@@ -247,3 +254,51 @@ def render(coeffs, var: str, *, descending: bool = True) -> str:
         else:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
+# Power series in Z[[t]] (Fractions only for counts no variety has), index =
+# degree: the counts of a zeta function and the power sums of its factors.
+# ---------------------------------------------------------------------------
+
+
+def _series_from_counts(counts) -> list:
+    """exp(sum N_n t^n / n) to order len(counts), via z' = (sum N_n t^(n-1)) z.
+
+    The coefficients are ints for the counts of a variety, whose zeta function
+    lies in Z[[t]]; for other counts, such as (2, 1) with z_2 = 5/2, the first
+    inexact division by m turns the series to Fractions.
+    """
+    z = [1]
+    for m in range(1, len(counts) + 1):
+        acc = 0
+        for i in range(1, m + 1):
+            acc += counts[i - 1] * z[m - i]
+        if isinstance(acc, int) and acc % m == 0:
+            z.append(acc // m)
+        else:
+            z.append(Fraction(acc, m))
+    return z
+
+
+def _series_div(a, b, order: int) -> list:
+    """a / b to order t^order, for b(0) = 1: exact over Z when a and b are integral."""
+    if not b or b[0] != 1:
+        raise ValueError("series division requires constant term 1")
+    out = []
+    for m in range(order + 1):
+        acc = a[m] if m < len(a) else 0
+        for i in range(1, min(m, len(b) - 1) + 1):
+            acc -= b[i] * out[m - i]
+        out.append(acc)
+    return out
+
+
+def _power_sums(poly, terms: int) -> list[int]:
+    """p_1..p_terms, p_n the sum of alpha^n over the inverse roots alpha of poly.
+
+    For poly = prod (1 - alpha t) in 1 + tZ[t], t poly'/poly is
+    -sum_n p_n t^n, so the p_n are ints, read off by series division.
+    """
+    ta_prime = [0] + [-i * c for i, c in enumerate(poly) if i >= 1]
+    return _series_div(ta_prime, poly, terms)[1:]

@@ -13,10 +13,11 @@ lexicographic element order, last coordinate fastest.  count_points accepts a
 into disjoint blocks, count them independently (e.g. on separate workers),
 and sum the results.  The budget bounds the size of this domain.
 
-count_points plans the whole count once, with no field built (_plan).  Each
-block (one position of the leading 1) is planned over F_q itself: folding
-the fixed 0s and 1 into the equations decides that a block is empty or
-wholly on the variety, and every other block gets one of four strategies:
+count_points plans the whole count once, building no field but F_q
+(_plan).  Each block (one position of the leading 1) is planned over F_q
+itself: folding the fixed 0s and 1 into the equations decides that a block
+is empty or wholly on the variety, and every other block gets one of five
+strategies:
 
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
   whatever the number of equations.  With g the gcd of their polynomials
@@ -25,6 +26,20 @@ wholly on the variety, and every other block gets one of four strategies:
   is never built.  y^(q^n) mod g is the q-th power of y^(q^(n-1)) mod g,
   so the spec keeps, for each g, the highest such power computed so far
   (VarietySpec._frobenius), and a series takes one q-th power per term.
+* by its curve, for a block wholly inside ``span`` of a one-equation spec
+  with two free coordinates, one of them y of degree at most 2 (at most 1
+  if p = 2), as for fibres below.  The block holds
+  Q + S_n - r(A) + Q r(gcd(A, B, C)) points, Q = q^n, with r the roots
+  in F_Q as above and S_n = sum over z in F_Q of chi(B^2 - 4AC); where A
+  vanishes identically, as always for p = 2, Q - r(B) + Q r(gcd(B, C)).
+  If D = B^2 - 4AC is squarefree, of degree delta, S_n is an integer
+  function of S_1..S_g for the curve w^2 = D(z) of genus
+  g = ceil(delta / 2) - 1 (Weil).  So this costs the q^m evaluations of
+  each S_m, m <= g, once per spec (VarietySpec._curves), and none after
+  that; S_1 over F_p is summed in pure Python, and F_{q^n} is never
+  built.  A D that is not squarefree stays on fibres, and so does a block
+  while the degrees of A, B and C leave room for a genus past n
+  (_plane_curve).
 * by fibres, for a block wholly inside ``span`` of a one-equation spec with
   two or more free coordinates, one of them y of degree at most 2 (at most
   1 if p = 2).  The equation reads A y^2 + B y + C with A, B, C in the
@@ -42,17 +57,18 @@ wholly on the variety, and every other block gets one of four strategies:
   Q^|X| + Q^|Y| evaluations, two histograms of Q entries each.
 * directly, at every point.
 
-Of the last three, a block takes the one that evaluates the fewest points,
-ties going first to fibres, then to halves.  A partial block is always
-counted directly, so partitions of a span cross-check the strategies.
-The half of the plan that no n changes, each block's polynomials and their
-fibre and halves splits, is derived once per spec and kept with it
-(VarietySpec._block_plans), so every term of a series reuses it.
-count_points then runs the plan.  Only the last three build F_{q^n}, once
-for all their blocks, embed their planned scalars in it and evaluate with
-its vectorized kernel (ExtensionField.vector_ops) on chunks of int64
-scalars.  The tests keep a pure-Python counter that evaluates every point
-as the oracle for all four.
+Of the last four, a block takes the one that evaluates the fewest points,
+ties going first to the curve, then to fibres, then to halves.  The curve
+ties with fibres only at n = g = 1, where its S_1 serves every later n.
+A partial block is always counted directly, so partitions of a span
+cross-check the strategies.  The half of the plan that no n changes, each
+block's polynomials and their fibre and halves splits, is derived once per
+spec and kept with it (VarietySpec._block_plans), so every term of a
+series reuses it.  count_points then runs the plan.  Only the last three
+build F_{q^n}, once for all their blocks, embed their planned scalars in
+it and evaluate with its vectorized kernel (ExtensionField.vector_ops) on
+chunks of int64 scalars.  The tests keep a pure-Python counter that
+evaluates every point as the oracle for all five.
 """
 
 from __future__ import annotations
@@ -70,12 +86,14 @@ from .fields import (
     _fq_frobenius_gcd,
     _fq_gcd,
     _fq_powmod,
+    _fq_trim,
     add_digits,
     check_characteristic,
     from_digits,
     make_extension,
     to_digits,
 )
+from .polys import _power_sums, _series_from_counts
 
 DEFAULT_BUDGET = 10**8
 
@@ -145,6 +163,16 @@ class VarietySpec:
         counted so far, so the next term of a series starts from it.  Every
         entry is exact, so two threads that race there lose work, never a
         count.
+        """
+        return {}
+
+    @cached_property
+    def _curves(self) -> dict:
+        """The spec's plane curves: block prefix -> _Curve, or None, filled by _plan.
+
+        None marks a block whose D is not squarefree (see _count_curve).  A
+        _Curve keeps the character sums S_m summed so far, each exact, so
+        two threads that race there lose work, never a count.
         """
         return {}
 
@@ -307,8 +335,8 @@ def count_points(
         _, counter, polys, args = job
         if counter is None:
             count += args[0]
-        elif counter is _count_roots:
-            count += _count_roots(make_extension(spec.p, spec.k), polys, order, *args)
+        elif counter in (_count_roots, _count_curve):
+            count += counter(make_extension(spec.p, spec.k), polys, order, *args)
         else:
             jobs.append(job)
     if jobs:
@@ -392,15 +420,21 @@ def _blocks(spec: VarietySpec, order: int, lo: int, hi: int):
 
 
 def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
-    """(points, counter, polys, args) for each block meeting lo..hi; builds no field.
+    """(points, counter, polys, args) for each block meeting lo..hi.
 
     counter(field, ops, polys, *args) counts a block from its polynomials
     over F_q (see _block_plan), scalars embedded in field = F_order, by
-    evaluating ``points`` points.  _count_roots runs over F_q instead and
-    evaluates none.  An empty or whole block has no counter; args holds the
-    points it adds.  The embedding into F_order is injective and additive,
-    so every choice made over F_q holds over F_order.
+    evaluating ``points`` points.  _count_roots and _count_curve run over
+    F_q instead: the first evaluates none, the second the points of the
+    character sums it has yet to keep.  An empty or whole block has no
+    counter; args holds the points it adds.  The embedding into F_order is
+    injective and additive, so every choice made over F_q holds over
+    F_order.  No field is built but F_q, and that only to form the
+    discriminant of a plane curve (_plane_curve).
     """
+    n, power = 1, spec.q
+    while power < order:
+        n, power = n + 1, power * spec.q
     for prefix, n_free, block_lo, block_hi, whole in _blocks(spec, order, lo, hi):
         polys, parts, sides = spec._block_plans[prefix]
         if not polys:
@@ -413,6 +447,12 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
         # on the direct path, so partitions of a span cross-check the
         # strategies.
         options = []
+        if whole and n_free == 2 and parts is not None:
+            curve = _plane_curve(spec, prefix, parts, n)
+            if curve is not None:
+                unkept = [m for m in range(1, curve.genus + 1) if m not in curve.sums]
+                points = sum(spec.q**m for m in unkept)
+                options.append((points, _count_curve, parts, (n, curve, spec)))
         if whole and parts is not None:
             options.append((order ** (n_free - 1), _count_fibres, parts, (n_free - 1,)))
         if whole and sides is not None and order <= _CHUNK:
@@ -438,18 +478,13 @@ def _count_roots(field, plan, order, frobenius) -> int:
     y^(q^i) = (y^(q^(i-1)))^q, so a series N_1..N_B takes one q-th power
     per term; otherwise y^order mod g takes log2(order) squarings from y.
     """
-    zero = field.zero
     g = []
-    for const, terms in plan:
-        poly = [const]
-        for scalar, ((_, e),) in terms:
-            if e >= order:
-                e = (e - 1) % (order - 1) + 1
-            poly += [zero] * (e + 1 - len(poly))
-            poly[e] = field._add(poly[e], scalar)
-        g = _fq_gcd(g, poly, field)
+    for poly in plan:
+        g = _fq_gcd(g, _univariate(field, poly, order), field)
     if not g:
         return order
+    if len(g) <= 2:  # a constant has no root, y - a its one in F_q
+        return len(g) - 1
     key = tuple(g)
     stored = frobenius.get(key)
     if stored is not None and stored[0] <= order:
@@ -459,10 +494,162 @@ def _count_roots(field, plan, order, frobenius) -> int:
             known *= field.order
         frobenius[key] = order, power
     else:
-        power = _fq_powmod([zero, field.one], order, g, field)
+        power = _fq_powmod([field.zero, field.one], order, g, field)
         if stored is None:
             frobenius[key] = order, power
     return len(_fq_frobenius_gcd(g, power, field)) - 1
+
+
+def _univariate(field, poly, order=None) -> list:
+    """A block polynomial in one free coordinate as its coefficients over F_q = field.
+
+    Low degree first, with no trailing zeros.  Given ``order``, an exponent
+    e >= order enters as ((e - 1) mod (order - 1)) + 1, the same function
+    on F_order.
+    """
+    const, terms = poly
+    coeffs = [const]
+    for scalar, ((_, e),) in terms:
+        if order is not None and e >= order:
+            e = (e - 1) % (order - 1) + 1
+        coeffs += [field.zero] * (e + 1 - len(coeffs))
+        coeffs[e] = field._add(coeffs[e], scalar)
+    return _fq_trim(coeffs)
+
+
+@dataclass
+class _Curve:
+    """w^2 = D(z) for the discriminant D of a two-coordinate fibre block; see _count_curve.
+
+    disc is D over F_q, low degree first, or None where A vanishes
+    identically; genus is ceil(deg D / 2) - 1, at least 0; eps is
+    chi_q(lead D) for even deg D, else 0; sums maps m to S_m for the
+    m <= genus summed so far.
+    """
+
+    disc: list | None
+    genus: int
+    eps: int
+    sums: dict
+
+
+def _plane_curve(spec, prefix, parts, n):
+    """The block's _Curve (see _count_curve), kept with the spec, or None.
+
+    ``parts`` is the block's _fibre_split over its two free coordinates.
+    None where D is not squarefree, and where the block has no _Curve yet
+    and n is too small for one: with a, b, c the degrees of A, B, C read
+    from their exponents (-1 for a part that is absent), the bound
+    delta = max(2b, a + c, a, c) holds for deg D and for every part, and
+    no _Curve is built while ceil(delta / 2) - 1 exceeds n.  So neither D
+    nor a gcd is formed past degree 2n + 2, and y^2 = x^(10^12) + 1 stays
+    on fibres.  A _Curve once built serves every n.
+    """
+    curves = spec._curves
+    if prefix not in curves:
+        c, b, a = (
+            max((e for _, ((_, e),) in terms), default=0 if const else -1)
+            for const, terms in parts
+        )
+        if max(2 * b, a + c, a, c) > 2 * n + 2:
+            return None
+        curves[prefix] = _make_curve(make_extension(spec.p, spec.k), parts)
+    return curves[prefix]
+
+
+def _make_curve(field, parts):
+    """The _Curve of [C, B, -4A] over F_q = field, or None if D is not squarefree."""
+    c, b, minus_4a = (_univariate(field, part) for part in parts)
+    if not minus_4a:
+        return _Curve(None, 0, 0, {})
+    disc = [field.zero] * max(2 * len(b) - 1, len(minus_4a) + len(c) - 1, 0)
+    for u, v in ((b, b), (minus_4a, c)):
+        for i, cu in enumerate(u):
+            for j, cv in enumerate(v):
+                disc[i + j] = field._add(disc[i + j], field._mul(cu, cv))
+    _fq_trim(disc)
+    derivative = [field._mul(field.element(i), ci) for i, ci in enumerate(disc)][1:]
+    if len(_fq_gcd(disc, derivative, field)) != 1:  # D = 0 included
+        return None
+    degree = len(disc) - 1
+    eps = 0
+    if degree % 2 == 0:
+        eps = 1 if field._pow(disc[-1], (field.order - 1) // 2) == field.one else -1
+    return _Curve(disc, max((degree + 1) // 2 - 1, 0), eps, {})
+
+
+def _count_curve(field, parts, order, n, curve, spec) -> int:
+    """Points of a whole block with two free coordinates whose equation reads A y^2 + B y + C.
+
+    ``parts`` holds C, B, -4A over the other coordinate z (_fibre_split)
+    and ``field`` is F_q.  With r(f) the distinct roots of f in F_order
+    (_count_roots, on the spec's Frobenius chain) and
+    S_n = sum over z in F_order of chi(D(z)), D = B^2 - 4AC, summing the
+    fibres of _count_fibres gives Q + S_n - r(A) + Q r(gcd(A, B, C))
+    points, Q = order; where A vanishes identically, as always for p = 2,
+    Q - r(B) + Q r(gcd(B, C)).  Nothing is evaluated over F_order.
+
+    S_n comes from the curve w^2 = D(z) (_Curve), D squarefree of degree
+    delta.  For delta = 0, S_n = Q chi_q(D)^n.  Otherwise its smooth model
+    has genus g = ceil(delta / 2) - 1 and Q + 1 + S_n + eps^n points over
+    F_order: Q + S_n affine ones and 1 + eps^n at infinity.  So the
+    inverse roots of its L-polynomial L(t) = 1 + c_1 t + ... + c_2g t^2g
+    have the power sums -S_m - eps^m (Weil).  S_1..S_g fix c_1..c_g
+    (_series_from_counts), the functional equation c_(2g-j) = q^(g-j) c_j
+    gives the rest, and S_n = -p_n(L) - eps^n (_power_sums), in ints, for
+    every n.  S_1..S_g are summed once per spec (_character_sum).
+    """
+    c, b, minus_4a = parts
+
+    def roots(*polys):
+        return _count_roots(field, polys, order, spec._frobenius)
+
+    if curve.disc is None:
+        return order - roots(b) + order * roots(c, b)
+    disc, genus, eps, sums = curve.disc, curve.genus, curve.eps, curve.sums
+    if len(disc) == 1:
+        s_n = order * eps**n
+    else:
+        for m in range(1, genus + 1):
+            if m not in sums:
+                sums[m] = _character_sum(spec, disc, m)
+        half = _series_from_counts([sums[m] + eps**m for m in range(1, genus + 1)])
+        lpoly = half + [field.order ** (genus - j) * half[j] for j in reversed(range(genus))]
+        s_n = -_power_sums(lpoly, n)[-1] - eps**n
+    return order + s_n - roots(minus_4a) + order * roots(c, b, minus_4a)
+
+
+def _character_sum(spec, disc, m) -> int:
+    """S_m = sum over z in F_{q^m} of chi(D(z)), for D = disc over F_q.
+
+    Over a prime field of at most _CHUNK elements (m = 1, k = 1) it is
+    summed in pure Python, by Horner's rule mod p over a list of chi, so no
+    field is built and numpy is not imported.  Otherwise D is evaluated on
+    the kernel of F_{q^m} and chi summed by ExtensionField.chi_sum.
+    """
+    p = spec.p
+    if m == 1 and spec.k == 1 and p <= _CHUNK:
+        chi = [-1] * p
+        chi[0] = 0
+        for x in range(1, p):
+            chi[x * x % p] = 1
+        coeffs = disc[::-1]
+        total = 0
+        for z in range(p):
+            value = 0
+            for coeff in coeffs:
+                value = (value * z + coeff) % p
+            total += chi[value]
+        return total
+    field = make_extension(p, spec.k * m)
+    ops = field.vector_ops()
+    embed = _make_embedding(spec, field)
+    const = embed(disc[0])
+    terms = [(embed(coeff), ((0, e),)) for e, coeff in enumerate(disc) if e and coeff]
+    return sum(
+        field.chi_sum(_evaluator(field, ops, 1, c0, c1)(const, terms))
+        for c0, c1 in _chunks(0, field.order, field.k)
+    )
 
 
 def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
@@ -499,9 +686,8 @@ def _count_fibres(field, ops, parts, n_other) -> int:
 
     add, mul = ops
     q = field.order
-    # None stands for a part that vanishes identically or lies past y's degree.
+    # None stands for a part that vanishes identically.
     parts = [part if part[0] or part[1] else None for part in parts]
-    parts += [None] * (3 - len(parts))
     count = 0
     for c0, c1 in _chunks(0, q**n_other, field.k):
         evaluate = _evaluator(field, ops, n_other, c0, c1)
@@ -603,7 +789,7 @@ def _fibre_split(p, poly, n_free):
 
     y is a free coordinate of least degree, which must be at most 2 (at most
     1 in characteristic 2, where B^2 - 4AC says nothing); C, B, -4A are
-    block polynomials in the other free coordinates, listed up to y's
+    block polynomials in the other free coordinates, (0, ()) past y's
     degree.  A is kept as -4A, nonzero where A is for odd p, so that the
     discriminant is B^2 + (-4A) C.
     """
@@ -615,7 +801,7 @@ def _fibre_split(p, poly, n_free):
     y = min(range(n_free), key=degree.__getitem__)
     if degree[y] > (1 if p == 2 else 2):
         return None
-    parts = [[const, []]] + [[0, []] for _ in range(degree[y])]
+    parts = [[const, []], [0, []], [0, []]]
     for scalar, free in terms:
         power = dict(free).get(y, 0)
         if power == 2:  # -4A, so that B^2 - 4AC = B^2 + (-4A) C

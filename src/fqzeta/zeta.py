@@ -12,9 +12,9 @@ denominator.  This module converts exactly between:
 
 Both conversions from a polynomial in 1 + tZ[t] to the power sums of its
 inverse roots, counts_from_zeta and traces_from_factorization, are one
-routine, _power_sums; _series_from_counts is its inverse.  Both the fit's
-reduction and the weight split take their quotients from polys.gcd, whose
-certificate has already divided exactly.  Counts, zeta functions, factors
+routine, polys._power_sums; polys._series_from_counts is its inverse.
+Both the fit's reduction and the weight split take their quotients from
+polys.gcd, whose certificate has already divided exactly.  Counts, zeta functions, factors
 and traces are ints, computed exactly; Fractions arise only from counts
 that no variety has.  Both checks are exact:
 check_riemann_hypothesis certifies every factor in integers (_is_weil).
@@ -35,6 +35,7 @@ from .errors import (
     NoRationalFitError,
     WeightSeparationError,
 )
+from .polys import _power_sums, _series_from_counts
 from .varieties import PointCountSeries, _is_int
 
 
@@ -164,28 +165,9 @@ class TraceVector:
 
 
 # ---------------------------------------------------------------------------
-# Power series helpers (int coefficients, Fraction only for non-variety counts;
-# index = degree)
+# Power series product (int coefficients, Fraction only for non-variety
+# counts; index = degree); polys holds the rest
 # ---------------------------------------------------------------------------
-
-
-def _series_from_counts(counts) -> list:
-    """exp(sum N_n t^n / n) to order len(counts), via z' = (sum N_n t^(n-1)) z.
-
-    The coefficients are ints for the counts of a variety, whose zeta function
-    lies in Z[[t]]; for other counts, such as (2, 1) with z_2 = 5/2, the first
-    inexact division by m turns the series to Fractions.
-    """
-    z = [1]
-    for m in range(1, len(counts) + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            acc += counts[i - 1] * z[m - i]
-        if isinstance(acc, int) and acc % m == 0:
-            z.append(acc // m)
-        else:
-            z.append(Fraction(acc, m))
-    return z
 
 
 def _series_mul(a, b, order: int) -> list:
@@ -198,19 +180,6 @@ def _series_mul(a, b, order: int) -> list:
     return out
 
 
-def _series_div(a, b, order: int) -> list:
-    """a / b to order t^order, for b(0) = 1: exact over Z when a and b are integral."""
-    if not b or b[0] != 1:
-        raise ValueError("series division requires constant term 1")
-    out = []
-    for m in range(order + 1):
-        acc = a[m] if m < len(a) else 0
-        for i in range(1, min(m, len(b) - 1) + 1):
-            acc -= b[i] * out[m - i]
-        out.append(acc)
-    return out
-
-
 def _ints_if_integral(poly) -> tuple:
     """poly with int coefficients if they are all integral, else as given."""
     return polys.to_ints(poly) if polys.is_integral(poly) else tuple(poly)
@@ -219,16 +188,6 @@ def _ints_if_integral(poly) -> tuple:
 def _coeff_list(poly) -> str:
     """[1, 3/4] for the coefficients 1 and 3/4, whether held as ints or Fractions."""
     return "[" + ", ".join(str(c) for c in poly) + "]"
-
-
-def _power_sums(poly, terms: int) -> list[int]:
-    """p_1..p_terms, p_n the sum of alpha^n over the inverse roots alpha of poly.
-
-    For poly = prod (1 - alpha t) in 1 + tZ[t], t poly'/poly is
-    -sum_n p_n t^n, so the p_n are ints, read off by series division.
-    """
-    ta_prime = [0] + [-i * c for i, c in enumerate(poly) if i >= 1]
-    return _series_div(ta_prime, poly, terms)[1:]
 
 
 # ---------------------------------------------------------------------------

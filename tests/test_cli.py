@@ -296,12 +296,22 @@ def test_count_of_a_line_over_a_field_beyond_int64(capsys, tmp_path):
 
 
 def test_count_over_a_field_beyond_int64_exits_3(capsys, tmp_path):
-    # The budget admits P^2 over F_{2^70}, but the conic's chart x_0 = 1 has
-    # two free coordinates, whose element indices do not fit in int64.
+    # The budget admits P^2 over F_{2^70}.  The conic's chart x_0 = 1 reads
+    # 1 + x_1 x_2 = 0, linear in x_1, so it is counted by roots over F_2^70
+    # with no index: 2^70 + 1 points, as on any smooth conic.
     one = [1] + [0] * 69
     spec = _write_spec(
         tmp_path, "x_0^2 + x_1 x_2 = 0 over F_2^70", 2, 70, "projective", 2,
         [[[one, [2, 0, 0]], [one, [0, 1, 1]]]],
+    )
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--budget", str(10**43))
+    assert (code, out, err) == (0, f"{2**70 + 1}\n", "")
+    # The cubic's chart x_0 = 1 reads 1 + x_1^2 x_2 + x_2^3 = 0: no coordinate
+    # is linear and x_1^2 x_2 links both, so its two free coordinates must be
+    # evaluated, and their element indices do not fit in int64.
+    spec = _write_spec(
+        tmp_path, "x_0^3 + x_1^2 x_2 + x_2^3 = 0 over F_2^70", 2, 70, "projective", 2,
+        [[[one, [3, 0, 0]], [one, [0, 2, 1]], [one, [0, 0, 3]]]],
     )
     code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--budget", str(10**43))
     assert code == 3
@@ -585,55 +595,72 @@ print("numpy" in sys.modules)
 """
 
 
-def test_algebra_path_imports_no_numpy():
-    proc = _run_python("-c", _ALGEBRA_WITHOUT_NUMPY)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def _cli_runs(*runs):
+    """A script that runs each argv through cli.main, asserting exit 0, then
+    prints whether numpy was imported."""
+    lines = ["import contextlib, io, sys", "from fqzeta import cli"]
+    lines.append("with contextlib.redirect_stdout(io.StringIO()):")
+    lines += [f"    assert cli.main({list(argv)!r}) == 0" for argv in runs]
+    lines.append("print('numpy' in sys.modules)")
+    return "\n".join(lines) + "\n"
 
 
-def test_find_pair_imports_no_numpy():
-    # The pair search sums N_1 over its own table of the quadratic character
-    # of F_p instead of calling count_points, which imports numpy.  That
-    # import alone took 135-197 ms (python -X importtime, Python 3.11.7 on
-    # 2 Xeon CPUs), about twice a whole normalized find_pair benchmark pass,
-    # and would cost the find-pair run about 70 % more resident memory.
-    script = (
-        "import contextlib, io, sys\n"
-        "from fqzeta import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['find-pair', '--p-min', '5', '--p-max', '47']) == 0\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    proc = _run_python("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
-def test_roots_only_count_imports_no_numpy(fixtures_dir, tmp_path):
-    # A line in P^1 over F_4 and x_0^3 = 2 x_1^3 in P^1 over F_5, the two
-    # `count` jobs of the zeta_large_fields benchmark, have only blocks
-    # counted by roots, over F_q with polynomial gcds.  Importing numpy
-    # would add about 150 ms to each.
-    binomial = tmp_path / "binomial.json"
-    binomial.write_text(
+def _spec_file(path, label, p, kind, dim, equations):
+    path.write_text(
         json.dumps(
             {
-                "label": "x_0^3 - 2 x_1^3",
-                "p": 5,
+                "label": label,
+                "p": p,
                 "k": 1,
-                "ambient": {"type": "projective", "dim": 1},
-                "equations": [[[1, [3, 0]], [-2, [0, 3]]]],
+                "ambient": {"type": kind, "dim": dim},
+                "equations": equations,
             }
         )
     )
-    script = (
-        "import contextlib, io, sys\n"
-        "from fqzeta import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['count', {str(fixtures_dir / 'line_f4.json')!r}, '-n', '8']) == 0\n"
-        f"    assert cli.main(['count', {str(binomial)!r}, '-n', '7']) == 0\n"
-        "print('numpy' in sys.modules)\n"
-    )
+    return str(path)
+
+
+def _weierstrass_file(path, p, a, b):
+    """y^2 z = x^3 + a x z^2 + b z^3 in P^2 over F_p."""
+    equation = [[1, [0, 2, 1]], [-1, [3, 0, 0]], [-a, [1, 0, 2]], [-b, [0, 0, 3]]]
+    return _spec_file(path, f"E_{a},{b} over F_{p}", p, "projective", 2, [equation])
+
+
+@pytest.mark.parametrize(
+    "case", ["algebra", "find-pair", "roots-only-count", "curve-zeta", "curve-compare"]
+)
+def test_imports_no_numpy(case, fixtures_dir, tmp_path):
+    # Importing numpy alone took 135-197 ms (python -X importtime, Python
+    # 3.11.7 on 2 Xeon CPUs), more than any of these runs takes whole.
+    # * find-pair sums N_1 over its own table of the quadratic character of
+    #   F_p, and takes N_2 from the genus-1 recursion.
+    # * A line in P^1 over F_4 and x_0^3 = 2 x_1^3 in P^1 over F_5, the two
+    #   `count` jobs of the zeta_large_fields benchmark, have only blocks
+    #   counted by roots, over F_q with polynomial gcds.
+    # * A Weierstrass curve over F_p, the curve and compare jobs of the
+    #   benchmark, counts every N_n from one character sum over F_p in pure
+    #   Python and gcds over F_p.
+    profile = fx(fixtures_dir, "profile_curve.json")
+    if case == "algebra":
+        script = _ALGEBRA_WITHOUT_NUMPY
+    elif case == "find-pair":
+        script = _cli_runs(["find-pair", "--p-min", "5", "--p-max", "47"])
+    elif case == "roots-only-count":
+        binomial = _spec_file(
+            tmp_path / "binomial.json", "x_0^3 - 2 x_1^3", 5, "projective", 1,
+            [[[1, [3, 0]], [-2, [0, 3]]]],
+        )
+        script = _cli_runs(
+            ["count", fx(fixtures_dir, "line_f4.json"), "-n", "8"],
+            ["count", binomial, "-n", "7"],
+        )
+    elif case == "curve-zeta":
+        curve = _weierstrass_file(tmp_path / "e37.json", 37, 2, 9)
+        script = _cli_runs(["zeta", curve, "--profile", profile])
+    else:
+        first = _weierstrass_file(tmp_path / "e29a.json", 29, 1, 1)
+        second = _weierstrass_file(tmp_path / "e29b.json", 29, 2, 3)
+        script = _cli_runs(["compare", first, second, "--profile", profile])
     proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

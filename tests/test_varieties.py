@@ -1,8 +1,9 @@
 import itertools
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from purecount import count_pure, embedded_equations
 
@@ -40,6 +41,11 @@ def _curve(p, a, b):
             "equations": [[[1, [0, 2, 1]], [-1, [3, 0, 0]], [-a, [1, 0, 2]], [-b, [0, 0, 3]]]],
         }
     )
+
+
+def _legendre(v, p):
+    e = pow(v, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
 
 
 def _affine_space(p, dim):
@@ -470,10 +476,15 @@ def test_field_beyond_int64_is_indexed_only_where_a_count_must():
     # and none at [0 : 1], where g != 0.  A whole block with one free
     # coordinate is counted by a gcd over F_2^70, with no index.
     assert count_points(line, 1, budget=budget) == 1
-    # The chart x_0 = 1 of a conic has two free coordinates: it must index.
+    # The chart x_0 = 1 of the conic reads 1 + x_1 x_2 = 0, linear in x_1:
+    # it is counted by roots over F_2^70, 2^70 + 1 points as on any smooth
+    # conic.  The cubic's chart 1 + x_1^2 x_2 + x_2^3 has no linear
+    # coordinate and no halves, so its two free coordinates must index.
     conic = projective(2, [[[one, [2, 0, 0]], [one, [0, 1, 1]]]])
+    assert count_points(conic, 1, budget=10**43) == 2**70 + 1
+    cubic = projective(2, [[[one, [3, 0, 0]], [one, [0, 2, 1]], [one, [0, 0, 3]]]])
     with pytest.raises(BudgetExceededError, match="int64"):
-        count_points(conic, 1, budget=10**43)
+        count_points(cubic, 1, budget=10**43)
     # The one-point block [0:1], P^0 and a space with no equations need no index.
     size = 2**70 + 1
     assert count_points(line, 1, budget=budget, span=(size - 1, size)) == 0
@@ -529,10 +540,10 @@ def test_plane_curve_count_builds_tables(fresh_tables):
         assert got == count_pure(spec, ext, embedded_equations(spec, ext), 0, domain_size(spec, n))
 
 
-def test_weierstrass_n2_over_f31_squared_builds_tables(fresh_tables):
-    # Counted by fibres over y, the 923,521 points of the chart x = 1 cost
-    # 961 evaluations through the exp/log tables of F_{31^2}, and chi of
-    # each discriminant is read from its quadratic character table.
+def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
+    # The chart x = 1 is a plane curve of genus 1, so N_2 comes from one
+    # character sum over F_31, summed in pure Python: neither the exp/log
+    # tables of F_{31^2} nor its quadratic character table is built.
     # count_pure over all of P^2(F_{31^2}) would take about 40 s, so it
     # counts N_1 and the genus-1 trace recursion gives N_2.
     p = 31
@@ -540,7 +551,7 @@ def test_weierstrass_n2_over_f31_squared_builds_tables(fresh_tables):
     base = fresh_tables(make_extension(p, 1))
     field = fresh_tables(make_extension(p, 2))
     got = count_points(spec, 2)
-    assert field._np_tables is not None and field._np_chi is not None
+    assert field._np_tables is None and field._np_chi is None
     assert base._np_chi is None
     n1 = count_pure(spec, base, embedded_equations(spec, base), 0, domain_size(spec, 1))
     trace = p + 1 - n1
@@ -565,6 +576,19 @@ def test_weierstrass_n2_over_f367_squared_runs_euler(fresh_tables):
     n1 = 1 + sum(1 + legendre(x**3 + 2 * x + 3) for x in range(p))
     trace = p + 1 - n1
     assert got == p**2 + 1 - (trace**2 - 2 * p)
+
+
+def test_nodal_cubic_over_f367_squared_runs_euler(fresh_tables):
+    # y^2 = x^3 + x^2 in A^2: D = 4x^2 (x + 1) is not squarefree, so the
+    # block stays on fibres, and F_{367^2} lies above the 2^17 cap, so chi
+    # is taken by Euler's criterion on the digit-wise kernel.  The node
+    # (y/x)^2 = x + 1 leaves q^n - 1 points: 1 + chi(x + 1) for each x != 0
+    # and the origin.
+    p = 367
+    spec = _one_equation(p, 1, "affine", 2, [(1, (0, 2)), (-1, (3, 0)), (-1, (2, 0))])
+    field = fresh_tables(make_extension(p, 2))
+    assert count_points(spec, 2, budget=10**11) == p**2 - 1
+    assert field.quadratic_character() is None and field._np_tables is None
 
 
 def test_linear_fibres_build_no_chi(fresh_tables):
@@ -812,6 +836,12 @@ def test_benchmark_shapes_stay_off_the_vector_path(fixtures_dir, monkeypatch):
         # (5^n - 1)/3 and c^4 = 1, so c is a cube with 3 cube roots.
         expected = tuple(math.gcd(3, 5**n - 1) for n in range(1, 8))
         assert count_series(binomial, 7).counts == expected
+    # The curve and compare jobs: Weierstrass curves over F_37 and F_29,
+    # N_1 against Legendre symbols and N_2 by the genus-1 recursion.
+    for p, a, b in ((37, 2, 9), (29, 1, 1), (29, 2, 3)):
+        n1 = p + 1 + sum(_legendre(x**3 + a * x + b, p) for x in range(p))
+        trace = p + 1 - n1
+        assert count_series(_curve(p, a, b), 2).counts == (n1, p**2 + 1 - (trace**2 - 2 * p))
 
 
 # Counting by halves.  A whole block whose one equation reads g(X) + h(Y) = 0,
@@ -1036,3 +1066,162 @@ def test_exact_dot_past_int64():
     b = np.array([2**30, 2**30, 5], dtype=np.int64)
     assert _exact_dot(a, b) == 2**71 + 15
     assert _exact_dot(a[2:], b[2:]) == 15
+
+
+# Counting a plane curve.  A whole block with two free coordinates and a
+# fibre split is counted from polynomials over F_q: gcds for the roots of
+# A, B, C, and the character sum S_n of D = B^2 - 4AC from S_1..S_g of the
+# curve w^2 = D(z).  The oracles: the fibre path, forced by holding back
+# the curve (_plane_curve), and, on small domains, a span that cuts the
+# block, so that it is evaluated point by point, and count_pure.
+
+
+def _scalars(draw, field, size, nonzero_lead=False):
+    """``size`` scalars of ``field``, the last nonzero if asked."""
+    scalars = draw(st.lists(st.integers(0, field.order - 1), min_size=size, max_size=size))
+    if nonzero_lead:
+        scalars[-1] = draw(st.integers(1, field.order - 1))
+    return scalars
+
+
+def _spec_terms(field, terms):
+    """(scalar, exponents) pairs as spec terms, zero scalars dropped."""
+    k = field.k
+    return [(s if k == 1 else to_digits(s, field.p, k), e) for s, e in terms if s]
+
+
+def _is_squarefree(field, f):
+    """gcd(f, f') = 1 over F_q = field, for f of degree >= 1, low degree first."""
+    from fqzeta.fields import _fq_gcd
+
+    derivative = [field._mul(field.element(i), c) for i, c in enumerate(f)][1:]
+    return len(_fq_gcd(f, derivative, field)) == 1
+
+
+@st.composite
+def _plane_curve_specs(draw):
+    """(spec, curve): one equation in two coordinates with a fibre split.
+
+    ``curve`` says whether a plan at n = 4 must count the chart by its curve,
+    None where the shape leaves that open.
+    """
+    shape = draw(
+        st.sampled_from(["hyperelliptic", "cubic", "conic", "linear", "repeated", "big-exponent"])
+    )
+    if shape == "big-exponent":
+        p, k = draw(st.sampled_from([3, 5])), 1
+    elif shape in ("conic", "linear"):
+        p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]))
+    else:
+        p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (7, 1)]))
+    field = make_extension(p, k)
+    one = field.one
+    if shape == "hyperelliptic":  # y^2 = f(x), deg f = 3..6
+        f = _scalars(draw, field, draw(st.integers(4, 7)), nonzero_lead=True)
+        terms = [(one, (0, 2))] + [(field._sub(0, c), (i, 0)) for i, c in enumerate(f)]
+        return _one_equation(p, k, "affine", 2, _spec_terms(field, terms)), _is_squarefree(field, f)
+    if shape == "cubic":  # y^2 z + a1 xyz + a3 yz^2 = x^3 + a2 x^2 z + a4 x z^2 + a6 z^3
+        a1, a3, a2, a4, a6 = _scalars(draw, field, 5)
+        if not (a1 or a3):
+            a1 = one
+        minus = [field._sub(0, c) for c in (one, a2, a4, a6)]
+        terms = [(one, (0, 2, 1)), (a1, (1, 1, 1)), (a3, (0, 1, 2))]
+        terms += [(s, (3 - i, 0, i)) for i, s in zip((0, 1, 2, 3), minus)]
+        return _one_equation(p, k, "projective", 2, _spec_terms(field, terms)), None
+    if shape == "conic":
+        monomials = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
+        terms = list(zip(_scalars(draw, field, 6), monomials))
+        if sum(1 for s, _ in terms if s) < 2:
+            terms[:2] = [(one, monomials[0]), (one, monomials[-1])]
+        return _one_equation(p, k, "projective", 2, _spec_terms(field, terms)), None
+    if shape == "linear":  # B(x) y + C(x), A = 0
+        b = _scalars(draw, field, draw(st.integers(1, 4)), nonzero_lead=True)
+        c = _scalars(draw, field, draw(st.integers(1, 4)))
+        terms = [(s, (i, 1)) for i, s in enumerate(b)] + [(s, (i, 0)) for i, s in enumerate(c)]
+        return _one_equation(p, k, "affine", 2, _spec_terms(field, terms)), True
+    if shape == "repeated":  # y^2 = g(x)^2 h(x), deg >= 3: D is not squarefree
+        g = _scalars(draw, field, draw(st.integers(2, 3)), nonzero_lead=True)
+        h = _scalars(draw, field, 4 - len(g) + draw(st.integers(0, 1)), nonzero_lead=True)
+        f = _poly_mul(field, _poly_mul(field, g, g), h)
+        terms = [(one, (0, 2))] + [(field._sub(0, c), (i, 0)) for i, c in enumerate(f)]
+        return _one_equation(p, k, "affine", 2, _spec_terms(field, terms)), False
+    # y^2 = c x^e + d x + f with q <= e <= q + 2: exponents past q.
+    e = draw(st.integers(p, p + 2))
+    c, d, f0 = _scalars(draw, field, 3)
+    f = [f0, d] + [0] * (e - 2) + [c or one]
+    terms = [(one, (0, 2))] + [(field._sub(0, s), (i, 0)) for i, s in enumerate(f)]
+    return _one_equation(p, k, "affine", 2, _spec_terms(field, terms)), _is_squarefree(field, f)
+
+
+def _plane_curve_example(p, k, kind, terms, curve):
+    return (_one_equation(p, k, kind, 2, terms), curve)
+
+
+# Genus 2 over F_5: x^5 + x + 1 = (x - 2)(x^2 + x + 1)(x^2 + x + 2) is squarefree.
+_GENUS_2 = [(1, (0, 2)), (-1, (5, 0)), (-1, (1, 0)), (-1, (0, 0))]
+# A smooth conic over F_7: genus 0, D of degree 2.
+_CONIC = [(1, (2, 0, 0)), (3, (0, 2, 0)), (5, (0, 0, 2))]
+# y^2 z + g xyz = x^3 + z^3 over F_9: B = g z is not 0.
+_CUBIC_WITH_B = [
+    ([1, 0], (0, 2, 1)), ([0, 1], (1, 1, 1)), ([2, 0], (3, 0, 0)), ([2, 0], (0, 0, 3))
+]
+# x y + g x^3 + 1 over F_4: A = 0, counted by roots only.
+_LINEAR_F4 = [([1, 0], (1, 1)), ([0, 1], (3, 0)), ([1, 0], (0, 0))]
+# y^2 = x^2 (x + 1) over F_5: a node, D not squarefree.
+_NODE = [(1, (0, 2)), (-1, (3, 0)), (-1, (2, 0))]
+# y^2 z^2 + y over F_7 and (4z^2 + 2) y^2 + z y + 1 over F_5, y first: D is
+# the constant 1, a square, and 2, not a square.
+_CONSTANT_SQUARE = [(1, (2, 2)), (1, (1, 0))]
+_CONSTANT_NONSQUARE = [(4, (2, 2)), (2, (2, 0)), (1, (1, 1)), (1, (0, 0))]
+
+
+@settings(max_examples=60)
+@given(_plane_curve_specs())
+@example(_plane_curve_example(5, 1, "affine", _GENUS_2, True))
+@example(_plane_curve_example(7, 1, "projective", _CONIC, None))
+@example(_plane_curve_example(3, 2, "projective", _CUBIC_WITH_B, None))
+@example(_plane_curve_example(2, 2, "affine", _LINEAR_F4, True))
+@example(_plane_curve_example(5, 1, "affine", _NODE, False))
+@example(_plane_curve_example(7, 1, "affine", _CONSTANT_SQUARE, True))
+@example(_plane_curve_example(5, 1, "affine", _CONSTANT_NONSQUARE, True))
+def test_plane_curve_count_matches_fibres_and_oracle(case):
+    from unittest import mock
+
+    from fqzeta import varieties
+    from fqzeta.varieties import _count_curve, _plan
+
+    spec, curve = case
+    counts = count_series(spec, 4, budget=10**12).counts
+    with mock.patch.object(varieties, "_plane_curve", return_value=None):
+        fibres = count_series(VarietySpec.from_dict(spec.to_dict()), 4, budget=10**12).counts
+    assert counts == fibres
+    for n, got in enumerate(counts, start=1):
+        size = domain_size(spec, n)
+        order = spec.q**n
+        if order**2 <= 5000:
+            field = make_extension(spec.p, spec.k * n)
+            assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
+        if order**2 <= 10**5:
+            cut = order**2 // 2 + 1  # inside the chart with two free coordinates
+            assert got == sum(count_points(spec, n, span=s) for s in ((0, cut), (cut, size)))
+    # At n = 4 every shape with a squarefree D, or with A = 0, is within
+    # the genus bound of the curve; a repeated factor stays on fibres.
+    [(_, counter, _, _), *_] = _plan(spec, spec.q**4, 0, domain_size(spec, 4))
+    if curve is not None:
+        assert (counter is _count_curve) == curve
+
+
+def test_curve_series_to_n64_imports_no_numpy(monkeypatch):
+    # N_1..N_64 of a smooth Weierstrass curve over F_13 from its one
+    # character sum over F_13.  A None entry in sys.modules makes any
+    # import of numpy raise ImportError.
+    from fqzeta.zeta import ZetaFunction, counts_from_zeta
+
+    p = 13
+    spec = _curve(p, 2, 3)  # smooth: 4*2^3 + 27*3^2 = 275 is 2 mod 13
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    counts = count_series(spec, 64, budget=p**130).counts
+    n1 = p + 1 + sum(_legendre(x**3 + 2 * x + 3, p) for x in range(p))
+    trace = p + 1 - n1
+    expected = counts_from_zeta(ZetaFunction(p, (1, -trace, p), (1, -(p + 1), p)), 64).counts
+    assert counts == expected
