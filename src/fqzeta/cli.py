@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     counting = (
         "max size of each counting domain (candidate points over F_{q^n}; "
-        "counting by roots, fibres or halves evaluates fewer of them), default 10^8"
+        "counting by roots, curves, Jacobi sums, fibres or halves evaluates fewer "
+        "of them), default 10^8"
     )
 
     p_count = command("count", _cmd_count, "print N_1..N_n", counting)

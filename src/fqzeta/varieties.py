@@ -16,7 +16,7 @@ and sum the results.  The budget bounds the size of this domain.
 count_points plans the whole count once, building no field but F_q
 (_plan).  Each block (one position of the leading 1) is planned over F_q
 itself: folding the fixed 0s and 1 into the equations decides that a block
-is empty or wholly on the variety, and every other block gets one of five
+is empty or wholly on the variety, and every other block gets one of six
 strategies:
 
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
@@ -40,6 +40,19 @@ strategies:
   built.  A D that is not squarefree stays on fibres, and so does a block
   while the degrees of A, B and C leave room for a genus past n
   (_plane_curve).
+* by Jacobi sums, for a block wholly inside ``span`` of a one-equation
+  spec with two or more free coordinates whose polynomial reads
+  c + sum a_i x_i^e_i, each term a power of its own coordinate
+  (_count_diagonal).  With d_i = gcd(e_i, q^n - 1), L = lcm(d_i) and
+  f = ord_L(q), the count is Q^(r-1) plus a sum, over the prod (d_i - 1)
+  tuples of characters of order dividing d_i, of Jacobi sums over
+  F_{q^f}, lifted to F_{q^n} by Hasse-Davenport and certified exact mod
+  the cyclotomic polynomial Phi_L.  The sum runs coordinate by coordinate
+  over at most L partial sums of characters.  Its cost is one point per
+  term it forms (_characters), plus the q^f points of a class table of
+  F_{q^f} that neither the spec keeps (VarietySpec._jacobi) nor an
+  earlier block of the count builds; if some d_i = 1 it is none.  It is
+  offered only while q^f <= _CHUNK, and F_{q^n} is never built.
 * by fibres, for a block wholly inside ``span`` of a one-equation spec with
   two or more free coordinates, one of them y of degree at most 2 (at most
   1 if p = 2).  The equation reads A y^2 + B y + C with A, B, C in the
@@ -57,26 +70,34 @@ strategies:
   Q^|X| + Q^|Y| evaluations, two histograms of Q entries each.
 * directly, at every point.
 
-Of the last four, a block takes the one that evaluates the fewest points,
-ties going first to the curve, then to fibres, then to halves.  The curve
-ties with fibres only at n = g = 1, where its S_1 serves every later n.
-A partial block is always counted directly, so partitions of a span
-cross-check the strategies.  The half of the plan that no n changes, each
-block's polynomials and their fibre and halves splits, is derived once per
-spec and kept with it (VarietySpec._block_plans), so every term of a
-series reuses it.  count_points then runs the plan.  Only the last three
-build F_{q^n}, once for all their blocks, embed their planned scalars in
-it and evaluate with its vectorized kernel (ExtensionField.vector_ops) on
-chunks of int64 scalars.  The tests keep a pure-Python counter that
-evaluates every point as the oracle for all five.
+Of the last five, a block takes the one that evaluates the fewest points,
+ties going first to the curve, then to Jacobi sums, then to fibres, then
+to halves.  The curve ties with fibres only at n = g = 1, where its S_1
+serves every later n.  A Jacobi-sum term counts as one point, though it
+is a product of L coefficients by L: where it competes with halves, on
+fields of a few elements such as the Fermat cubic surface's over F_4, it
+still takes less time than the points halves evaluates, with numpy
+already imported.  A partial block is always counted directly, so
+partitions of a span cross-check the strategies.  The half of the plan
+that no n changes, each block's polynomials and their fibre, halves and
+diagonal splits, is derived once per spec and kept with it
+(VarietySpec._block_plans), so every term of a series reuses it.
+count_points then runs the plan.  Only the last three build F_{q^n}, once
+for all their blocks, embed their planned scalars in it and evaluate with
+its vectorized kernel (ExtensionField.vector_ops) on chunks of int64
+scalars.  The tests keep a pure-Python counter that evaluates every point
+as the oracle for all six.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
 from .fields import (
@@ -93,7 +114,7 @@ from .fields import (
     make_extension,
     to_digits,
 )
-from .polys import _power_sums, _series_from_counts
+from .polys import _power_sums, _series_from_counts, quotient
 
 DEFAULT_BUDGET = 10**8
 
@@ -140,18 +161,20 @@ class VarietySpec:
         """The half of every count's plan that no n changes, derived once per spec.
 
         Maps each block's prefix (see _blocks) to (polys, fibre parts,
-        halves sides): its _block_plan and, for a one-equation spec and two
-        or more free coordinates, its _fibre_split and _halves_split, else
-        None.  Every count_points of a series reuses it.
+        halves sides, diagonal): its _block_plan and, for a one-equation
+        spec and two or more free coordinates, its _fibre_split,
+        _halves_split and _diagonal_split, else None.  Every count_points
+        of a series reuses it.
         """
         plans = {}
         for prefix, n_free in _shapes(self.ambient):
             polys = _block_plan(self.p, self.equations, prefix)
-            parts = sides = None
+            parts = sides = diagonal = None
             if polys and n_free > 1 and len(self.equations) == 1:
                 parts = _fibre_split(self.p, polys[0], n_free)
                 sides = _halves_split(self.p, polys[0], n_free)
-            plans[prefix] = polys, parts, sides
+                diagonal = _diagonal_split(polys[0], n_free)
+            plans[prefix] = polys, parts, sides, diagonal
         return plans
 
     @cached_property
@@ -173,6 +196,17 @@ class VarietySpec:
         None marks a block whose D is not squarefree (see _count_curve).  A
         _Curve keeps the character sums S_m summed so far, each exact, so
         two threads that race there lose work, never a count.
+        """
+        return {}
+
+    @cached_property
+    def _jacobi(self) -> dict:
+        """The spec's character tables: L -> _Jacobi over F_{q^f}, filled by _count_diagonal.
+
+        Keyed by L alone, since f is the order of q mod L: every diagonal
+        block with the same L shares one table.  A _Jacobi keeps the
+        Jacobi sums formed so far, each exact, so two threads that race
+        there lose work, never a count.
         """
         return {}
 
@@ -335,7 +369,7 @@ def count_points(
         _, counter, polys, args = job
         if counter is None:
             count += args[0]
-        elif counter in (_count_roots, _count_curve):
+        elif counter in (_count_roots, _count_curve, _count_diagonal):
             count += counter(make_extension(spec.p, spec.k), polys, order, *args)
         else:
             jobs.append(job)
@@ -424,9 +458,11 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
 
     counter(field, ops, polys, *args) counts a block from its polynomials
     over F_q (see _block_plan), scalars embedded in field = F_order, by
-    evaluating ``points`` points.  _count_roots and _count_curve run over
-    F_q instead: the first evaluates none, the second the points of the
-    character sums it has yet to keep.  An empty or whole block has no
+    evaluating ``points`` points.  _count_roots, _count_curve and
+    _count_diagonal run over F_q instead: the first evaluates none, the
+    second the points of the character sums it has yet to keep, the third
+    one point per term it forms (_characters) and the points of a class
+    table that no earlier block has built.  An empty or whole block has no
     counter; args holds the points it adds.  The embedding into F_order is
     injective and additive, so every choice made over F_q holds over
     F_order.  No field is built but F_q, and that only to form the
@@ -435,8 +471,9 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
     n, power = 1, spec.q
     while power < order:
         n, power = n + 1, power * spec.q
+    tables = set(spec._jacobi)  # the class tables kept, or built by an earlier block
     for prefix, n_free, block_lo, block_hi, whole in _blocks(spec, order, lo, hi):
-        polys, parts, sides = spec._block_plans[prefix]
+        polys, parts, sides, diagonal = spec._block_plans[prefix]
         if not polys:
             yield 0, None, polys, (0 if polys is None else block_hi - block_lo,)
             continue
@@ -453,13 +490,22 @@ def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
                 unkept = [m for m in range(1, curve.genus + 1) if m not in curve.sums]
                 points = sum(spec.q**m for m in unkept)
                 options.append((points, _count_curve, parts, (n, curve, spec)))
+        if whole and diagonal is not None:
+            characters = _characters(spec.q, diagonal, n, order)
+            if characters is not None:
+                steps, L, f = characters
+                points = steps + (spec.q**f if steps and L not in tables else 0)
+                options.append((points, _count_diagonal, diagonal, (n, L, f, spec)))
         if whole and parts is not None:
             options.append((order ** (n_free - 1), _count_fibres, parts, (n_free - 1,)))
         if whole and sides is not None and order <= _CHUNK:
             sizes, halves = zip(*sides)
             options.append((sum(order**m for m in sizes), _count_halves, halves, (sizes,)))
         options.append((block_hi - block_lo, _count_direct, polys, (n_free, block_lo, block_hi)))
-        yield min(options, key=lambda option: option[0])
+        best = min(options, key=lambda option: option[0])
+        if best[1] is _count_diagonal:
+            tables.add(best[3][1])
+        yield best
 
 
 def _count_roots(field, plan, order, frobenius) -> int:
@@ -652,6 +698,191 @@ def _character_sum(spec, disc, m) -> int:
     )
 
 
+def _characters(q, diagonal, n, order):
+    """(steps, L, f) for a _diagonal_split block over F_order, order = q^n, or None.
+
+    With d_i = gcd(e_i, order - 1), L = lcm(d_i) and f is the order of q
+    mod L, which divides n as L divides q^n - 1.  steps bounds the terms
+    _count_diagonal forms: the d_1 - 1 characters of the first coordinate,
+    then, for each further coordinate, d_k - 1 products for each partial
+    sum, of which there are at most L.  If some d_i = 1 it forms none, and
+    L = f = 1.  None where F_{q^f} has more than _CHUNK elements.
+    """
+    degrees = [math.gcd(e, order - 1) for _, e in diagonal[1]]
+    if 1 in degrees:
+        return 0, 1, 1
+    steps = tuples = degrees[0] - 1
+    L = math.lcm(*degrees)
+    for d in degrees[1:]:
+        steps += min(tuples, L) * (d - 1)
+        tuples *= d - 1
+    f = next(f for f in range(1, n + 1) if n % f == 0 and pow(q, f, L) == 1)
+    return (steps, L, f) if q**f <= _CHUNK else None
+
+
+@dataclass
+class _Jacobi:
+    """The characters chi_j(g^t) = zeta_L^(jt) of F' = F_{q^f}; see _count_diagonal.
+
+    order is q^f; logs[u] is log_g u mod L for a nonzero scalar u of F';
+    classes maps (log u, log(1 - u)) mod L to the number of such u outside
+    {0, 1}; embed maps the scalars of F_q into F'; sums keeps the powers
+    of Jacobi sums that power() has formed.
+    """
+
+    order: int
+    L: int
+    logs: list
+    classes: Counter
+    embed: Callable[[int], int]
+    sums: dict
+
+    def power(self, alpha: int, beta: int, s: int) -> list:
+        """J2(chi_alpha, chi_beta)^s, beta != 0, in Z[x]/(x^L - 1), x standing for zeta_L.
+
+        J2(alpha, beta) = sum over u in F' of chi_alpha(u) chi_beta(1 - u):
+        -q^f for the trivial chi_0, else one term per class of u.
+        """
+        key = alpha, beta, s
+        if key not in self.sums:
+            value = [0] * self.L
+            if alpha:
+                for (a, b), count in self.classes.items():
+                    value[(alpha * a + beta * b) % self.L] += count
+            else:
+                value[0] = -self.order
+            power = value
+            for bit in bin(s)[3:]:
+                power = _cyclic_mul(power, power)
+                if bit == "1":
+                    power = _cyclic_mul(power, value)
+            self.sums[key] = power
+        return self.sums[key]
+
+
+def _make_jacobi(spec, L, f) -> _Jacobi:
+    """The _Jacobi of F_{q^f} for the characters of order dividing L.
+
+    Built from scalar field operations alone: q^f products walk the powers
+    of a generator g, and q^f subtractions form 1 - u.
+    """
+    field = make_extension(spec.p, spec.k * f)
+    g, one = field._generator(), field.one
+    logs, u = [0] * field.order, one
+    for t in range(field.order - 1):
+        logs[u] = t % L
+        u = field._mul(u, g)
+    classes = Counter((logs[u], logs[field._sub(one, u)]) for u in range(1, field.order) if u != one)
+    return _Jacobi(field.order, L, logs, classes, _make_embedding(spec, field), {})
+
+
+def _count_diagonal(field, diagonal, order, n, L, f, spec) -> int:
+    """Points of a whole block whose one equation reads c + sum_i a_i x_i^e_i = 0.
+
+    ``diagonal`` is the block's _diagonal_split over ``field`` = F_q: r
+    terms, each a power of its own free coordinate, and the number of free
+    coordinates absent, each of which multiplies the count by Q = order.
+    With d_i = gcd(e_i, Q - 1) and b = -c, #{x : x^e_i = u} is the sum of
+    chi(u) over the characters chi^(d_i) = 1 of F_Q, so the block holds
+    Q^(r-1) plus, over the tuples of nontrivial such characters,
+    prod chi_i(a_i)^-1 times Jacobi sums over F_Q; if some d_i = 1 it
+    holds Q^(r-1) (Weil 1949; Ireland and Rosen, ch. 8).
+
+    Every such character is chi_j o N from F_Q to F' = F_{q^f}, f = ord_L(q)
+    and L = lcm(d_i) (_characters): chi_j(g^t) = zeta_L^(jt) for a
+    generator g of F', with j_i running over the multiples of L / d_i in
+    1..L-1.  So chi_j(a) = chi_j(a)^s over F', s = n / f, for a in F_q,
+    and Hasse-Davenport lifts J = prod_(k=2..r) J2(psi_(k-1), chi_(j_k)),
+    psi_k = chi_(j_1 + ... + j_k), from F' as (-1)^((r-1)(s+1)) J^s
+    (Ireland and Rosen, ch. 11).  The block holds
+    Q^(r-1) + (-1)^((r-1)(s+1)) sum prod_i chi_(j_i)(a_i)^-s T points, with
+    T = chi_(sum j)(b)^s J^s for b != 0, -(Q - 1) J^s for b = 0 and
+    sum j = 0 mod L, and no term otherwise.
+
+    Each factor of a term depends on one j_k and on psi_(k-1) alone, so the
+    sum runs coordinate by coordinate over the partial sums psi, at most L
+    of them, rather than over every tuple.  It is formed in Z[x]/(x^L - 1)
+    and reduced mod Phi_L, where it must come out an integer
+    (_cyclotomic_value): the certificate of the count.  The tables of F'
+    are kept with the spec (VarietySpec._jacobi), and F_Q is never built.
+    """
+    const, powers, absent = diagonal
+    r, free = len(powers), order**absent
+    degrees = [math.gcd(e, order - 1) for _, e in powers]
+    if 1 in degrees:
+        return free * order ** (r - 1)
+    jacobi = spec._jacobi.get(L)
+    if jacobi is None:
+        jacobi = spec._jacobi[L] = _make_jacobi(spec, L, f)
+    s = n // f
+    logs, embed = jacobi.logs, jacobi.embed
+    b = field._sub(field.zero, const)
+    # chi_(sum j)(b)^s prod chi_(j_i)(a_i)^-s = zeta_L^(sum_i j_i unit_i).
+    log_b = logs[embed(b)] if b else 0
+    units = [s * (log_b - logs[embed(a)]) for a, _ in powers]
+    # psi -> the sum of the terms of j_1..j_k over the tuples with sum psi.
+    partial = {}
+    for j in range(L // degrees[0], L, L // degrees[0]):
+        partial[j] = [0] * L
+        partial[j][j * units[0] % L] = 1
+    for d, unit in zip(degrees[1:], units[1:]):
+        grown = {}
+        for psi, terms in partial.items():
+            for j in range(L // d, L, L // d):
+                out = grown.setdefault((psi + j) % L, [0] * L)
+                _cyclic_mul(terms, jacobi.power(psi, j, s), j * unit, out)
+        partial = grown
+    if b:
+        total = [sum(column) for column in zip(*partial.values())]
+    else:
+        total = [(1 - order) * c for c in partial.get(0, [0] * L)]
+    value = _cyclotomic_value(total, L)
+    return free * (order ** (r - 1) + (-1) ** ((r - 1) * (s + 1)) * value)
+
+
+def _cyclic_mul(a: list, b: list, shift: int = 0, out: list | None = None) -> list:
+    """out + a * b * x^shift in Z[x]/(x^L - 1), L = len(a) = len(b), out = 0 if not given."""
+    L = len(a)
+    if out is None:
+        out = [0] * L
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[(i + j + shift) % L] += ca * cb
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(L: int) -> tuple:
+    """Phi_L over Z, low degree first: x^L - 1 divided by Phi_d for each proper divisor d."""
+    phi = (-1,) + (0,) * (L - 1) + (1,)
+    for d in range(1, L):
+        if L % d == 0:
+            phi = quotient(phi, _cyclotomic(d))
+    return phi
+
+
+def _cyclotomic_value(coeffs: list, L: int) -> int:
+    """sum_t coeffs[t] zeta_L^t, asserted to be an integer.
+
+    The remainder mod Phi_L, which is monic, holds the coordinates in the
+    basis 1, zeta_L, ..., zeta_L^(phi(L) - 1), so an integer reduces to a
+    constant.  Any other remainder raises AssertionError: a count's
+    exactness certificate, like GCDHEU's in polys.gcd.
+    """
+    phi = _cyclotomic(L)
+    top = len(phi) - 1
+    rem = list(coeffs)
+    while len(rem) > top:
+        lead = rem.pop()
+        shift = len(rem) - top
+        for i in range(top):
+            rem[shift + i] -= lead * phi[i]
+    if any(rem[1:]):
+        raise AssertionError(f"{rem} mod Phi_{L} is not an integer")
+    return rem[0]
+
+
 def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
     """Points of the block offsets block_lo..block_hi where every equation vanishes."""
     count = 0
@@ -813,6 +1044,23 @@ def _fibre_split(p, poly, n_free):
         else:
             part[0] = add_digits(part[0], scalar, p)
     return [(c, tuple(ts)) for c, ts in parts]
+
+
+def _diagonal_split(poly, n_free):
+    """The block polynomial as (c, ((a_i, e_i), ...), n_absent), or None.
+
+    It reads c + sum_i a_i x_i^e_i: every term is a pure power of one free
+    coordinate, and no coordinate appears in two terms.  n_absent counts
+    the free coordinates absent from it.
+    """
+    const, terms = poly
+    powers, coords = [], set()
+    for scalar, free in terms:
+        if len(free) != 1 or free[0][0] in coords:
+            return None
+        coords.add(free[0][0])
+        powers.append((scalar, free[0][1]))
+    return const, tuple(powers), n_free - len(coords)
 
 
 def _halves_split(p, poly, n_free):

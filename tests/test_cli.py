@@ -242,6 +242,27 @@ def test_count_over_a_huge_extension_exits_3(capsys, tmp_path):
     assert err.startswith("budget exceeded: ")
 
 
+def test_cubic_threefold_fixture_under_a_raised_budget(capsys, fixtures_dir):
+    # x_0^3 + ... + x_4^3 in P^4 over F_2 needs N_1..N_12, whose domains
+    # reach 4^12 points past the default budget; every chart with two or
+    # more free coordinates is counted by Jacobi sums over F_4.
+    spec = fx(fixtures_dir, "large/cubic_threefold_f2.json")
+    profile = fx(fixtures_dir, "large/profile_cubic_threefold.json")
+    code, out, err = run_cli(capsys, "zeta", spec, "--profile", profile, "--budget", str(10**16))
+    assert code == 0, err
+    assert "P_3 = 1 + 40*t^2 + 640*t^4 + 5120*t^6 + 20480*t^8 + 32768*t^10\n" in out
+
+
+def test_cubic_threefold_fixture_exits_3_under_the_default_budget(capsys, fixtures_dir):
+    # The default budget still refuses the domain of N_7, 270549121 points,
+    # although no strategy evaluates them.
+    spec = fx(fixtures_dir, "large/cubic_threefold_f2.json")
+    profile = fx(fixtures_dir, "large/profile_cubic_threefold.json")
+    code, out, err = run_cli(capsys, "zeta", spec, "--profile", profile)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: term n=7: ")
+
+
 @pytest.mark.parametrize("dim", [9100, 10**8])
 def test_count_over_a_huge_projective_space_exits_3_promptly(capsys, tmp_path, dim):
     # P^9100 over F_3 has about 3^9100 points, past the 4300 digits that int
@@ -627,7 +648,8 @@ def _weierstrass_file(path, p, a, b):
 
 
 @pytest.mark.parametrize(
-    "case", ["algebra", "find-pair", "roots-only-count", "curve-zeta", "curve-compare"]
+    "case",
+    ["algebra", "find-pair", "roots-only-count", "curve-zeta", "curve-compare", "surface-zeta"],
 )
 def test_imports_no_numpy(case, fixtures_dir, tmp_path):
     # Importing numpy alone took 135-197 ms (python -X importtime, Python
@@ -640,6 +662,9 @@ def test_imports_no_numpy(case, fixtures_dir, tmp_path):
     # * A Weierstrass curve over F_p, the curve and compare jobs of the
     #   benchmark, counts every N_n from one character sum over F_p in pure
     #   Python and gcds over F_p.
+    # * The Fermat cubic surface over F_2 and a diagonal quadric surface over
+    #   F_11, surface jobs of the benchmark, count their charts by Jacobi
+    #   sums over F_4 and F_11, by a genus-0 curve and by roots.
     profile = fx(fixtures_dir, "profile_curve.json")
     if case == "algebra":
         script = _ALGEBRA_WITHOUT_NUMPY
@@ -657,6 +682,15 @@ def test_imports_no_numpy(case, fixtures_dir, tmp_path):
     elif case == "curve-zeta":
         curve = _weierstrass_file(tmp_path / "e37.json", 37, 2, 9)
         script = _cli_runs(["zeta", curve, "--profile", profile])
+    elif case == "surface-zeta":
+        surfaces = []
+        for p, coeffs, degree, betti in ((2, (1, 1, 1, 1), 3, 7), (11, (2, 7, 1, 8), 2, 2)):
+            equation = [[c, [degree * (i == j) for i in range(4)]] for j, c in enumerate(coeffs)]
+            spec = _spec_file(tmp_path / f"s{p}.json", f"degree {degree}", p, "projective", 3, [equation])
+            surface_profile = tmp_path / f"profile{p}.json"
+            surface_profile.write_text(json.dumps({"d": 2, "betti": [1, 0, betti, 0, 1]}))
+            surfaces.append(["zeta", spec, "--profile", str(surface_profile)])
+        script = _cli_runs(*surfaces)
     else:
         first = _weierstrass_file(tmp_path / "e29a.json", 29, 1, 1)
         second = _weierstrass_file(tmp_path / "e29b.json", 29, 2, 3)

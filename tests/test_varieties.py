@@ -558,11 +558,11 @@ def test_weierstrass_n2_over_f31_squared_builds_no_tables(fresh_tables):
     assert got == p**2 + 1 - (trace**2 - 2 * p)
 
 
-def test_weierstrass_n2_over_f367_squared_runs_euler(fresh_tables):
-    # F_{367^2} lies above the 2^17 cap, so it has no chi table and the fibre
-    # count takes chi by Euler's criterion on the digit-wise kernel.  N_1
-    # counts y^2 = x^3 + 2x + 3 by Legendre symbols, and the genus-1 trace
-    # recursion gives N_2.
+def test_weierstrass_n2_over_f367_squared_builds_no_tables(fresh_tables):
+    # The chart x = 1 is a plane curve of genus 1, so N_2 comes from one
+    # character sum over F_367 and F_{367^2}, which lies above the 2^17
+    # cap, is never used.  N_1 counts y^2 = x^3 + 2x + 3 by Legendre
+    # symbols, and the genus-1 trace recursion gives N_2.
     p = 367
     spec = _curve(p, 2, 3)  # smooth: 4*2^3 + 27*3^2 = 275 is not 0 mod 367
     field = fresh_tables(make_extension(p, 2))
@@ -657,10 +657,10 @@ def _four_kinds(p, k, linear=False):
     return _one_equation(p, k, "affine", 3, terms)
 
 
-def _assert_matches_oracle(spec):
-    field = make_extension(spec.p, spec.k)
+def _assert_matches_oracle(spec, n=1):
+    field = make_extension(spec.p, spec.k * n)
     eqs = embedded_equations(spec, field)
-    assert count_points(spec, 1) == count_pure(spec, field, eqs, 0, domain_size(spec, 1))
+    assert count_points(spec, n) == count_pure(spec, field, eqs, 0, domain_size(spec, n))
 
 
 @st.composite
@@ -842,6 +842,16 @@ def test_benchmark_shapes_stay_off_the_vector_path(fixtures_dir, monkeypatch):
         n1 = p + 1 + sum(_legendre(x**3 + a * x + b, p) for x in range(p))
         trace = p + 1 - n1
         assert count_series(_curve(p, a, b), 2).counts == (n1, p**2 + 1 - (trace**2 - 2 * p))
+    # The surface jobs: the Fermat cubic surface over F_2 (N_1..N_7; see
+    # test_counting_strategy_takes_fewest_points) and diagonal quadric
+    # surfaces, which split, with (Q + 1)^2 points, iff their discriminant
+    # is a square in F_Q.
+    assert count_series(_fermat(2, 3), 7).counts == (7, 45, 73, 369, 1057, 4545, 16513)
+    for p, coeffs in ((3, (1, 2, 1, 1)), (5, (1, 2, 3, 4)), (7, (3, 1, 4, 1)), (11, (2, 7, 1, 8))):
+        squares = [(c, tuple(2 * (i == j) for i in range(4))) for j, c in enumerate(coeffs)]
+        eps = _legendre(math.prod(coeffs), p)
+        expected = tuple(p ** (2 * n) + 1 + p**n * (1 + eps**n) for n in (1, 2))
+        assert count_series(_one_equation(p, 1, "projective", 3, squares), 2).counts == expected
 
 
 # Counting by halves.  A whole block whose one equation reads g(X) + h(Y) = 0,
@@ -901,9 +911,10 @@ def test_halves_count_matches_oracle(spec):
 
 
 def test_diagonal_cubic_threefold_over_f2():
-    # The chart x_0 = 1 of P^4 costs 2 * 8^2 evaluations at n = 3 instead
-    # of 8^4.  For odd n, cubing permutes F_{2^n}, so N_1 = 15 and N_3 = 585
-    # count the hyperplane x_0 + ... + x_4 = 0, a P^3.
+    # Every chart with two or more free coordinates is counted by Jacobi
+    # sums.  For odd n, cubing permutes F_{2^n}, so those charts form no
+    # term, and N_1 = 15 and N_3 = 585 count the hyperplane
+    # x_0 + ... + x_4 = 0, a P^3.
     spec = _fermat(2, 4)
     counts = count_series(spec, 3).counts
     for n, got in enumerate(counts, start=1):
@@ -911,11 +922,89 @@ def test_diagonal_cubic_threefold_over_f2():
         size = domain_size(spec, n)
         assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
     assert counts == (15, 165, 585)
-    # Past the default budget, halves over the exp/log tables of F_{2^n}
-    # reach n = 9: the chart x_0 = 1 costs 2 * (2^9)^2 evaluations.
+    # Past the default budget, no F_{2^n} is built up to n = 9.
     for n in (5, 7, 9):
         q = 2**n
         assert count_points(spec, n, budget=10**12) == (q**4 - 1) // (q - 1)
+
+
+# Counting by Jacobi sums.  A whole block whose one equation reads
+# c + sum a_i x_i^e_i, each term a power of its own free coordinate, is
+# counted from Jacobi sums over the smallest field F_{q^f} that carries its
+# characters.  count_pure evaluates every point, and two spans that cut the
+# first block send it down the direct evaluator.
+
+
+@st.composite
+def _diagonal_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 2]))
+    q = p**k
+    kind = draw(st.sampled_from(["affine", "projective"]))
+    dim = draw(st.sampled_from([2, 3] if q <= 4 else [2]))
+    # n = 1..3, and n = 4 over F_2 for e = 5; at most 4096 points per block.
+    n = draw(st.sampled_from([n for n in range(1, 5 if q == 2 else 4) if q ** (n * dim) <= 4096]))
+    order = q**n
+    # Small exponents, f > 1 (e = 5 over F_2 and F_4, 4 over F_3, 3 over
+    # F_5), e >= q^n and e = 0 mod q^n - 1.
+    exponent = st.sampled_from([1, 2, 3, 4, 5, 6, order + 1, order + 3, order - 1, 2 * (order - 1)])
+    nvars = dim + (kind == "projective")
+    coords = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars, unique=True))
+    e = draw(exponent)
+    coeff = st.integers(1, p - 1) if k == 1 else st.lists(st.integers(0, p - 1), min_size=k, max_size=k).filter(any)
+    terms = []
+    for t in coords:
+        power = e if kind == "projective" else draw(exponent)
+        terms.append((draw(coeff), tuple(power * (i == t) for i in range(nvars))))
+    if kind == "affine" and draw(st.booleans()):
+        terms.append((draw(coeff), (0,) * nvars))
+    return _one_equation(p, k, kind, dim, terms), n
+
+
+def _diagonal(p, kind, dim, exponents, const=0):
+    """sum_t x_t^e_t (+ const) over F_p, the pure powers of a diagonal spec."""
+    nvars = len(exponents)
+    terms = [(1, tuple(e * (i == t) for i in range(nvars))) for t, e in enumerate(exponents)]
+    return _one_equation(p, 1, kind, dim, terms + [(const, (0,) * nvars)] * bool(const))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_specs())
+# f > 1: characters of order 5 live on F_16, of order 4 on F_9, of order 3 on F_25.
+@example((_diagonal(2, "affine", 2, (5, 5), const=1), 4))
+@example((_diagonal(3, "projective", 2, (4, 4, 4)), 2))
+@example((_diagonal(5, "affine", 2, (3, 6), const=2), 2))
+def test_diagonal_count_matches_oracle(case):
+    from fqzeta.varieties import _characters, _count_diagonal, _shapes
+
+    spec, n = case
+    field = make_extension(spec.p, spec.k * n)
+    size = domain_size(spec, n)
+    got = count_points(spec, n)
+    assert got == count_pure(spec, field, embedded_equations(spec, field), 0, size)
+    # The first block by Jacobi sums, whether or not the plan takes them,
+    # against two spans that cut it.
+    prefix, n_free = _shapes(spec.ambient)[0]
+    block, cut = field.order**n_free, field.order**n_free // 2
+    polys, _, _, diagonal = spec._block_plans[prefix]
+    if diagonal is not None:
+        _, L, f = _characters(spec.q, diagonal, n, field.order)
+        jacobi = _count_diagonal(make_extension(spec.p, spec.k), diagonal, field.order, n, L, f, spec)
+        assert jacobi == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, block))
+    assert got == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, size))
+
+
+def test_cyclotomic_residue_certifies_an_integer():
+    from fqzeta.varieties import _cyclotomic_value
+
+    # zeta_3 + zeta_3^2 = -1, and zeta_4^2 = -1.
+    assert _cyclotomic_value([5, -1, -1], 3) == 6
+    assert _cyclotomic_value([0, 0, 2, 0], 4) == -2
+    # zeta_3 and 1 + zeta_5 are not integers.
+    with pytest.raises(AssertionError, match="Phi_3"):
+        _cyclotomic_value([0, 1, 0], 3)
+    with pytest.raises(AssertionError, match="Phi_5"):
+        _cyclotomic_value([1, 1, 0, 0, 0], 5)
 
 
 def test_counting_strategy_takes_fewest_points(monkeypatch):
@@ -924,20 +1013,35 @@ def test_counting_strategy_takes_fewest_points(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("strategy taken")
 
+    def spy(name, calls):
+        counter = getattr(varieties, name)
+        monkeypatch.setattr(varieties, name, lambda *args: calls.append(args) or counter(*args))
+
     # The Fermat cubic surface over F_2: its charts with three and two free
-    # coordinates are counted by halves, with no direct evaluation.  For odd
-    # n, cubing permutes F_q and the surface has as many points as a plane;
-    # for even n, its 27 lines are defined over F_4 and N = q^2 + 7q + 1.
-    halves = []
-    count_halves = varieties._count_halves
+    # coordinates are counted by Jacobi sums, with no halves and no direct
+    # evaluation.  For odd n, cubing permutes F_q and the surface has as
+    # many points as a plane; for even n, its 27 lines are defined over F_4
+    # and N = q^2 + 7q + 1.
+    diagonal = []
+    spy("_count_diagonal", diagonal)
     monkeypatch.setattr(varieties, "_count_direct", refuse)
-    monkeypatch.setattr(
-        varieties, "_count_halves", lambda *args: halves.append(args) or count_halves(*args)
-    )
+    monkeypatch.setattr(varieties, "_count_halves", refuse)
     assert count_series(_fermat(2, 3), 7).counts == (7, 45, 73, 369, 1057, 4545, 16513)
-    assert len(halves) == 2 * 7
-    # A Weierstrass curve and a diagonal quadric surface keep the fibre
-    # path: one coordinate of degree <= 2 leaves fewer points than halves.
+    assert len(diagonal) == 2 * 7
+    # x_0^4 + x_1^2 x_2^2 + x_3^4 over F_2 is separable but not diagonal,
+    # and no coordinate of the chart x_0 = 1 has degree 1, so it is counted
+    # by halves; the chart x_1 = 1 is diagonal.
+    monkeypatch.undo()
+    halves = []
+    spy("_count_halves", halves)
+    monkeypatch.setattr(varieties, "_count_direct", refuse)
+    terms = [(1, (4, 0, 0, 0)), (1, (0, 2, 2, 0)), (1, (0, 0, 0, 4))]
+    for n in (1, 2, 3):
+        _assert_matches_oracle(_one_equation(2, 1, "projective", 3, terms), n)
+    assert len(halves) == 3
+    # A Weierstrass curve is counted by its curve, and a diagonal quadric
+    # surface by Jacobi sums and, in its chart with two free coordinates,
+    # by its curve of genus 0: neither takes halves.
     monkeypatch.setattr(varieties, "_count_halves", refuse)
     p = 7
     n1 = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - 2 * x - 3) % p == 0)
@@ -956,7 +1060,8 @@ def test_each_block_is_planned_once(monkeypatch):
         varieties, "_block_plan", lambda *args: calls.append(args) or block_plan(*args)
     )
     # y^2 z = x^3 + 2 x z^2 + 3 z^3 over F_49 has three blocks: the chart
-    # x = 1 by fibres, the line x = 0 by roots, and [0 : 0 : 1], not on it.
+    # x = 1 by its curve, the line x = 0 by roots, and [0 : 0 : 1], not on
+    # it.
     p = 7
     n1 = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - 2 * x - 3) % p == 0)
     trace = p + 1 - n1
@@ -1009,28 +1114,43 @@ def test_frobenius_chain_matches_the_oracle():
 
 def test_plan_builds_no_field(monkeypatch):
     from fqzeta import varieties
-    from fqzeta.varieties import _count_direct, _count_halves, _count_roots, _plan
+    from fqzeta.varieties import _count_diagonal, _count_direct, _count_halves, _count_roots, _plan
 
     def refuse(*args, **kwargs):
         raise AssertionError("field built")
 
     # The Fermat cubic surface over F_4: the charts with three and two free
-    # coordinates by halves, the line x_0 = x_1 = 0 by roots, and [0:0:0:1]
-    # is not on it.  A span that cuts the first chart evaluates it directly.
+    # coordinates by Jacobi sums, the line x_0 = x_1 = 0 by roots, and
+    # [0:0:0:1] is not on it.  gcd(3, 4^n - 1) = 3 and 4 = 1 mod 3, so each
+    # chart's characters live on F_4 itself: 2 + 2 * 2 + 3 * 2 and 2 + 2 * 2
+    # terms, and the first chart also pays the 4 points of the class table
+    # of F_4 that both share.  A span that cuts the first chart evaluates
+    # it directly.
     cubes = [([1, 0], tuple(3 * (i == j) for i in range(4))) for j in range(4)]
     spec = _one_equation(2, 2, "projective", 3, cubes)
+    # x_0^4 + x_1^2 x_2^2 + x_3^4 over F_4 is separable but not diagonal:
+    # its chart x_0 = 1 is counted by halves.  In the chart x_1 = 1,
+    # x_2^2 and x_3^4 permute F_{4^n}, so Jacobi sums form no term.
+    quartic = _one_equation(
+        2, 2, "projective", 3, [([1, 0], (4, 0, 0, 0)), ([1, 0], (0, 2, 2, 0)), ([1, 0], (0, 0, 0, 4))]
+    )
     monkeypatch.setattr(varieties, "make_extension", refuse)
     for n in (1, 2, 3):
         q = spec.q**n
         plan = list(_plan(spec, q, 0, domain_size(spec, n)))
         assert [(points, counter) for points, counter, _, _ in plan] == [
-            (q + q**2, _count_halves),
-            (2 * q, _count_halves),
+            (12 + 4, _count_diagonal),
+            (6, _count_diagonal),
             (0, _count_roots),
             (0, None),
         ]
         [(points, counter, _, _)] = _plan(spec, q, 1, q**3)
         assert (points, counter) == (q**3 - 1, _count_direct)
+        plan = list(_plan(quartic, q, 0, domain_size(quartic, n)))
+        assert [(points, counter) for points, counter, _, _ in plan][:2] == [
+            (q + q**2, _count_halves),
+            (0, _count_diagonal),
+        ]
 
 
 @pytest.mark.parametrize("n", [1, 2])
