@@ -16,10 +16,11 @@ Exit codes are a stable contract:
        ``count -n 0``, ``zeta --extra-terms -1``, ``solve -d 9`` outside
        1..``--max-d``, or ``solve --budget``), reported in one line
     3  enumeration budget exceeded (for ``find-pair``: the primes in range
-       visit more than ``--budget`` models and points, (3p+6)p each: p^2
-       models in the class map, p points of N_1 for each of at most 2p+6
-       classes), or a count would have to index a field of 2^63 or more
-       elements
+       may visit more than ``--budget`` models and points, (3p+6)p each: p^2
+       models in the orbit walk that once found the classes, p points of N_1
+       for each of at most 2p+6 classes; an upper bound kept so that no exit
+       code moves, as the classes now take O(p) work), or a count would have
+       to index a field of 2^63 or more elements
     4  no consistent rational zeta fit for the given counts and profile
     5  duality (functional equation) violation
     6  the compared varieties live over different fields
@@ -299,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         "find-pair",
         _cmd_find_pair,
         "equal-zeta non-isomorphic curve pairs",
-        "max models and points the search may visit, (3p+6)p per prime: p^2 "
-        "models, p points of N_1 per class (default 10^8)",
+        "max models and points the search may visit, reckoned as an upper "
+        "bound of (3p+6)p per prime: p^2 models, p points of N_1 per class; "
+        "the search does less (default 10^8)",
     )
     p_find.add_argument("--p-min", type=int, default=5)
     p_find.add_argument("--p-max", type=int, default=31)

@@ -287,20 +287,26 @@ class ExtensionField:
         p, k = self.p, self.k
         if k == 1:
             return a * b % p
+        # The digits of both operands in one pass, c_(k-1) first.
+        da, db = [0] * k, [0] * k
+        for j in range(k - 1, -1, -1):
+            a, da[j] = divmod(a, p)
+            b, db[j] = divmod(b, p)
         conv = [0] * (2 * k - 1)
-        db = to_digits(b, p, k)
-        for i, ca in enumerate(to_digits(a, p, k)):
+        for i, ca in enumerate(da):
             if ca:
-                for j, cb in enumerate(db):
-                    conv[i + j] += ca * cb
-        out = conv[:k]
-        for j in range(k - 1):
-            hi = conv[k + j] % p
+                for j, cb in enumerate(db, i):
+                    conv[j] += ca * cb
+        # Fold each x^j, j >= k, into the low k coefficients as its row x^j mod m.
+        for j, row in enumerate(self._reduction_rows, k):
+            hi = conv[j] % p
             if hi:
-                row = self._reduction_rows[j]
-                for t in range(k):
-                    out[t] += hi * row[t]
-        return from_digits(out, p)
+                for t, r in enumerate(row):
+                    conv[t] += hi * r
+        out = 0
+        for t in range(k):
+            out = out * p + conv[t] % p
+        return out
 
     def _inv(self, a: int) -> int:
         if not a:

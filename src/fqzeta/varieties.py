@@ -398,15 +398,31 @@ def count_series(
     return PointCountSeries(spec.q, tuple(counts))
 
 
-def _make_embedding(spec: VarietySpec, field: ExtensionField):
+def _make_embedding(spec: VarietySpec, field: ExtensionField, subfield=None):
+    """The map of the scalars of F_q into ``field``.
+
+    ``subfield``, if given, holds the nonzero scalars of F_q in ``field``;
+    the root is then found among them by scalar operations, with no kernel.
+    """
     if spec.k == 1:
         return field.element
     if field.k == spec.k:
         return lambda scalar: scalar
     # Map the base generator to the first root, in scalar order, of the base
-    # modulus in the larger field; a root exists because k divides field.k.
+    # modulus in the larger field; a root exists because k divides field.k,
+    # and every root lies in F_q, the one subfield of its order.
     base = make_extension(spec.p, spec.k)
-    return base.embedding(field, _first_root(base.modulus, field))
+    if subfield is None:
+        return base.embedding(field, _first_root(base.modulus, field))
+    coeffs = [field.element(c) for c in reversed(base.modulus)]
+
+    def is_root(x):
+        acc = field.zero
+        for c in coeffs:
+            acc = field._add(field._mul(acc, x), c)
+        return not acc
+
+    return base.embedding(field, min(filter(is_root, subfield)))
 
 
 def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
@@ -764,16 +780,21 @@ def _make_jacobi(spec, L, f) -> _Jacobi:
     """The _Jacobi of F_{q^f} for the characters of order dividing L.
 
     Built from scalar field operations alone: q^f products walk the powers
-    of a generator g, and q^f subtractions form 1 - u.
+    of a generator g, and q^f subtractions form 1 - u.  Every
+    (q^f - 1)/(q - 1)-th power on the walk is a nonzero scalar of F_q, and
+    F_q is embedded by the least root of its modulus among those.
     """
     field = make_extension(spec.p, spec.k * f)
     g, one = field._generator(), field.one
-    logs, u = [0] * field.order, one
+    step = (field.order - 1) // (spec.q - 1)
+    logs, subfield, u = [0] * field.order, [], one
     for t in range(field.order - 1):
         logs[u] = t % L
+        if not t % step:
+            subfield.append(u)
         u = field._mul(u, g)
     classes = Counter((logs[u], logs[field._sub(one, u)]) for u in range(1, field.order) if u != one)
-    return _Jacobi(field.order, L, logs, classes, _make_embedding(spec, field), {})
+    return _Jacobi(field.order, L, logs, classes, _make_embedding(spec, field, subfield), {})
 
 
 def _count_diagonal(field, diagonal, order, n, L, f, spec) -> int:

@@ -4,6 +4,9 @@ perfbench/ checks answers with its own oracles and, under ``--trace 1``,
 wraps fqzeta's functions by their module-level names.  A rename in src/
 breaks those names without failing any other test, so this runs the oracle
 self-test and installs the tracer against ./src in a fresh interpreter.
+Some hooks also unpack the arguments of the call they wrap (``curves`` reads
+find_pairs's primes, ``points`` count_points's spec and n), so a traced
+find-pair and a traced count run there too, as a worker runs its jobs.
 """
 
 import subprocess
@@ -18,7 +21,18 @@ sys.path[:0] = ["src", "perfbench"]
 import fqzeta, oracles, tracer
 assert fqzeta.__file__ == os.path.abspath("src/fqzeta/__init__.py"), fqzeta.__file__
 oracles.self_test()
-tracer.install(tracer.Tracer())
+t = tracer.Tracer()
+tracer.install(t)
+from fqzeta import cli
+for job, argv in enumerate((
+    ["find-pair", "--p-min", "5", "--p-max", "7"],
+    ["count", "tests/fixtures/elliptic_f5.json", "-n", "2"],
+)):
+    rc = t.call(job, "cli.main", cli.main, argv + ["--format", "json"])
+    assert rc == 0, (argv, rc)
+metrics = tracer.layer_metrics(t.spans)
+assert metrics["pairsearch.curves"] > 0 and metrics["pairsearch.pairs"] > 0, metrics
+assert metrics["varieties.count_points.calls"] == 2 and metrics["varieties.points"] > 0, metrics
 """
 
 

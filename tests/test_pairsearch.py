@@ -4,7 +4,7 @@ import pytest
 
 from fqzeta import pairsearch
 from fqzeta.errors import BudgetExceededError
-from fqzeta.fields import make_extension
+from fqzeta.fields import is_prime, make_extension
 from fqzeta.pairsearch import (
     CurveModel,
     _class_counts,
@@ -30,6 +30,42 @@ def naive_affine_count(p, a, b):
 
 def orbit(p, a, b):
     return {(a * pow(u, 4, p) % p, b * pow(u, 6, p) % p) for u in range(1, p)}
+
+
+def orbit_walk_representatives(p):
+    """Oracle: walk the p^2 models in lex order, which meets every orbit
+    first at its smallest member, and mark each orbit seen."""
+    multipliers = {(pow(u, 4, p), pow(u, 6, p)) for u in range(1, p)}
+    reps, seen = [], set()
+    for a in range(p):
+        for b in range(p):
+            if (4 * a * a * a + 27 * b * b) % p == 0 or (a, b) in seen:
+                continue
+            reps.append((a, b))
+            seen.update((a * u4 % p, b * u6 % p) for u4, u6 in multipliers)
+    return reps
+
+
+def orbit_walk_counts(p):
+    """Oracle: N_1 at each orbit-walk representative, reducing x^3 + ax + b
+    mod p at every point."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, p):
+        chi[x * x % p] = 1
+    return {
+        (a, b): p + 1 + sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+        for a, b in orbit_walk_representatives(p)
+    }
+
+
+def test_closed_form_classes_match_the_orbit_walk():
+    for p in range(5, 200):
+        if is_prime(p):
+            assert _class_representatives(p) == orbit_walk_representatives(p), p
+            # Equal as ordered lists: the buckets, and so the witness pairs,
+            # depend on the order of the classes.
+            assert list(_class_counts(p).items()) == list(orbit_walk_counts(p).items()), p
 
 
 def test_p5_pairs_frozen():
@@ -117,7 +153,9 @@ def test_weierstrass_spec_matches_naive_count():
         assert count_points(spec, 1) == naive_affine_count(p, a, b)
 
 
-@pytest.mark.parametrize("p", [5, 7, 13])
+# (gcd(4, p - 1), gcd(6, p - 1)) takes all four of its values here: (4, 2)
+# at 5 and 17, (2, 6) at 7 and 19, (2, 2) at 11 alone, (4, 6) at 13.
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
 def test_class_representative_is_orbit_minimum(p):
     nonsingular = {
         (a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p

@@ -994,6 +994,29 @@ def test_diagonal_count_matches_oracle(case):
     assert got == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, size))
 
 
+def test_jacobi_tables_embed_f_q_without_numpy(monkeypatch):
+    # x^5 + y^5 + t in A^2 over F_4 = F_2[t]: at n = 2 and 4 the characters
+    # of order 5 live on F_16 (f = 2), so F_4 is embedded there, by the root
+    # of its modulus that _first_root picks, found among the powers of the
+    # generator that the Jacobi tables walk anyway.
+    from fqzeta.varieties import _characters, _count_diagonal, _make_embedding
+
+    spec = _one_equation(2, 2, "affine", 2, [([1, 0], (5, 0)), ([1, 0], (0, 5)), ([0, 1], (0, 0))])
+    expected = []
+    for n in range(1, 5):
+        field = make_extension(2, 2 * n)
+        expected.append(count_pure(spec, field, embedded_equations(spec, field), 0, field.order**2))
+    by_first_root = _make_embedding(spec, make_extension(2, 4))
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    diagonal = spec._block_plans[()][3]
+    got = []
+    for n in range(1, 5):
+        _, L, f = _characters(4, diagonal, n, 4**n)
+        got.append(_count_diagonal(make_extension(2, 2), diagonal, 4**n, n, L, f, spec))
+    assert got == expected
+    assert [spec._jacobi[5].embed(a) for a in range(4)] == [by_first_root(a) for a in range(4)]
+
+
 def test_cyclotomic_residue_certifies_an_integer():
     from fqzeta.varieties import _cyclotomic_value
 
