@@ -6,10 +6,13 @@ skipped, not computed with.  It is the tests' reference, over Q and over
 Q(q) in a rational-function class that only they use; no program code
 calls it.  ``primitive_rref`` reduces the trace solver's rows
 (weight-graded, so over Q) sparse in Z: each row is a dict of its nonzero
-integer entries, kept primitive.  ``solve``, for the zeta fit's linear
-systems, also works in integers and eliminates fraction-free (Bareiss,
-1968), so that the only Fractions it forms are its solution.  Both scale
-their rows to Z with ``polys.primitive``.
+integer entries, kept primitive, and each step pivots on the sparsest
+candidate row; the reduced form is unique, so it is still rref's.
+``solve``, for the zeta fit's linear systems, also works in integers: a
+fraction-free forward elimination (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", 1968), then
+back-substitution in integers, so that the only Fractions it forms are its
+solution.  Both scale their rows to Z with ``polys.primitive``.
 """
 
 from __future__ import annotations
@@ -65,10 +68,17 @@ def primitive_rref(matrix: Sequence[Sequence], col_order: Sequence[int]):
     Entries may be ints or Fractions.  Returns (rows, pivots) with the
     pivots of ``rref(matrix, col_order)``; each row is a dict of its nonzero
     entries, and pivot row r is the primitive integer multiple of rref's row
-    r with a positive pivot entry.  The other rows are empty.  Scaling a row
-    keeps the pattern of its nonzero entries, so the pivots are rref's.
-    Each step replaces every row with a nonzero f in the pivot column by
-    pv * row - f * pivot row, pv > 0 the pivot entry, divided by its content.
+    r with a positive pivot entry.  The other rows are empty.
+
+    Each step pivots on the candidate row with the fewest entries, not the
+    first one, so that fewer entries fill in, and subtracts f times it
+    from every other row with an entry f in the pivot column, scaling that
+    row by the pivot entry pv > 0 first unless pv = 1; the row is then
+    divided by its content.  The choice of pivot row changes neither result:
+    a column is a pivot column exactly when the rows' span has a vector
+    whose first nonzero entry in ``col_order`` lies there, whichever row
+    carries it, and the reduced row echelon form over Q for a fixed column
+    order is unique, so the rows and the pivots (r, col) are rref's.
     """
     rows = [
         {i: x for i, x in enumerate(polys.primitive(entries)) if x} for entries in matrix
@@ -76,9 +86,12 @@ def primitive_rref(matrix: Sequence[Sequence], col_order: Sequence[int]):
     pivots: list[tuple[int, int]] = []
     for col in col_order:
         r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if col in rows[i]), None)
-        if pivot_row is None:
+        fewest = min(
+            ((len(rows[i]), i) for i in range(r, len(rows)) if col in rows[i]), default=None
+        )
+        if fewest is None:
             continue
+        pivot_row = fewest[1]
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r]
         if pivot[col] < 0:
@@ -87,14 +100,15 @@ def primitive_rref(matrix: Sequence[Sequence], col_order: Sequence[int]):
         for j, row in enumerate(rows):
             if j != r and col in row:
                 f = row[col]
-                new = {i: pv * x for i, x in row.items()}
+                if pv != 1:
+                    row = {i: pv * x for i, x in row.items()}
                 for i, y in pivot.items():
-                    x = new.get(i, 0) - f * y
+                    x = row.get(i, 0) - f * y
                     if x:
-                        new[i] = x
+                        row[i] = x
                     else:
-                        del new[i]
-                rows[j] = _primitive(new)
+                        del row[i]
+                rows[j] = _primitive(row)
         pivots.append((r, col))
         if len(pivots) == len(rows):
             break
@@ -115,12 +129,21 @@ def solve(matrix, rhs):
 
     Returns the solution as Fractions with free variables set to zero, or
     None if the system is inconsistent.  Pivots are chosen as in ``rref``.
-    Each step replaces every other row by (pv * row - f * pivot row) / prev,
+
+    Forward elimination (Bareiss): each step replaces every row below the
+    pivot by (pv * row - f * pivot row) / prev, from the pivot column on,
     where pv is the pivot, f the row's entry in the pivot column and prev
-    the previous pivot; the division is exact, since every entry is then a
-    minor of the scaled system.  Each row stays a nonzero multiple of its
-    ``rref`` counterpart, so a pivot row's solution entry is its right-hand
-    side over its pivot.
+    the previous pivot.  The division is exact, since every entry is then a
+    minor of the scaled system, and the entries left of the pivot column
+    are zero.  The system is inconsistent exactly when a row below the last
+    pivot keeps a nonzero right-hand side.
+
+    Back-substitution then runs in integers too.  The last pivot, det, is
+    the minor of the pivot rows on the pivot columns, so with the free
+    variables 0, y = det x is integral (Cramer's rule).  Bottom up, each
+    pivot row gives y_col = (det b - sum u y) / u_col, an exact division,
+    with b its right-hand side and u its entries in the later pivot
+    columns; x_col is y_col / det.
     """
     nunk = len(matrix[0]) if matrix else 0
     aug = [list(polys.primitive([*row, b])) for row, b in zip(matrix, rhs)]
@@ -132,18 +155,22 @@ def solve(matrix, rhs):
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot, pv = aug[r], aug[r][col]
-        for j, row in enumerate(aug):
-            if j != r:
-                f = row[col]
-                aug[j] = [(pv * x - f * y) // prev for x, y in zip(row, pivot)]
+        pivot = aug[r][col:]
+        pv = pivot[0]
+        for j in range(r + 1, len(aug)):
+            row = aug[j]
+            f = row[col]
+            row[col:] = [(pv * x - f * y) // prev for x, y in zip(row[col:], pivot)]
         prev = pv
         pivots.append((r, col))
         if len(pivots) == len(aug):
             break
-    if any(row[nunk] and not any(row[:nunk]) for row in aug):
+    if any(row[nunk] for row in aug[len(pivots) :]):
         return None
     sol = [Fraction(0)] * nunk
-    for r, col in pivots:
-        sol[col] = Fraction(aug[r][nunk], aug[r][col])
+    det, y = prev, {}
+    for r, col in reversed(pivots):
+        row = aug[r]
+        y[col] = (det * row[nunk] - sum(row[c] * yc for c, yc in y.items())) // row[col]
+        sol[col] = Fraction(y[col], det)
     return sol

@@ -97,8 +97,17 @@ def weierstrass_spec(p: int, a: int, b: int) -> VarietySpec:
 
 
 def curve_zeta(p: int, trace: int) -> ZetaFunction:
-    """(1 - a_p t + p t^2) / ((1 - t)(1 - p t)) for a curve with trace a_p."""
-    return ZetaFunction(p, (1, -trace, p), (1, -(p + 1), p))
+    """(1 - a_p t + p t^2) / ((1 - t)(1 - p t)) for a curve with trace a_p.
+
+    The denominator's roots are 1 and 1/p, and the numerator takes the
+    values N_1 = p + 1 - a_p and N_1 / p there, so for integers p != 0 and
+    N_1 != 0 the fraction is reduced and is built unchecked.  Any other
+    input goes through the validating constructor, which refuses N_1 = 0.
+    """
+    num, den = (1, -trace, p), (1, -(p + 1), p)
+    if type(p) is type(trace) is int and p and p + 1 != trace:
+        return ZetaFunction._reduced(p, num, den)
+    return ZetaFunction(p, num, den)
 
 
 def _coset_minima(p: int, d: int, logs: list[int]) -> list[int]:

@@ -14,9 +14,10 @@ Both conversions from a polynomial in 1 + tZ[t] to the power sums of its
 inverse roots, counts_from_zeta and traces_from_factorization, are one
 routine, polys._power_sums; polys._series_from_counts is its inverse.
 Both the fit's reduction and the weight split take their quotients from
-polys.gcd, whose certificate has already divided exactly.  Counts, zeta functions, factors
-and traces are ints, computed exactly; Fractions arise only from counts
-that no variety has.  Both checks are exact:
+polys.gcd, whose certificate has already divided exactly, and the fit's
+reduced num/den is not checked again (ZetaFunction._reduced).  Counts, zeta
+functions, factors and traces are ints, computed exactly; Fractions arise
+only from counts that no variety has.  Both checks are exact:
 check_riemann_hypothesis certifies every factor in integers (_is_weil).
 """
 
@@ -73,6 +74,16 @@ class ZetaFunction:
         g = polys.gcd(self.num, self.den)[0]
         if polys.degree(g) > 0:
             raise ValueError(f"numerator and denominator share a factor: {_coeff_list(g)}")
+
+    @classmethod
+    def _reduced(cls, q: int, num: tuple[int, ...], den: tuple[int, ...]) -> "ZetaFunction":
+        """num/den as given, unchecked, for a caller that has proven what
+        __post_init__ checks: tuples of ints without trailing zeros, constant
+        term 1, and no common factor."""
+        zeta = object.__new__(cls)
+        for name, value in (("q", q), ("num", num), ("den", den)):
+            object.__setattr__(zeta, name, value)
+        return zeta
 
     def to_dict(self) -> dict:
         return {"q": self.q, "num": list(self.num), "den": list(self.den)}
@@ -269,7 +280,8 @@ def zeta_from_counts(
             f"counts admit the rational fit {_coeff_list(num)}/{_coeff_list(den)} "
             "but its coefficients are not integers"
         )
-    return ZetaFunction(series.q, polys.to_ints(num), polys.to_ints(den))
+    # num/den is reduced: the cofactors of the gcd above, or coprime already.
+    return ZetaFunction._reduced(series.q, polys.to_ints(num), polys.to_ints(den))
 
 
 def counts_from_zeta(zeta: ZetaFunction, terms: int) -> PointCountSeries:
@@ -332,11 +344,23 @@ def _is_weil(f, Q: int) -> bool:
     inverse root +-sqrt(Q) of f, already divided out.  Each condition is
     necessary as well as sufficient, so False means that some inverse root
     has |alpha|^2 != Q.
+
+    A real factor is divided out only once an evaluation has found its root,
+    so no long division fails: 1 -+ r t divides f exactly when the reversal
+    x^n f(1/x) vanishes at +-r, one Horner evaluation, and for Q not a square
+    1 - Q t^2 divides f exactly when the reversal, E(x^2) + x O(x^2) with
+    E and O its parity halves, vanishes at sqrt(Q), that is, when E and O
+    both vanish at Q, as sqrt(Q) is irrational.  Each such factor is
+    primitive, so the division then goes through in Z[t].
     """
     r = math.isqrt(Q)
-    for real_pair in ((1, -r), (1, r)) if r * r == Q else ((1, 0, -Q),):
-        while (quo := polys.quotient(f, real_pair)) is not None:
-            f = quo
+    if r * r == Q:
+        for root in (r, -r):
+            while not polys.evaluate(f[::-1], root):
+                f = polys.quotient(f, (1, -root))
+    else:
+        while not (polys.evaluate(f[-1::-2], Q) or polys.evaluate(f[-2::-2], Q)):
+            f = polys.quotient(f, (1, 0, -Q))
     m, odd = divmod(len(f) - 1, 2)
     if odd or any(f[m + j] != Q**j * f[m - j] for j in range(1, m + 1)):
         return False
@@ -381,6 +405,13 @@ def factor_by_weights(
     lemma g(0) = +-1, P_i is g scaled to constant term 1, in integers, and
     P_i g(0) Fbar = F.  No division is made outside the gcd.  Once every
     deg P_i = b_i the degree checks below leave nothing unpeeled.
+
+    At the last weight of each parity, i >= 2d - 1, what remains of F should
+    be P_i itself.  F_i = F[-1] prod (1 - (q^i / alpha) t) over the inverse
+    roots alpha of F, so F_i = F[-1] F says that F is its own q^i-reciprocal,
+    and then the gcd would return P_i = F and leave 1.  So if F has degree
+    b_i and F_i = F[-1] F, F is taken as P_i with no gcd; otherwise the gcd
+    runs as at every other weight, with the same errors.
     """
     d, betti, q = profile.d, profile.betti, zeta.q
     if polys.degree(zeta.num) != profile.odd_total:
@@ -398,7 +429,11 @@ def factor_by_weights(
     factors = []
     for i in range(2 * d + 1):
         f = rest[i % 2]
-        g, cofactor, _ = polys.gcd(f, [c * q ** (i * m) for m, c in enumerate(reversed(f))])
+        f_i = [c * q ** (i * m) for m, c in enumerate(reversed(f))]
+        if i >= 2 * d - 1 and len(f) == betti[i] + 1 and f_i == [f[-1] * c for c in f]:
+            factors.append(f)
+            continue
+        g, cofactor, _ = polys.gcd(f, f_i)
         p_i = polys.scale(g, g[0])
         if polys.degree(p_i) != betti[i]:
             raise WeightSeparationError(

@@ -1,3 +1,4 @@
+import math
 from collections import defaultdict
 
 import pytest
@@ -15,7 +16,7 @@ from fqzeta.pairsearch import (
     weierstrass_spec,
 )
 from fqzeta.varieties import DEFAULT_BUDGET, count_points, count_series
-from fqzeta.zeta import counts_from_zeta
+from fqzeta.zeta import ZetaFunction, counts_from_zeta
 
 
 def naive_affine_count(p, a, b):
@@ -133,6 +134,19 @@ def test_counts_and_zeta_consistent():
         n1, n2 = r.counts
         assert counts_from_zeta(r.zeta, 2).counts == (n1, n2)
         assert r.zeta == curve_zeta(r.p, r.p + 1 - n1)
+
+
+def test_curve_zeta_is_built_as_validated():
+    # curve_zeta skips the constructor's gcd when N_1 = p + 1 - a_p != 0; on
+    # every trace within the Hasse bound for p <= 47 it builds what the
+    # validating constructor builds, and a_p = p + 1 still raises.
+    for p in filter(is_prime, range(2, 48)):
+        for trace in range(-math.isqrt(4 * p), math.isqrt(4 * p) + 1):
+            got = curve_zeta(p, trace)
+            assert got == ZetaFunction(p, (1, -trace, p), (1, -(p + 1), p))
+            assert all(type(c) is int for c in (*got.num, *got.den))
+        with pytest.raises(ValueError, match="share a factor"):
+            curve_zeta(p, p + 1)
 
 
 def test_isogeny_invariance_by_brute_force():

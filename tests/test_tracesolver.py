@@ -374,12 +374,14 @@ def _report_over_qq(d, flags, rows, q0=None):
     return ForcedReport(d, flags, tuple(sorted(forced)), tuple(residual), q0)
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", [*range(1, 7), 8, 12, 16])
 def test_graded_reduction_matches_reduction_over_qq(d):
     # The oracle reduces the rows over Q(q) by linalg.rref, once as built and
     # once times a factor that is not a monomial, which keeps the row space.
     # The program reduces them sparse in Z by linalg.primitive_rref, so the
-    # two share no elimination code.
+    # two share no elimination code.  rref pivots on the first candidate row
+    # and primitive_rref on the sparsest, a different row at some step for
+    # every d; d = 8, 12 and 16 add larger systems, as in the large-d tests.
     scale = RationalFunctionQ((1, 0, 1), (0, 0, 0, 1))  # (q^2 + 1) / q^3
     for alb, hl, triv in ALL_FLAGS:
         base = system(d, alb, hl, triv)

@@ -220,6 +220,32 @@ def test_round_trip(q, num, den, split):
     counts = counts_from_zeta(zeta, sum(split) + 2)
     back = zeta_from_counts(counts, *split)
     assert back == zeta
+    assert_as_validated(back)
+
+
+def assert_as_validated(zeta):
+    """zeta, built unchecked, is what the validating constructor builds."""
+    checked = ZetaFunction(zeta.q, zeta.num, zeta.den)
+    assert zeta == checked
+    assert all(type(c) is int for c in (*zeta.num, *zeta.den))
+    assert type(zeta.num) is type(zeta.den) is tuple
+
+
+def test_fit_round_trips_are_built_as_validated():
+    # zeta_from_counts skips the constructor's gcd on the num/den its own gcd
+    # has reduced; on fits that reduce and fits that do not, the result is
+    # the validated one.
+    cases = [
+        (5, (1, 3, 5), (1, -6, 5), (2, 2), (1,)),
+        (5, (1, 3, 5), (1, -6, 5), (4, 4), (1,)),  # oversized: the gcd reduces
+        (7, (1, 2, 7), (1, -8, 7), (2, 2), connected_denominator(7, 1)),
+        (2, (1,), (1, -7, 14, -8), (2, 5), (1,)),
+    ]
+    for q, num, den, split, known in cases:
+        series = counts_from_zeta(ZetaFunction(q, num, den), sum(split) + 3)
+        back = zeta_from_counts(series, *split, known_denominator=known)
+        assert back == ZetaFunction(q, num, den)
+        assert_as_validated(back)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +353,18 @@ def test_non_weil_roots_are_split_and_flagged():
     report = check_riemann_hypothesis(w)
     assert not report["ok"]
     assert report["violations"] == [2]
+
+
+def test_non_reciprocal_last_factor_keeps_the_gcd_message():
+    # At the last even weight the rest 1 - 2t has degree b_2 = 1 but is not
+    # its own 5^2-reciprocal, so the split falls through to the gcd, which
+    # finds no weight-2 root.
+    z = ZetaFunction(5, (1,), product_poly((1, -1), (1, -2)))
+    with pytest.raises(WeightSeparationError) as info:
+        factor_by_weights(z, CohomologyProfile(1, (1, 0, 1)))
+    assert str(info.value) == (
+        "degree 2: expected 1 inverse roots of weight 2, found the factor (1,)"
+    )
 
 
 def test_weight_separation_peels_empty_degrees():
@@ -665,6 +703,20 @@ def test_threefold_split_at_full_size():
     assert check_riemann_hypothesis(w) == {"ok": True, "violations": []}
 
 
+def test_threefold_fit_at_full_size():
+    # E^3 over F_13 from 62 counts: a 30 x 30 solve whose Bareiss pivots
+    # and back-substituted numerators run to hundreds of digits.
+    profile, _, zeta = _threefold_zeta()
+    fitted = zeta_from_counts(
+        counts_from_zeta(zeta, 62),
+        profile.odd_total,
+        profile.even_total,
+        known_denominator=connected_denominator(13, 3),
+    )
+    assert fitted == zeta
+    assert_as_validated(fitted)
+
+
 def test_weight_split_divides_only_inside_the_gcd(monkeypatch):
     # The gcd's certificate divides F by g exactly and hands back the
     # cofactor, so the split peels every weight with no division of its own.
@@ -706,12 +758,17 @@ def weil_factor(Q):
 def off_circle_factor(Q):
     """A factor with an inverse root off |alpha|^2 = Q.
 
-    1 - c t with c^2 != Q; 1 -+ a t + Q t^2 with a^2 > 4Q, whose real roots
+    1 - c t with c^2 != Q, the near misses c = +-(r +- 1) next to a real
+    root r = isqrt(Q) among them; 1 -+ a t + Q t^2 with a^2 > 4Q, whose real roots
     pair as alpha, Q/alpha; or 1 - a t + c t^2 with |c| != Q, whose roots
     cannot both have modulus sqrt(Q).
     """
     bound = math.isqrt(4 * Q)
-    linear = st.integers(-2 * bound, 2 * bound).filter(lambda c: c and c * c != Q)
+    r = math.isqrt(Q)
+    linear = st.one_of(
+        st.integers(-2 * bound, 2 * bound),
+        st.sampled_from([r - 1, r + 1, -r - 1, 1 - r]),
+    ).filter(lambda c: c and c * c != Q)
     real_pair = st.integers(bound + 1, 4 * bound).flatmap(
         lambda a: st.sampled_from([(1, -a, Q), (1, a, Q)])
     )
@@ -729,10 +786,15 @@ def off_circle_factor(Q):
 @st.composite
 def weil_products(draw):
     Q = draw(st.sampled_from(WEIL_BASES)) ** draw(st.integers(1, 3))
+    r = math.isqrt(Q)
+    # Real factors, repeated: (1 - r t)^j (1 + r t)^k if Q = r^2, else
+    # (1 - Q t^2)^k, each divided out once per repeat.
+    real = [(1, -r), (1, r)] if r * r == Q else [(1, 0, -Q)]
     f = (1,)
-    for factor, repeats in draw(
-        st.lists(st.tuples(weil_factor(Q), st.integers(1, 3)), min_size=1, max_size=4)
-    ):
+    for factor, repeats in [
+        *((factor, draw(st.integers(0, 5))) for factor in real),
+        *draw(st.lists(st.tuples(weil_factor(Q), st.integers(1, 3)), min_size=1, max_size=4)),
+    ]:
         for _ in range(repeats):
             f = polys.mul(f, factor)
     return Q, f
