@@ -27,6 +27,14 @@ Exit codes are a stable contract:
 
 JSON output (--format=json) is canonical: sorted keys, no whitespace, one
 line; rationals print as num/den in lowest terms.
+
+How a call is read: one table, ``_COMMANDS``, lists each subcommand's
+handler, help, ``--budget`` help and arguments.  A strict reader reads a
+well-formed call (exact option strings, values that do not begin with ``-``)
+straight from that table.  Any other argv goes to argparse, built from the
+same table once per process, and so do help and usage errors: ``-h``,
+abbreviations, ``--opt=value``, ``--`` and every malformed call print and
+exit exactly as argparse makes them.
 """
 
 from __future__ import annotations
@@ -251,86 +259,195 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fqzeta",
-        description="Zeta functions over finite fields and forced trace equalities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COUNTING_BUDGET = (
+    "max size of each counting domain (candidate points over F_{q^n}; "
+    "counting by roots, curves, Jacobi sums, fibres or halves evaluates fewer "
+    "of them), default 10^8"
+)
 
-    def command(name, func, help, budget=None):
-        # Each subcommand takes only the options it honours; any other is a
-        # usage error.
-        cmd = sub.add_parser(name, help=help)
-        cmd.add_argument(
-            "--format", choices=("human", "json"), default="human", help="output format"
-        )
-        if budget:
-            cmd.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    counting = (
-        "max size of each counting domain (candidate points over F_{q^n}; "
-        "counting by roots, curves, Jacobi sums, fibres or halves evaluates fewer "
-        "of them), default 10^8"
-    )
-
-    p_count = command("count", _cmd_count, "print N_1..N_n", counting)
-    p_count.add_argument("spec", help="variety spec JSON file")
-    p_count.add_argument("-n", "--terms", type=_int_at_least(1), required=True)
-
-    p_zeta = command("zeta", _cmd_zeta, "zeta function, weight factors, checks", counting)
-    p_zeta.add_argument("spec", help="variety spec JSON file")
-    p_zeta.add_argument("--profile", required=True, help="cohomology profile JSON file")
-    p_zeta.add_argument(
-        "--extra-terms",
-        type=_int_at_least(0),
-        default=0,
-        help="extra counts beyond the minimum, used as consistency checks",
-    )
-
-    p_cmp = command("compare", _cmd_compare, "EQUAL or DIFFER", counting)
-    p_cmp.add_argument("spec_a")
-    p_cmp.add_argument("spec_b")
-    p_cmp.add_argument("--profile", required=True)
-
-    p_find = command(
-        "find-pair",
+# The subcommands: name -> (handler, help line, --budget help or None for a
+# subcommand without --budget, arguments as (flags, argparse keywords) in
+# help order).  Every subcommand also takes --format.  Each subcommand takes
+# only the options it honours; any other is a usage error.
+#
+# build_parser and _read_strictly both read this table.  The strict reader
+# accepts only exact tokens (whole option strings, values that do not begin
+# with "-") and declines every other form, because each argv it accepts must
+# parse exactly as argparse parses it: abbreviations, --opt=value, attached
+# short values and "--" follow argparse's own rules, so they are left to it.
+_COMMANDS = {
+    "count": (
+        _cmd_count,
+        "print N_1..N_n",
+        _COUNTING_BUDGET,
+        (
+            (("spec",), {"help": "variety spec JSON file"}),
+            (("-n", "--terms"), {"type": _int_at_least(1), "required": True}),
+        ),
+    ),
+    "zeta": (
+        _cmd_zeta,
+        "zeta function, weight factors, checks",
+        _COUNTING_BUDGET,
+        (
+            (("spec",), {"help": "variety spec JSON file"}),
+            (("--profile",), {"required": True, "help": "cohomology profile JSON file"}),
+            (
+                ("--extra-terms",),
+                {
+                    "type": _int_at_least(0),
+                    "default": 0,
+                    "help": "extra counts beyond the minimum, used as consistency checks",
+                },
+            ),
+        ),
+    ),
+    "compare": (
+        _cmd_compare,
+        "EQUAL or DIFFER",
+        _COUNTING_BUDGET,
+        ((("spec_a",), {}), (("spec_b",), {}), (("--profile",), {"required": True})),
+    ),
+    "find-pair": (
         _cmd_find_pair,
         "equal-zeta non-isomorphic curve pairs",
         "max models and points the search may visit, reckoned as an upper "
         "bound of (3p+6)p per prime: p^2 models, p points of N_1 per class; "
         "the search does less (default 10^8)",
-    )
-    p_find.add_argument("--p-min", type=int, default=5)
-    p_find.add_argument("--p-max", type=int, default=31)
+        (
+            (("--p-min",), {"type": int, "default": 5}),
+            (("--p-max",), {"type": int, "default": 31}),
+        ),
+    ),
+    "solve": (
+        _cmd_solve,
+        "forced trace equalities in dimension d",
+        None,
+        (
+            (("-d",), {"type": int, "required": True, "help": "dimension, 1..--max-d"}),
+            *(
+                ((flag,), {"action": argparse.BooleanOptionalAction, "default": True})
+                for flag in ("--albanese", "--hard-lefschetz", "--trivial")
+            ),
+            (("--max-d",), {"type": int, "default": 8}),
+        ),
+    ),
+}
 
-    p_solve = command("solve", _cmd_solve, "forced trace equalities in dimension d")
-    p_solve.add_argument("-d", type=int, required=True, help="dimension, 1..--max-d")
-    p_solve.add_argument(
-        "--albanese", action=argparse.BooleanOptionalAction, default=True
-    )
-    p_solve.add_argument(
-        "--hard-lefschetz", action=argparse.BooleanOptionalAction, default=True
-    )
-    p_solve.add_argument(
-        "--trivial", action=argparse.BooleanOptionalAction, default=True
-    )
-    p_solve.add_argument("--max-d", type=int, default=8)
 
+def _arguments(name):
+    """(flags, argparse keywords) of each argument of a subcommand, in help order."""
+    _, _, budget, arguments = _COMMANDS[name]
+    yield ("--format",), {"choices": ("human", "json"), "default": "human", "help": "output format"}
+    if budget:
+        yield ("--budget",), {"type": int, "default": DEFAULT_BUDGET, "help": budget}
+    yield from arguments
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command table, built at most once per process.
+
+    Calls reach it only for help, usage errors and the argv forms that the
+    strict reader leaves to argparse."""
+    parser = _Parser(
+        prog="fqzeta",
+        description="Zeta functions over finite fields and forced trace equalities",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_line, _, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for flags, keywords in _arguments(name):
+            cmd.add_argument(*flags, **keywords)
+        cmd.set_defaults(func=func)
     return parser
 
 
+def _dest(flags) -> str:
+    # As argparse derives it: a positional's own name; for an option, its
+    # first long option string (else its first one) without the leading
+    # dashes and with "-" read as "_".
+    if not flags[0].startswith("-"):
+        return flags[0]
+    name = next((flag for flag in flags if flag.startswith("--")), flags[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+@functools.cache
+def _grammar(name):
+    """What the strict reader needs of a subcommand, from the table.
+
+    switches: option string -> (dest, value) for each form of a
+    BooleanOptionalAction (--x stores True, --no-x False); options: option
+    string -> (dest, keywords) for an option that takes one value;
+    positionals: (dest, keywords) in order; defaults: the namespace of a call
+    that gives no argument; required: the dests a call must give."""
+    switches, options, positionals, required = {}, {}, [], set()
+    defaults = {"command": name, "func": _COMMANDS[name][0]}
+    for flags, keywords in _arguments(name):
+        dest = _dest(flags)
+        defaults[dest] = keywords.get("default")
+        if not flags[0].startswith("-"):
+            positionals.append((dest, keywords))
+            required.add(dest)
+            continue
+        if keywords.get("required"):
+            required.add(dest)
+        if keywords.get("action") is argparse.BooleanOptionalAction:
+            switches.update({flag: (dest, True) for flag in flags})
+            switches.update({"--no-" + flag[2:]: (dest, False) for flag in flags})
+        else:
+            options.update(dict.fromkeys(flags, (dest, keywords)))
+    return switches, options, positionals, defaults, required
+
+
+def _read_strictly(argv):
+    """The namespace argparse makes of a well-formed argv, or None.
+
+    Well formed: a subcommand name, then in any order exact option strings of
+    that subcommand, each followed by one value that does not begin with "-"
+    (a BooleanOptionalAction's forms by none), and exactly its positionals.
+    Values go through the table's type callables and choices.  Every other
+    argv, valid or not, returns None and is left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    switches, options, positionals, defaults, required = _grammar(argv[0])
+    values, missing = dict(defaults), set(required)
+    tokens, pending = iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        if token in switches:
+            dest, value = switches[token]
+        else:
+            if token in options:
+                dest, keywords = options[token]
+                token = next(tokens, "-")
+            else:
+                dest, keywords = next(pending, (None, None))
+            if dest is None or token.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(token)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            choices = keywords.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        missing.discard(dest)
+    return None if missing else argparse.Namespace(**values)
+
+
 def _parse_args(argv):
-    # The parser is built once per process and reused by every main call
-    # (a batch of in-process commands); parsing leaves no state in it, and
-    # argparse looks up sys.stdout and sys.stderr only when it prints.
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A call that needs the parser builds it once per process, and every
+    # later main call reuses it: parsing leaves no state in it, and argparse
+    # looks up sys.stdout and sys.stderr only when it prints.
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_strictly(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.command == "solve" and not 1 <= args.d <= args.max_d:
-        parser.error(f"argument -d: must be in 1..{args.max_d}, got {args.d}")
+        build_parser().error(f"argument -d: must be in 1..{args.max_d}, got {args.d}")
     return args
 
 
