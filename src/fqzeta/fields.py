@@ -35,15 +35,9 @@ over budget.  Every field of at most _CHUNK elements, F_p included, also
 keeps a table of its quadratic character (quadratic_character), built from
 one kernel product, the squares of its nonzero elements; chi_sum reads a
 character sum from that table, or by Euler's criterion on the kernel in a
-larger field.  Counting fetches the kernel once per count, and only if its
-plan evaluates points: by fibres, halves or directly, for blocks with two or
-more free coordinates or cut by a span.  Only those blocks' scalars are then
-embedded in the counting field.  A whole block with at most one free
-coordinate is counted over the spec's own field, with the _fq_* polynomial
-helpers below, so a line in P^1 or the lone point of P^0 is counted over any
-F_{p^n}.  So is a whole plane-curve block, but for the character sums over
-F_q..F_{q^g} that its curve of genus g needs once (varieties._count_curve):
-over F_p, S_1 takes no field and no kernel at all.
+larger field.  varieties._Count says which counting strategies run on this
+kernel and which over the spec's own field, with the _fq_* polynomial
+helpers below.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ strategies:
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
   whatever the number of equations.  With g the gcd of their polynomials
   in y over F_q, the block holds deg gcd(g, y^(q^n) - y) points, since
-  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}, and F_{q^n}
-  is never built.  y^(q^n) mod g is the q-th power of y^(q^(n-1)) mod g,
-  so the spec keeps, for each g, the highest such power computed so far
+  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}.
+  y^(q^n) mod g is the q-th power of y^(q^(n-1)) mod g, so the spec
+  keeps, for each g, the highest such power computed so far
   (VarietySpec._frobenius), and a series takes one q-th power per term.
 * by its curve, for a block wholly inside ``span`` of a one-equation spec
   with two free coordinates, one of them y of degree at most 2 (at most 1
@@ -36,8 +36,7 @@ strategies:
   function of S_1..S_g for the curve w^2 = D(z) of genus
   g = ceil(delta / 2) - 1 (Weil).  So this costs the q^m evaluations of
   each S_m, m <= g, once per spec (VarietySpec._curves), and none after
-  that; S_1 over F_p is summed in pure Python, and F_{q^n} is never
-  built.  A D that is not squarefree stays on fibres, and so does a block
+  that.  A D that is not squarefree stays on fibres, and so does a block
   while the degrees of A, B and C leave room for a genus past n
   (_plane_curve).
 * by Jacobi sums, for a block wholly inside ``span`` of a one-equation
@@ -52,7 +51,7 @@ strategies:
   term it forms (_characters), plus the q^f points of a class table of
   F_{q^f} that neither the spec keeps (VarietySpec._jacobi) nor an
   earlier block of the count builds; if some d_i = 1 it is none.  It is
-  offered only while q^f <= _CHUNK, and F_{q^n} is never built.
+  offered only while q^f <= _CHUNK.
 * by fibres, for a block wholly inside ``span`` of a one-equation spec with
   two or more free coordinates, one of them y of degree at most 2 (at most
   1 if p = 2).  The equation reads A y^2 + B y + C with A, B, C in the
@@ -82,10 +81,9 @@ partitions of a span cross-check the strategies.  The half of the plan
 that no n changes, each block's polynomials and their fibre, halves and
 diagonal splits, is derived once per spec and kept with it
 (VarietySpec._block_plans), so every term of a series reuses it.
-count_points then runs the plan.  Only the last three build F_{q^n}, once
-for all their blocks, embed their planned scalars in it and evaluate with
-its vectorized kernel (ExtensionField.vector_ops) on chunks of int64
-scalars.  The tests keep a pure-Python counter that evaluates every point
+count_points then runs the plan, one counter per block; _Count says which
+counters run over F_q and which evaluate on chunks of int64 scalars of
+F_{q^n}.  The tests keep a pure-Python counter that evaluates every point
 as the oracle for all six.
 """
 
@@ -106,6 +104,7 @@ from .fields import (
     _chunks,
     _fq_frobenius_gcd,
     _fq_gcd,
+    _fq_mod,
     _fq_powmod,
     _fq_trim,
     add_digits,
@@ -363,24 +362,8 @@ def count_points(
             budget=budget,
         )
     lo, hi = span if span is not None else (0, size)
-    order = spec.q**n
-    count, jobs = 0, []
-    for job in _plan(spec, order, lo, hi):
-        _, counter, polys, args = job
-        if counter is None:
-            count += args[0]
-        elif counter in (_count_roots, _count_curve, _count_diagonal):
-            count += counter(make_extension(spec.p, spec.k), polys, order, *args)
-        else:
-            jobs.append(job)
-    if jobs:
-        field = make_extension(spec.p, spec.k * n)
-        embed = _make_embedding(spec, field)
-        ops = field.vector_ops()
-        for _, counter, polys, args in jobs:
-            embedded = [(embed(c), [(embed(s), free) for s, free in terms]) for c, terms in polys]
-            count += counter(field, ops, embedded, *args)
-    return count
+    count = _Count(spec, n)
+    return sum(counter(count, data) for _, counter, data in _plan(count, lo, hi))
 
 
 def count_series(
@@ -396,6 +379,30 @@ def count_series(
                 f"term n={n}: {exc}", required=exc.required, budget=exc.budget
             ) from None
     return PointCountSeries(spec.q, tuple(counts))
+
+
+class _Count:
+    """One count over F_Q, Q = order = q^n, read by every block's counter.
+
+    _plan gives each block counter(count, data), data being the block's own
+    part of the plan.  Blocks empty or wholly on the variety (_count_known),
+    roots, curves and Jacobi sums are counted over F_q, so a line in P^1 or
+    the lone point of P^0 is counted over any F_{p^n}; a curve takes its
+    character sums S_1..S_g once per spec (_character_sum).  Fibres, halves
+    and direct evaluation, for blocks with two or more free coordinates or
+    cut by a span, run over F_Q: the first builds ``kernel``, F_Q with its
+    vectorized kernel (ExtensionField.vector_ops) and the embedding of F_q's
+    scalars, by which _evaluator maps their polynomials.  That map is
+    injective and additive, so every choice made over F_q holds over F_Q.
+    """
+
+    def __init__(self, spec: VarietySpec, n: int):
+        self.spec, self.n, self.order = spec, n, spec.q**n
+
+    @cached_property
+    def kernel(self):
+        field = make_extension(self.spec.p, self.spec.k * self.n)
+        return field, field.vector_ops(), _make_embedding(self.spec, field)
 
 
 def _make_embedding(spec: VarietySpec, field: ExtensionField, subfield=None):
@@ -414,15 +421,9 @@ def _make_embedding(spec: VarietySpec, field: ExtensionField, subfield=None):
     base = make_extension(spec.p, spec.k)
     if subfield is None:
         return base.embedding(field, _first_root(base.modulus, field))
-    coeffs = [field.element(c) for c in reversed(base.modulus)]
-
-    def is_root(x):
-        acc = field.zero
-        for c in coeffs:
-            acc = field._add(field._mul(acc, x), c)
-        return not acc
-
-    return base.embedding(field, min(filter(is_root, subfield)))
+    modulus = [field.element(c) for c in base.modulus]
+    roots = (x for x in subfield if not _fq_mod(modulus, [field._sub(0, x), field.one], field))
+    return base.embedding(field, min(roots))
 
 
 def _first_root(poly: tuple[int, ...], field: ExtensionField) -> int:
@@ -469,79 +470,78 @@ def _blocks(spec: VarietySpec, order: int, lo: int, hi: int):
         start += size
 
 
-def _plan(spec: VarietySpec, order: int, lo: int, hi: int):
-    """(points, counter, polys, args) for each block meeting lo..hi.
+def _plan(count: _Count, lo: int, hi: int):
+    """(points, counter, data) for each block of ``count`` meeting lo..hi.
 
-    counter(field, ops, polys, *args) counts a block from its polynomials
-    over F_q (see _block_plan), scalars embedded in field = F_order, by
-    evaluating ``points`` points.  _count_roots, _count_curve and
-    _count_diagonal run over F_q instead: the first evaluates none, the
-    second the points of the character sums it has yet to keep, the third
-    one point per term it forms (_characters) and the points of a class
-    table that no earlier block has built.  An empty or whole block has no
-    counter; args holds the points it adds.  The embedding into F_order is
-    injective and additive, so every choice made over F_q holds over
-    F_order.  No field is built but F_q, and that only to form the
-    discriminant of a plane curve (_plane_curve).
+    counter(count, data) counts the block by evaluating ``points`` points
+    (see _Count).  _count_known and _count_roots evaluate none, _count_curve
+    the points of the character sums it has yet to keep, _count_diagonal one
+    point per term it forms (_characters) and the points of a class table
+    that no earlier block has built.  No field is built but F_q, and that
+    only to form the discriminant of a plane curve (_plane_curve).
     """
-    n, power = 1, spec.q
-    while power < order:
-        n, power = n + 1, power * spec.q
+    spec, n, order = count.spec, count.n, count.order
     tables = set(spec._jacobi)  # the class tables kept, or built by an earlier block
     for prefix, n_free, block_lo, block_hi, whole in _blocks(spec, order, lo, hi):
         polys, parts, sides, diagonal = spec._block_plans[prefix]
         if not polys:
-            yield 0, None, polys, (0 if polys is None else block_hi - block_lo,)
+            yield 0, _count_known, 0 if polys is None else block_hi - block_lo
             continue
         if n_free == 1 and whole:
-            yield 0, _count_roots, polys, (spec._frobenius,)
+            yield 0, _count_roots, polys
             continue
         # Fewest points first, ties to the earliest.  A partial block stays
         # on the direct path, so partitions of a span cross-check the
         # strategies.
         options = []
         if whole and n_free == 2 and parts is not None:
-            curve = _plane_curve(spec, prefix, parts, n)
+            curve = _plane_curve(count, prefix, parts)
             if curve is not None:
                 unkept = [m for m in range(1, curve.genus + 1) if m not in curve.sums]
                 points = sum(spec.q**m for m in unkept)
-                options.append((points, _count_curve, parts, (n, curve, spec)))
+                options.append((points, _count_curve, (parts, curve)))
         if whole and diagonal is not None:
             characters = _characters(spec.q, diagonal, n, order)
             if characters is not None:
                 steps, L, f = characters
                 points = steps + (spec.q**f if steps and L not in tables else 0)
-                options.append((points, _count_diagonal, diagonal, (n, L, f, spec)))
+                options.append((points, _count_diagonal, (diagonal, L, f)))
         if whole and parts is not None:
-            options.append((order ** (n_free - 1), _count_fibres, parts, (n_free - 1,)))
+            options.append((order ** (n_free - 1), _count_fibres, (parts, n_free - 1)))
         if whole and sides is not None and order <= _CHUNK:
-            sizes, halves = zip(*sides)
-            options.append((sum(order**m for m in sizes), _count_halves, halves, (sizes,)))
-        options.append((block_hi - block_lo, _count_direct, polys, (n_free, block_lo, block_hi)))
+            options.append((sum(order**m for m, _ in sides), _count_halves, sides))
+        options.append((block_hi - block_lo, _count_direct, (polys, n_free, block_lo, block_hi)))
         best = min(options, key=lambda option: option[0])
         if best[1] is _count_diagonal:
-            tables.add(best[3][1])
+            tables.add(best[2][1])
         yield best
 
 
-def _count_roots(field, plan, order, frobenius) -> int:
+def _count_known(count, points) -> int:
+    """The points of a block known from its plan alone: none, or every point of its span."""
+    return points
+
+
+def _count_roots(count, polys) -> int:
     """Points of a whole block with one free coordinate y, over F_order.
 
-    ``plan`` is the block's plan over ``field`` = F_q, a subfield of F_order.
-    With g the gcd of its equations' polynomials in y, the count is
+    ``polys`` are the block's polynomials over F_q, a subfield of F_order,
+    order = count.order.  With g their gcd in y, the count is
     deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
     on F_order (g = 0 means every y is a point).  An exponent e >= order
     becomes ((e - 1) mod (order - 1)) + 1, which gives the same power of
     every y in F_order, so g has degree below order.
 
-    ``frobenius`` is the spec's Frobenius chain (VarietySpec._frobenius):
-    it maps g to (q^m, y^(q^m) mod g) for the largest q^m counted so far.
-    If q^m <= order, y^order mod g is reached from it by q-th powers,
+    The spec's Frobenius chain (VarietySpec._frobenius) maps g to
+    (q^m, y^(q^m) mod g) for the largest q^m counted so far.  If
+    q^m <= order, y^order mod g is reached from it by q-th powers,
     y^(q^i) = (y^(q^(i-1)))^q, so a series N_1..N_B takes one q-th power
     per term; otherwise y^order mod g takes log2(order) squarings from y.
     """
+    spec, order = count.spec, count.order
+    field, frobenius = make_extension(spec.p, spec.k), spec._frobenius
     g = []
-    for poly in plan:
+    for poly in polys:
         g = _fq_gcd(g, _univariate(field, poly, order), field)
     if not g:
         return order
@@ -595,7 +595,7 @@ class _Curve:
     sums: dict
 
 
-def _plane_curve(spec, prefix, parts, n):
+def _plane_curve(count, prefix, parts):
     """The block's _Curve (see _count_curve), kept with the spec, or None.
 
     ``parts`` is the block's _fibre_split over its two free coordinates.
@@ -607,15 +607,15 @@ def _plane_curve(spec, prefix, parts, n):
     nor a gcd is formed past degree 2n + 2, and y^2 = x^(10^12) + 1 stays
     on fibres.  A _Curve once built serves every n.
     """
-    curves = spec._curves
+    curves = count.spec._curves
     if prefix not in curves:
         c, b, a = (
             max((e for _, ((_, e),) in terms), default=0 if const else -1)
             for const, terms in parts
         )
-        if max(2 * b, a + c, a, c) > 2 * n + 2:
+        if max(2 * b, a + c, a, c) > 2 * count.n + 2:
             return None
-        curves[prefix] = _make_curve(make_extension(spec.p, spec.k), parts)
+        curves[prefix] = _make_curve(make_extension(count.spec.p, count.spec.k), parts)
     return curves[prefix]
 
 
@@ -640,34 +640,31 @@ def _make_curve(field, parts):
     return _Curve(disc, max((degree + 1) // 2 - 1, 0), eps, {})
 
 
-def _count_curve(field, parts, order, n, curve, spec) -> int:
+def _count_curve(count, data) -> int:
     """Points of a whole block with two free coordinates whose equation reads A y^2 + B y + C.
 
-    ``parts`` holds C, B, -4A over the other coordinate z (_fibre_split)
-    and ``field`` is F_q.  With r(f) the distinct roots of f in F_order
-    (_count_roots, on the spec's Frobenius chain) and
-    S_n = sum over z in F_order of chi(D(z)), D = B^2 - 4AC, summing the
-    fibres of _count_fibres gives Q + S_n - r(A) + Q r(gcd(A, B, C))
-    points, Q = order; where A vanishes identically, as always for p = 2,
-    Q - r(B) + Q r(gcd(B, C)).  Nothing is evaluated over F_order.
+    ``data`` holds the parts C, B, -4A over the other coordinate z
+    (_fibre_split) and the block's _Curve.  With r(f) the distinct roots
+    of f in F_Q, Q = count.order (_count_roots, on the spec's Frobenius
+    chain) and S_n = sum over z in F_Q of chi(D(z)), D = B^2 - 4AC, summing
+    the fibres of _count_fibres gives Q + S_n - r(A) + Q r(gcd(A, B, C))
+    points; where A vanishes identically, as always for p = 2,
+    Q - r(B) + Q r(gcd(B, C)).  Nothing is evaluated over F_Q.
 
     S_n comes from the curve w^2 = D(z) (_Curve), D squarefree of degree
     delta.  For delta = 0, S_n = Q chi_q(D)^n.  Otherwise its smooth model
     has genus g = ceil(delta / 2) - 1 and Q + 1 + S_n + eps^n points over
-    F_order: Q + S_n affine ones and 1 + eps^n at infinity.  So the
+    F_Q: Q + S_n affine ones and 1 + eps^n at infinity.  So the
     inverse roots of its L-polynomial L(t) = 1 + c_1 t + ... + c_2g t^2g
     have the power sums -S_m - eps^m (Weil).  S_1..S_g fix c_1..c_g
     (_series_from_counts), the functional equation c_(2g-j) = q^(g-j) c_j
     gives the rest, and S_n = -p_n(L) - eps^n (_power_sums), in ints, for
     every n.  S_1..S_g are summed once per spec (_character_sum).
     """
-    c, b, minus_4a = parts
-
-    def roots(*polys):
-        return _count_roots(field, polys, order, spec._frobenius)
-
+    (c, b, minus_4a), curve = data
+    spec, n, order = count.spec, count.n, count.order
     if curve.disc is None:
-        return order - roots(b) + order * roots(c, b)
+        return order - _count_roots(count, (b,)) + order * _count_roots(count, (c, b))
     disc, genus, eps, sums = curve.disc, curve.genus, curve.eps, curve.sums
     if len(disc) == 1:
         s_n = order * eps**n
@@ -676,9 +673,10 @@ def _count_curve(field, parts, order, n, curve, spec) -> int:
             if m not in sums:
                 sums[m] = _character_sum(spec, disc, m)
         half = _series_from_counts([sums[m] + eps**m for m in range(1, genus + 1)])
-        lpoly = half + [field.order ** (genus - j) * half[j] for j in reversed(range(genus))]
+        lpoly = half + [spec.q ** (genus - j) * half[j] for j in reversed(range(genus))]
         s_n = -_power_sums(lpoly, n)[-1] - eps**n
-    return order + s_n - roots(minus_4a) + order * roots(c, b, minus_4a)
+    r_a = _count_roots(count, (minus_4a,))
+    return order + s_n - r_a + order * _count_roots(count, (c, b, minus_4a))
 
 
 def _character_sum(spec, disc, m) -> int:
@@ -703,13 +701,11 @@ def _character_sum(spec, disc, m) -> int:
                 value = (value * z + coeff) % p
             total += chi[value]
         return total
-    field = make_extension(p, spec.k * m)
-    ops = field.vector_ops()
-    embed = _make_embedding(spec, field)
-    const = embed(disc[0])
-    terms = [(embed(coeff), ((0, e),)) for e, coeff in enumerate(disc) if e and coeff]
+    count = _Count(spec, m)
+    field = count.kernel[0]
+    terms = [(coeff, ((0, e),)) for e, coeff in enumerate(disc) if e and coeff]
     return sum(
-        field.chi_sum(_evaluator(field, ops, 1, c0, c1)(const, terms))
+        field.chi_sum(_evaluator(count, 1, c0, c1)(disc[0], terms))
         for c0, c1 in _chunks(0, field.order, field.k)
     )
 
@@ -797,12 +793,12 @@ def _make_jacobi(spec, L, f) -> _Jacobi:
     return _Jacobi(field.order, L, logs, classes, _make_embedding(spec, field, subfield), {})
 
 
-def _count_diagonal(field, diagonal, order, n, L, f, spec) -> int:
+def _count_diagonal(count, data) -> int:
     """Points of a whole block whose one equation reads c + sum_i a_i x_i^e_i = 0.
 
-    ``diagonal`` is the block's _diagonal_split over ``field`` = F_q: r
-    terms, each a power of its own free coordinate, and the number of free
-    coordinates absent, each of which multiplies the count by Q = order.
+    ``data`` is the block's _diagonal_split over F_q, with L and f: r terms,
+    each a power of its own free coordinate, and the number of free
+    coordinates absent, each of which multiplies the count by Q = count.order.
     With d_i = gcd(e_i, Q - 1) and b = -c, #{x : x^e_i = u} is the sum of
     chi(u) over the characters chi^(d_i) = 1 of F_Q, so the block holds
     Q^(r-1) plus, over the tuples of nontrivial such characters,
@@ -827,7 +823,8 @@ def _count_diagonal(field, diagonal, order, n, L, f, spec) -> int:
     (_cyclotomic_value): the certificate of the count.  The tables of F'
     are kept with the spec (VarietySpec._jacobi), and F_Q is never built.
     """
-    const, powers, absent = diagonal
+    (const, powers, absent), L, f = data
+    spec, n, order = count.spec, count.n, count.order
     r, free = len(powers), order**absent
     degrees = [math.gcd(e, order - 1) for _, e in powers]
     if 1 in degrees:
@@ -837,7 +834,7 @@ def _count_diagonal(field, diagonal, order, n, L, f, spec) -> int:
         jacobi = spec._jacobi[L] = _make_jacobi(spec, L, f)
     s = n // f
     logs, embed = jacobi.logs, jacobi.embed
-    b = field._sub(field.zero, const)
+    b = add_digits(0, const, spec.p, -1)
     # chi_(sum j)(b)^s prod chi_(j_i)(a_i)^-s = zeta_L^(sum_i j_i unit_i).
     log_b = logs[embed(b)] if b else 0
     units = [s * (log_b - logs[embed(a)]) for a, _ in powers]
@@ -904,29 +901,30 @@ def _cyclotomic_value(coeffs: list, L: int) -> int:
     return rem[0]
 
 
-def _count_direct(field, ops, plan, n_free, block_lo, block_hi) -> int:
-    """Points of the block offsets block_lo..block_hi where every equation vanishes."""
-    count = 0
-    for c0, c1 in _chunks(block_lo, block_hi, field.k):
-        evaluate = _evaluator(field, ops, n_free, c0, c1)
+def _count_direct(count, data) -> int:
+    """Points of the block offsets block_lo..block_hi where every polynomial vanishes."""
+    polys, n_free, block_lo, block_hi = data
+    total = 0
+    for c0, c1 in _chunks(block_lo, block_hi, count.kernel[0].k):
+        evaluate = _evaluator(count, n_free, c0, c1)
         alive = None
-        for const, terms in plan:
+        for const, terms in polys:
             zero = evaluate(const, terms) == 0
             alive = zero if alive is None else alive & zero
             if not alive.any():
                 break
-        count += int(alive.sum())
-    return count
+        total += int(alive.sum())
+    return total
 
 
-def _count_fibres(field, ops, parts, n_other) -> int:
+def _count_fibres(count, data) -> int:
     """Points of a whole block whose one equation reads A y^2 + B y + C.
 
-    ``parts`` holds C, B, -4A (as far as y occurs; see _fibre_split) over
-    the other n_other free coordinates.  Each of their Q^n_other points is
-    the fibre of Q values of y, and with D = B^2 - 4AC it holds
-    1 + chi(D) - [A = 0] + Q [A = B = C = 0] points, where chi is the
-    quadratic character and chi(0) = 0: 1 + chi(D) if A != 0 (p odd), and
+    ``data`` holds C, B, -4A (as far as y occurs; see _fibre_split) over
+    the other n_other free coordinates, and n_other.  Each of their
+    Q^n_other points is the fibre of Q values of y, and with D = B^2 - 4AC
+    it holds 1 + chi(D) - [A = 0] + Q [A = B = C = 0] points, where chi is
+    the quadratic character and chi(0) = 0: 1 + chi(D) if A != 0 (p odd), and
     if A = 0, so that D = B^2, one if B != 0, Q if B = C = 0 and none
     otherwise.  A chunk of M points thus holds
     M + sum chi(D) - #{A = 0} + Q #{A = B = C = 0}: one chi sum
@@ -936,53 +934,55 @@ def _count_fibres(field, ops, parts, n_other) -> int:
     """
     import numpy as np
 
-    add, mul = ops
+    parts, n_other = data
+    field, (add, mul), _ = count.kernel
     q = field.order
     # None stands for a part that vanishes identically.
     parts = [part if part[0] or part[1] else None for part in parts]
-    count = 0
+    total = 0
     for c0, c1 in _chunks(0, q**n_other, field.k):
-        evaluate = _evaluator(field, ops, n_other, c0, c1)
+        evaluate = _evaluator(count, n_other, c0, c1)
         values = [None if part is None else evaluate(*part) for part in parts]
         c, b, minus_4a = values
         size = c1 - c0
         if minus_4a is None:
             zero_a = size
-            count += 0 if b is None else int(np.count_nonzero(b))
+            total += 0 if b is None else int(np.count_nonzero(b))
         else:
             zero_a = size - int(np.count_nonzero(minus_4a))
-            count += size - zero_a
+            total += size - zero_a
             disc = None  # B^2 + (-4A) C, None if it vanishes identically
             for u, v in ((b, b), (minus_4a, c)):
                 if v is not None:
                     disc = mul(u, v) if disc is None else add(disc, mul(u, v))
             if disc is not None:
-                count += field.chi_sum(disc)
+                total += field.chi_sum(disc)
         if zero_a:
             vanish = None
             for value in values:
                 if value is not None:
                     vanish = value == 0 if vanish is None else vanish & (value == 0)
-            count += q * (size if vanish is None else int(np.count_nonzero(vanish)))
-    return count
+            total += q * (size if vanish is None else int(np.count_nonzero(vanish)))
+    return total
 
 
-def _count_halves(field, ops, sides, sizes) -> int:
+def _count_halves(count, sides) -> int:
     """Points of a whole block whose one equation reads g(X) = -h(Y).
 
-    ``sides`` holds g and -h, and ``sizes`` |X| and |Y| (see _halves_split).
+    ``sides`` holds |X| with g and |Y| with -h (see _halves_split).
     With H_g[v] the number of points of X where g = v, and H_-h alike, the
     block holds sum_v H_g[v] H_-h[v] points.  Each histogram has one entry
     per element of F_Q, so it is no larger than one evaluation chunk.
     """
     import numpy as np
 
+    field = count.kernel[0]
     q = field.order
     hists = []
-    for n_side, (const, terms) in zip(sizes, sides):
+    for n_side, side in sides:
         hist = np.zeros(q, dtype=np.int64)
         for c0, c1 in _chunks(0, q**n_side, field.k):
-            values = _evaluator(field, ops, n_side, c0, c1)(const, terms)
+            values = _evaluator(count, n_side, c0, c1)(*side)
             hist += np.bincount(values, minlength=q)
         hists.append(hist)
     return _exact_dot(*hists)
@@ -998,11 +998,11 @@ def _exact_dot(a, b) -> int:
     return sum(map(operator.mul, a.tolist(), b.tolist()))
 
 
-def _evaluator(field, ops, n_free, c0, c1):
-    """Evaluates block polynomials, scalars of ``field``, at the block offsets c0..c1."""
+def _evaluator(count, n_free, c0, c1):
+    """Evaluates block polynomials over F_q at the block offsets c0..c1, on count's kernel."""
     import numpy as np
 
-    add, mul = ops
+    field, (add, mul), embed = count.kernel
     q, one = field.order, field.one
     offs = np.arange(c0, c1, dtype=np.int64)
     coords = [offs // q ** (n_free - 1 - t) % q for t in range(n_free)]
@@ -1021,9 +1021,9 @@ def _evaluator(field, ops, n_free, c0, c1):
         return powers[t, e]
 
     def evaluate(const, terms):
-        acc = None
+        acc, const = None, embed(const)
         for scalar, free in terms:
-            vec = None
+            vec, scalar = None, embed(scalar)
             for t, e in free:
                 vec = power(t, e) if vec is None else mul(vec, power(t, e))
             if scalar != one:

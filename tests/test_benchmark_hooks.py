@@ -33,6 +33,7 @@ for job, argv in enumerate((
 metrics = tracer.layer_metrics(t.spans)
 assert metrics["pairsearch.curves"] > 0 and metrics["pairsearch.pairs"] > 0, metrics
 assert metrics["varieties.count_points.calls"] == 2 and metrics["varieties.points"] > 0, metrics
+assert metrics["fields.make_extension.calls"] > 0, metrics
 """
 
 

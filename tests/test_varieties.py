@@ -975,7 +975,7 @@ def _diagonal(p, kind, dim, exponents, const=0):
 @example((_diagonal(3, "projective", 2, (4, 4, 4)), 2))
 @example((_diagonal(5, "affine", 2, (3, 6), const=2), 2))
 def test_diagonal_count_matches_oracle(case):
-    from fqzeta.varieties import _characters, _count_diagonal, _shapes
+    from fqzeta.varieties import _characters, _Count, _count_diagonal, _shapes
 
     spec, n = case
     field = make_extension(spec.p, spec.k * n)
@@ -989,7 +989,7 @@ def test_diagonal_count_matches_oracle(case):
     polys, _, _, diagonal = spec._block_plans[prefix]
     if diagonal is not None:
         _, L, f = _characters(spec.q, diagonal, n, field.order)
-        jacobi = _count_diagonal(make_extension(spec.p, spec.k), diagonal, field.order, n, L, f, spec)
+        jacobi = _count_diagonal(_Count(spec, n), (diagonal, L, f))
         assert jacobi == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, block))
     assert got == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, size))
 
@@ -999,7 +999,7 @@ def test_jacobi_tables_embed_f_q_without_numpy(monkeypatch):
     # of order 5 live on F_16 (f = 2), so F_4 is embedded there, by the root
     # of its modulus that _first_root picks, found among the powers of the
     # generator that the Jacobi tables walk anyway.
-    from fqzeta.varieties import _characters, _count_diagonal, _make_embedding
+    from fqzeta.varieties import _characters, _Count, _count_diagonal, _make_embedding
 
     spec = _one_equation(2, 2, "affine", 2, [([1, 0], (5, 0)), ([1, 0], (0, 5)), ([0, 1], (0, 0))])
     expected = []
@@ -1012,7 +1012,7 @@ def test_jacobi_tables_embed_f_q_without_numpy(monkeypatch):
     got = []
     for n in range(1, 5):
         _, L, f = _characters(4, diagonal, n, 4**n)
-        got.append(_count_diagonal(make_extension(2, 2), diagonal, 4**n, n, L, f, spec))
+        got.append(_count_diagonal(_Count(spec, n), (diagonal, L, f)))
     assert got == expected
     assert [spec._jacobi[5].embed(a) for a in range(4)] == [by_first_root(a) for a in range(4)]
 
@@ -1137,7 +1137,15 @@ def test_frobenius_chain_matches_the_oracle():
 
 def test_plan_builds_no_field(monkeypatch):
     from fqzeta import varieties
-    from fqzeta.varieties import _count_diagonal, _count_direct, _count_halves, _count_roots, _plan
+    from fqzeta.varieties import (
+        _Count,
+        _count_diagonal,
+        _count_direct,
+        _count_halves,
+        _count_known,
+        _count_roots,
+        _plan,
+    )
 
     def refuse(*args, **kwargs):
         raise AssertionError("field built")
@@ -1160,20 +1168,52 @@ def test_plan_builds_no_field(monkeypatch):
     monkeypatch.setattr(varieties, "make_extension", refuse)
     for n in (1, 2, 3):
         q = spec.q**n
-        plan = list(_plan(spec, q, 0, domain_size(spec, n)))
-        assert [(points, counter) for points, counter, _, _ in plan] == [
+        plan = list(_plan(_Count(spec, n), 0, domain_size(spec, n)))
+        assert [(points, counter) for points, counter, _ in plan] == [
             (12 + 4, _count_diagonal),
             (6, _count_diagonal),
             (0, _count_roots),
-            (0, None),
+            (0, _count_known),
         ]
-        [(points, counter, _, _)] = _plan(spec, q, 1, q**3)
+        [(points, counter, _)] = _plan(_Count(spec, n), 1, q**3)
         assert (points, counter) == (q**3 - 1, _count_direct)
-        plan = list(_plan(quartic, q, 0, domain_size(quartic, n)))
-        assert [(points, counter) for points, counter, _, _ in plan][:2] == [
+        plan = list(_plan(_Count(quartic, n), 0, domain_size(quartic, n)))
+        assert [(points, counter) for points, counter, _ in plan][:2] == [
             (q + q**2, _count_halves),
             (0, _count_diagonal),
         ]
+
+
+def test_counting_kernel_is_built_once_per_count(fixtures_dir, monkeypatch):
+    from fqzeta import varieties
+
+    # F_{q^n}, its kernel and the embedding of F_q are built at most once
+    # per count, and only for blocks evaluated over F_{q^n}.  The Jacobi
+    # tables find their embedding among scalars they walk anyway
+    # (``subfield``) and build no kernel, so the spy skips those calls.
+    curve = _curve(7, 2, 3)
+    field = make_extension(7, 1)
+    cut = (1, 49 + 6)  # a span that cuts the charts with two and one free coordinates
+    expected = count_pure(curve, field, embedded_equations(curve, field), *cut)
+    make_embedding = varieties._make_embedding
+    kernels = []
+
+    def spy(spec, field, subfield=None):
+        if subfield is None:
+            kernels.append(field.order)
+        return make_embedding(spec, field, subfield)
+
+    monkeypatch.setattr(varieties, "_make_embedding", spy)
+    assert count_points(curve, 1, span=cut) == expected
+    assert kernels == [7]
+    # A curve and a roots block, then Jacobi-sum and roots blocks, the
+    # latter with class tables of F_4 from n = 2 on.
+    kernels.clear()
+    assert count_points(load_spec(fixtures_dir / "elliptic_f5.json"), 2) == 27
+    fermat = _fermat(2, 3)
+    assert count_series(fermat, 4).counts == (7, 45, 73, 369)
+    assert 3 in fermat._jacobi
+    assert kernels == []
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1331,7 +1371,7 @@ def test_plane_curve_count_matches_fibres_and_oracle(case):
     from unittest import mock
 
     from fqzeta import varieties
-    from fqzeta.varieties import _count_curve, _plan
+    from fqzeta.varieties import _Count, _count_curve, _plan
 
     spec, curve = case
     counts = count_series(spec, 4, budget=10**12).counts
@@ -1349,7 +1389,7 @@ def test_plane_curve_count_matches_fibres_and_oracle(case):
             assert got == sum(count_points(spec, n, span=s) for s in ((0, cut), (cut, size)))
     # At n = 4 every shape with a squarefree D, or with A = 0, is within
     # the genus bound of the curve; a repeated factor stays on fibres.
-    [(_, counter, _, _), *_] = _plan(spec, spec.q**4, 0, domain_size(spec, 4))
+    [(_, counter, _), *_] = _plan(_Count(spec, 4), 0, domain_size(spec, 4))
     if curve is not None:
         assert (counter is _count_curve) == curve
 
