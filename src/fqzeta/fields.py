@@ -158,6 +158,19 @@ def _fq_mod(a: list, m: list, field: "ExtensionField") -> list:
     return a
 
 
+def _fq_divexact(a: list, m: list, field: "ExtensionField") -> list:
+    """a / m, for a monic m that divides a."""
+    sub, mul, top = field._sub, field._mul, len(m) - 1
+    tail = [(i, cm) for i, cm in enumerate(m[:-1]) if cm]
+    a = list(a)
+    quotient = a[top:]
+    for shift in reversed(range(len(quotient))):
+        lead = quotient[shift] = a[shift + top]
+        for i, cm in tail:
+            a[shift + i] = sub(a[shift + i], mul(lead, cm))
+    return quotient
+
+
 def _fq_mulmod(a: list, b: list, m: list, field: "ExtensionField") -> list:
     """a * b mod m, for a monic m."""
     if not a or not b:

@@ -22,10 +22,15 @@ strategies:
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
   whatever the number of equations.  With g the gcd of their polynomials
   in y over F_q, the block holds deg gcd(g, y^(q^n) - y) points, since
-  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}.
-  y^(q^n) mod g is the q-th power of y^(q^(n-1)) mod g, so the spec
-  keeps, for each g, the highest such power computed so far
-  (VarietySpec._frobenius), and a series takes one q-th power per term.
+  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}.  That is
+  N_n = sum over d | n of d c_d, with c_d the number of distinct
+  irreducible factors of g of degree d, so the spec keeps, for each g,
+  its distinct-degree factorization so far (VarietySpec._factorizations):
+  degree d takes y^(q^d) mod the unfactored rest as the q-th power of
+  y^(q^(d-1)), and a gcd.  It advances for the next term of a series, or
+  where it completes within n degrees, and then no n needs more; any
+  other n takes y^(q^n) mod the rest directly, from the highest power of
+  y kept below it (_count_roots).
 * by its curve, for a block wholly inside ``span`` of a one-equation spec
   with two free coordinates, one of them y of degree at most 2 (at most 1
   if p = 2), as for fibres below.  The block holds
@@ -94,7 +99,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .errors import BudgetExceededError, MalformedSpecError, NotPrimeError
@@ -102,6 +107,7 @@ from .fields import (
     _CHUNK,
     ExtensionField,
     _chunks,
+    _fq_divexact,
     _fq_frobenius_gcd,
     _fq_gcd,
     _fq_mod,
@@ -177,14 +183,22 @@ class VarietySpec:
         return plans
 
     @cached_property
-    def _frobenius(self) -> dict:
-        """The spec's Frobenius chain: g -> (q^m, y^(q^m) mod g), filled by _count_roots.
+    def _gcds(self) -> dict:
+        """polys -> g, the gcd of a roots count's polynomials, filled by _count_roots.
+
+        Formed once for every n with q^n above their largest exponent, where
+        no exponent is reduced, so a series or a curve block forms each g once.
+        """
+        return {}
+
+    @cached_property
+    def _factorizations(self) -> dict:
+        """g -> its _Factorization so far, filled by _count_roots.
 
         Keyed by g, not by block: reducing exponents mod q^n - 1 can give a
-        block a different g at small n.  Each entry holds the largest q^m
-        counted so far, so the next term of a series starts from it.  Every
-        entry is exact, so two threads that race there lose work, never a
-        count.
+        block a different g at small n.  Each record is an immutable value,
+        exact as far as it goes, and is replaced whole when it advances, so
+        two threads that race there lose work, never a count.
         """
         return {}
 
@@ -526,40 +540,101 @@ def _count_roots(count, polys) -> int:
     """Points of a whole block with one free coordinate y, over F_order.
 
     ``polys`` are the block's polynomials over F_q, a subfield of F_order,
-    order = count.order.  With g their gcd in y, the count is
+    order = count.order = q^n.  With g their gcd in y, the count is
     deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
     on F_order (g = 0 means every y is a point).  An exponent e >= order
     becomes ((e - 1) mod (order - 1)) + 1, which gives the same power of
-    every y in F_order, so g has degree below order.
+    every y in F_order, so g has degree below order.  Once order exceeds
+    every exponent, none is reduced, and g is formed once for all such n
+    (VarietySpec._gcds).
 
-    The spec's Frobenius chain (VarietySpec._frobenius) maps g to
-    (q^m, y^(q^m) mod g) for the largest q^m counted so far.  If
-    q^m <= order, y^order mod g is reached from it by q-th powers,
-    y^(q^i) = (y^(q^(i-1)))^q, so a series N_1..N_B takes one q-th power
-    per term; otherwise y^order mod g takes log2(order) squarings from y.
+    F_order holds a root of an irreducible factor of g exactly when its
+    degree d divides n, so N_n = sum over d | n of d c_d, with c_d the
+    number of distinct irreducible factors of g of degree d.  The spec
+    keeps, for each g, its distinct-degree factorization so far
+    (_Factorization, VarietySpec._factorizations), and reads N_n from it
+    where it reaches n or is complete.  It advances one q-th power per
+    degree, only where n is its next degree, as for the next term of a
+    series, or where it completes within n degrees.  Any other n, such as
+    a large g counted once at a large n, jumps: it takes y^order mod the
+    unfactored rest from the highest power of y kept below it, y^(q^m),
+    about 2 log2(order / q^m) products over F_q[y], and one gcd, where
+    factoring up to n would take n gcds at that degree.  A series whose
+    first terms reduce exponents reaches an unreduced g past n = 1, and
+    so goes on by jumps of one q-th power each.
     """
-    spec, order = count.spec, count.order
-    field, frobenius = make_extension(spec.p, spec.k), spec._frobenius
-    g = []
-    for poly in polys:
-        g = _fq_gcd(g, _univariate(field, poly, order), field)
+    spec, n, order = count.spec, count.n, count.order
+    field = make_extension(spec.p, spec.k)
+    unreduced = order > max((e for _, terms in polys for _, ((_, e),) in terms), default=0)
+    g = spec._gcds.get(polys) if unreduced else None
+    if g is None:
+        g = []
+        for poly in polys:
+            g = _fq_gcd(g, _univariate(field, poly, order), field)
+        g = tuple(g)
+        if unreduced:
+            spec._gcds[polys] = g
     if not g:
         return order
     if len(g) <= 2:  # a constant has no root, y - a its one in F_q
         return len(g) - 1
-    key = tuple(g)
-    stored = frobenius.get(key)
-    if stored is not None and stored[0] <= order:
-        known, power = stored
-        while known < order:
-            power = _fq_powmod(power, field.order, g, field)
-            known *= field.order
-        frobenius[key] = order, power
-    else:
-        power = _fq_powmod([field.zero, field.one], order, g, field)
-        if stored is None:
-            frobenius[key] = order, power
-    return len(_fq_frobenius_gcd(g, power, field)) - 1
+    record = spec._factorizations.get(g) or _Factorization((), g, (field.zero, field.one))
+    done = len(record.counts)
+    if done < n and not record.complete and (n == done + 1 or (len(record.rest) - 1) // 2 <= n):
+        while done < n and not record.complete:
+            record = record.advance(field)
+            done += 1
+        spec._factorizations[g] = record
+    roots = sum(d * c for d, c in enumerate(record.counts, 1) if n % d == 0)
+    if n <= done:  # every factor of the rest has degree above n
+        return roots
+    rest, degree = record.rest, len(record.rest) - 1
+    if record.complete:  # the rest is 1 or irreducible
+        return roots + (degree if degree and n % degree == 0 else 0)
+    m, power = record.lead if done < record.lead[0] <= n else (done, record.power)
+    power = _fq_powmod(power, field.order ** (n - m), rest, field)
+    if n > record.lead[0]:
+        spec._factorizations[g] = replace(record, lead=(n, tuple(power)))
+    return roots + len(_fq_frobenius_gcd(rest, power, field)) - 1
+
+
+@dataclass(frozen=True)
+class _Factorization:
+    """The distinct-degree factorization of a monic g over F_q, degree by degree.
+
+    counts[d - 1] is c_d, the number of distinct irreducible factors of g
+    of degree d, for d = 1..len(counts).  rest is g with every factor of
+    those degrees divided out, multiplicity included, and power is
+    y^(q^d) mod rest for d = len(counts) (Cantor-Zassenhaus; von zur
+    Gathen and Gerhard, Modern Computer Algebra, section 14.2).  Every
+    factor of rest has degree above d, so once deg rest < 2(d + 1) it is
+    1 or irreducible, and the record is complete.  lead is
+    (m, y^(q^m) mod rest) for the largest m a count has jumped to, or
+    (0, ()); while m > d, a jump to n > m starts from it rather than from
+    power, so jumps along a series take one q-th power per term.
+    """
+
+    counts: tuple
+    rest: tuple
+    power: tuple
+    lead: tuple = (0, ())
+
+    @property
+    def complete(self) -> bool:
+        return len(self.rest) < 2 * len(self.counts) + 3
+
+    def advance(self, field) -> _Factorization:
+        """The record one degree d further: y^(q^d) = (y^(q^(d-1)))^q mod rest."""
+        d = len(self.counts) + 1
+        power = _fq_powmod(self.power, field.order, self.rest, field)
+        found = _fq_frobenius_gcd(self.rest, power, field)  # the factors of degree d
+        c_d, rest, (m, lead) = (len(found) - 1) // d, self.rest, self.lead
+        if c_d:
+            while len(found) > 1:
+                rest = _fq_divexact(rest, found, field)
+                found = _fq_gcd(rest, found, field)
+            power, lead = _fq_mod(power, rest, field), _fq_mod(lead, rest, field)
+        return _Factorization(self.counts + (c_d,), tuple(rest), tuple(power), (m, tuple(lead)))
 
 
 def _univariate(field, poly, order=None) -> list:
@@ -645,11 +720,12 @@ def _count_curve(count, data) -> int:
 
     ``data`` holds the parts C, B, -4A over the other coordinate z
     (_fibre_split) and the block's _Curve.  With r(f) the distinct roots
-    of f in F_Q, Q = count.order (_count_roots, on the spec's Frobenius
-    chain) and S_n = sum over z in F_Q of chi(D(z)), D = B^2 - 4AC, summing
-    the fibres of _count_fibres gives Q + S_n - r(A) + Q r(gcd(A, B, C))
-    points; where A vanishes identically, as always for p = 2,
-    Q - r(B) + Q r(gcd(B, C)).  Nothing is evaluated over F_Q.
+    of f in F_Q, Q = count.order (_count_roots, on the spec's
+    factorizations) and S_n = sum over z in F_Q of chi(D(z)),
+    D = B^2 - 4AC, summing the fibres of _count_fibres gives
+    Q + S_n - r(A) + Q r(gcd(A, B, C)) points; where A vanishes
+    identically, as always for p = 2, Q - r(B) + Q r(gcd(B, C)).  Nothing
+    is evaluated over F_Q.
 
     S_n comes from the curve w^2 = D(z) (_Curve), D squarefree of degree
     delta.  For delta = 0, S_n = Q chi_q(D)^n.  Otherwise its smooth model
@@ -1123,7 +1199,7 @@ def _halves_split(p, poly, n_free):
 
 
 def _block_plan(p, equations, prefix):
-    """Equations as (constant, [(scalar, ((free coordinate, exponent), ...))]).
+    """Equations as (constant, ((scalar, ((free coordinate, exponent), ...)), ...)).
 
     The block's fixed prefix of 0s and 1 is folded into scalars and
     constants, which takes only add_digits, so no field is built; None
@@ -1144,7 +1220,7 @@ def _block_plan(p, equations, prefix):
             else:
                 const = add_digits(const, coeff, p)
         if terms:
-            plan.append((const, terms))
+            plan.append((const, tuple(terms)))
         elif const:
             return None
-    return plan
+    return tuple(plan)

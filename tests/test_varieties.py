@@ -816,6 +816,93 @@ def test_one_coordinate_count_matches_oracle(case):
     assert got == count_points(spec, n, span=(0, cut)) + count_points(spec, n, span=(cut, size))
 
 
+@st.composite
+def _repeated_factors(draw, field, max_degree):
+    """A nonzero scalar times random factors over F_q, each repeated 1 to 3 times."""
+    elem = st.integers(0, field.order - 1)
+    poly = [draw(st.integers(1, field.order - 1))]
+    for _ in range(draw(st.integers(1, 5))):
+        factor = draw(st.lists(elem, min_size=1, max_size=4)) + [field.one]
+        for _ in range(draw(st.integers(1, 3))):
+            if len(poly) + len(factor) - 2 > max_degree:
+                return poly
+            poly = _poly_mul(field, poly, factor)
+    return poly
+
+
+@st.composite
+def _roots_specs(draw):
+    """(spec data, top): A^1 over F_q cut by one or two equations of degree
+    at most 14 that share a factor, and top the largest n <= 4 with
+    q^n <= 7^4."""
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]))
+    field = make_extension(p, k)
+    common = draw(_repeated_factors(field, 7))
+    polys = [
+        _poly_mul(field, common, draw(_repeated_factors(field, 7)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    equations = [
+        [[c if k == 1 else to_digits(c, p, k), [e]] for e, c in enumerate(poly) if c]
+        for poly in polys
+    ]
+    data = {
+        "label": "roots",
+        "p": p,
+        "k": k,
+        "ambient": {"type": "affine", "dim": 1},
+        "equations": equations,
+    }
+    return data, max(n for n in range(1, 5) if (p**k) ** n <= 7**4)
+
+
+def _moebius(n):
+    out, m, d = 1, n, 2
+    while m > 1:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+@settings(max_examples=60)
+@given(_roots_specs())
+def test_roots_factorization_matches_oracle(case):
+    # Counts over F_{q^n} taken as a series, out of order on one spec (twice),
+    # and each on a fresh spec, all against the pure counter; and the record's
+    # c_d against the roots of exact degree d, sum over e | d of
+    # mu(d / e) N_e by Moebius inversion of the pure counts.
+    from fqzeta.varieties import _Factorization
+
+    data, top = case
+    pure = []
+    for n in range(1, top + 1):
+        spec = VarietySpec.from_dict(data)
+        field = make_extension(spec.p, spec.k * n)
+        pure.append(count_pure(spec, field, embedded_equations(spec, field), 0, field.order))
+    assert count_series(VarietySpec.from_dict(data), top).counts == tuple(pure)
+    spec = VarietySpec.from_dict(data)
+    for n in (4, 2, 3, 1) * 2:  # the second pass starts from the record n = 1 left
+        if n <= top:
+            assert count_points(spec, n) == pure[n - 1]
+    assert [count_points(VarietySpec.from_dict(data), n) for n in range(1, top + 1)] == pure
+    field = make_extension(spec.p, spec.k)
+    (g,) = spec._gcds.values()
+    if len(g) <= 2:
+        return
+    record = _Factorization((), g, (field.zero, field.one))
+    while not record.complete:
+        record = record.advance(field)
+    last = len(record.rest) - 1
+    for d in range(1, top + 1):
+        c_d = record.counts[d - 1] if d <= len(record.counts) else int(d == last)
+        exact = sum(_moebius(d // e) * pure[e - 1] for e in range(1, d + 1) if d % e == 0)
+        assert d * c_d == exact
+
+
 def test_benchmark_shapes_stay_off_the_vector_path(fixtures_dir, monkeypatch):
     import math
 
@@ -1096,9 +1183,10 @@ def test_each_block_is_planned_once(monkeypatch):
     counts = count_series(spec, 3).counts
     assert counts[:2] == (n1, p**2 + 1 - (trace**2 - 2 * p))
     assert [prefix for _, _, prefix in calls] == [(1,), (0, 1), (0, 0, 1)]
-    # A roots block takes one q-th power per term of a series: x_0^3 = 2 x_1^3
+    # A roots block factors g by degree once for the whole series: x_0^3 = 2 x_1^3
     # over F_5 has one point for odd n, where cubing permutes F_{5^n}, and
-    # three for even n, where 2 is a cube.
+    # three for even n, where 2 is a cube.  g = y^3 - 3 has one root in F_5
+    # and an irreducible quadratic cofactor, so one q-th power completes it.
     exponents = []
     powmod = varieties._fq_powmod
     monkeypatch.setattr(
@@ -1106,14 +1194,15 @@ def test_each_block_is_planned_once(monkeypatch):
     )
     binomial = _binary_form_p1(5, [[1, [3, 0]], [-2, [0, 3]]])
     assert count_series(binomial, 7).counts == (1, 3, 1, 3, 1, 3, 1)
-    assert exponents == [5] * 7
+    assert exponents == [5]
 
 
 def test_frobenius_chain_matches_the_oracle():
     # y^4 + y + 1 in A^1 over F_3: at n = 1 the exponent 4 enters g as y^2,
     # so g = y^2 + y + 1, and from n = 2 on g = y^4 + y + 1.  The series
-    # keeps one chain for each g.  A fresh spec computes y^(3^6) mod g from
-    # y, and a smaller n after the series starts again from y.
+    # keeps one factorization for each g.  A fresh spec at n = 6 factors g
+    # whole, as that takes at most deg g / 2 = 2 degrees, and a smaller n
+    # after the series reads the kept factorization.
     def spec():
         return VarietySpec.from_dict(
             {
@@ -1127,12 +1216,53 @@ def test_frobenius_chain_matches_the_oracle():
 
     series = spec()
     counts = count_series(series, 6).counts
-    assert counts == (1, 1, 4, 1, 1, 4) and len(series._frobenius) == 2
+    assert counts == (1, 1, 4, 1, 1, 4) and len(series._factorizations) == 2
     for n in (1, 2, 3):
         field = make_extension(3, n)
         assert counts[n - 1] == count_pure(series, field, embedded_equations(series, field), 0, 3**n)
     assert count_points(spec(), 6) == counts[5]
     assert count_points(series, 3) == counts[2]
+
+
+def test_roots_count_jumps_where_factoring_costs_more(monkeypatch):
+    from fqzeta import varieties
+
+    exponents = []
+    powmod = varieties._fq_powmod
+    monkeypatch.setattr(
+        varieties, "_fq_powmod", lambda base, e, *rest: exponents.append(e) or powmod(base, e, *rest)
+    )
+
+    def line(label, p, terms):
+        return VarietySpec.from_dict(
+            {
+                "label": label,
+                "p": p,
+                "k": 1,
+                "ambient": {"type": "affine", "dim": 1},
+                "equations": [terms],
+            }
+        )
+
+    # y^300 - 1 = (y^75 - 1)^4 over F_2 at n = 12: factoring g by degree
+    # would take 12 q-th powers and gcds at degree 300, so a lone count
+    # takes y^4096 mod g from y, one power.  Its roots are the 75th roots
+    # of unity in F_4096, gcd(75, 4095) = 15 of them.
+    spec = line("y^300 - 1", 2, [[1, [300]], [-1, [0]]])
+    assert count_points(spec, 12) == 15
+    assert exponents == [2**12]
+    # n = 13 jumps on from y^4096 by one q-th power; 1 is the one 75th root
+    # of unity in F_8192, as gcd(75, 8191) = 1.
+    assert count_points(spec, 13) == 1
+    assert exponents == [2**12, 2]
+    # y^10 + y + 2 over F_11: n = 1 factors degree 1 (one root) and leaves
+    # a rest of degree 9, so n = 3 jumps from y^11, not from y.
+    exponents.clear()
+    spec = line("y^10 + y + 2", 11, [[1, [10]], [1, [1]], [2, [0]]])
+    field = make_extension(11, 3)
+    assert count_points(spec, 1) == 1
+    assert count_points(spec, 3) == count_pure(spec, field, embedded_equations(spec, field), 0, 11**3) == 4
+    assert exponents == [11, 11**2]
 
 
 def test_plan_builds_no_field(monkeypatch):
