@@ -24,13 +24,14 @@ strategies:
   in y over F_q, the block holds deg gcd(g, y^(q^n) - y) points, since
   y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}.  That is
   N_n = sum over d | n of d c_d, with c_d the number of distinct
-  irreducible factors of g of degree d, so the spec keeps, for each g,
-  its distinct-degree factorization so far (VarietySpec._factorizations):
-  degree d takes y^(q^d) mod the unfactored rest as the q-th power of
-  y^(q^(d-1)), and a gcd.  It advances for the next term of a series, or
-  where it completes within n degrees, and then no n needs more; any
-  other n takes y^(q^n) mod the rest directly, from the highest power of
-  y kept below it (_count_roots).
+  irreducible factors of g of degree d, so the spec keeps, for the
+  block's polynomials, g's distinct-degree factorization so far
+  (VarietySpec._roots), once q^n exceeds every exponent: degree d takes
+  y^(q^d) mod the unfactored rest as the q-th power of y^(q^(d-1)), and
+  a gcd.  It advances for the next term of a series, or where it
+  completes within n degrees, and then no n needs more; any other n
+  takes y^(q^n) mod the rest directly, from the highest power of y kept
+  below it (_count_roots).
 * by its curve, for a block wholly inside ``span`` of a one-equation spec
   with two free coordinates, one of them y of degree at most 2 (at most 1
   if p = 2), as for fibres below.  The block holds
@@ -40,9 +41,9 @@ strategies:
   If D = B^2 - 4AC is squarefree, of degree delta, S_n is an integer
   function of S_1..S_g for the curve w^2 = D(z) of genus
   g = ceil(delta / 2) - 1 (Weil).  So this costs the q^m evaluations of
-  each S_m, m <= g, once per spec (VarietySpec._curves), and none after
-  that.  A D that is not squarefree stays on fibres, and so does a block
-  while the degrees of A, B and C leave room for a genus past n
+  each S_m, m <= g, once per spec (kept with the block's plan), and none
+  after that.  A D that is not squarefree stays on fibres, and so does a
+  block while the degrees of A, B and C leave room for a genus past n
   (_plane_curve).
 * by Jacobi sums, for a block wholly inside ``span`` of a one-equation
   spec with two or more free coordinates whose polynomial reads
@@ -84,8 +85,9 @@ still takes less time than the points halves evaluates, with numpy
 already imported.  A partial block is always counted directly, so
 partitions of a span cross-check the strategies.  The half of the plan
 that no n changes, each block's polynomials and their fibre, halves and
-diagonal splits, is derived once per spec and kept with it
-(VarietySpec._block_plans), so every term of a series reuses it.
+diagonal splits, is derived once per spec and kept with it, with each
+block's curve once built (VarietySpec._block_plans), so every term of a
+series reuses it.
 count_points then runs the plan, one counter per block; _Count says which
 counters run over F_q and which evaluate on chunks of int64 scalars of
 F_{q^n}.  The tests keep a pure-Python counter that evaluates every point
@@ -149,7 +151,15 @@ class Ambient:
 
 @dataclass(frozen=True)
 class VarietySpec:
-    """Equations over F_{p^k} cutting out a closed subset of the ambient space."""
+    """Equations over F_{p^k} cutting out a closed subset of the ambient space.
+
+    What the counts of a series share across n is kept with the spec, in
+    three maps filled as the counts need them: _block_plans by block
+    prefix, _roots by the polynomials of a roots count, and _jacobi by L.
+    Every value there is exact as far as it goes, and is either replaced
+    whole or only gains entries, so two threads that race there lose work,
+    never a count.
+    """
 
     label: str
     p: int
@@ -165,61 +175,39 @@ class VarietySpec:
     def _block_plans(self) -> dict:
         """The half of every count's plan that no n changes, derived once per spec.
 
-        Maps each block's prefix (see _blocks) to (polys, fibre parts,
-        halves sides, diagonal): its _block_plan and, for a one-equation
-        spec and two or more free coordinates, its _fibre_split,
-        _halves_split and _diagonal_split, else None.  Every count_points
-        of a series reuses it.
+        Maps each block's prefix (see _blocks) to (polys, fibre, halves
+        sides, diagonal): its _block_plan and, for a one-equation spec and
+        two or more free coordinates, its _fibre_split paired with the list
+        in which _plane_curve keeps a two-coordinate block's _Curve, its
+        _halves_split and its _diagonal_split, else None.  Every
+        count_points of a series reuses it.
         """
         plans = {}
         for prefix, n_free in _shapes(self.ambient):
             polys = _block_plan(self.p, self.equations, prefix)
-            parts = sides = diagonal = None
+            fibre = sides = diagonal = None
             if polys and n_free > 1 and len(self.equations) == 1:
                 parts = _fibre_split(self.p, polys[0], n_free)
+                fibre = None if parts is None else (parts, [])
                 sides = _halves_split(self.p, polys[0], n_free)
                 diagonal = _diagonal_split(polys[0], n_free)
-            plans[prefix] = polys, parts, sides, diagonal
+            plans[prefix] = polys, fibre, sides, diagonal
         return plans
 
     @cached_property
-    def _gcds(self) -> dict:
-        """polys -> g, the gcd of a roots count's polynomials, filled by _count_roots.
+    def _roots(self) -> dict:
+        """polys -> the _Factorization of their gcd g so far, filled by _count_roots.
 
-        Formed once for every n with q^n above their largest exponent, where
-        no exponent is reduced, so a series or a curve block forms each g once.
-        """
-        return {}
-
-    @cached_property
-    def _factorizations(self) -> dict:
-        """g -> its _Factorization so far, filled by _count_roots.
-
-        Keyed by g, not by block: reducing exponents mod q^n - 1 can give a
-        block a different g at small n.  Each record is an immutable value,
-        exact as far as it goes, and is replaced whole when it advances, so
-        two threads that race there lose work, never a count.
-        """
-        return {}
-
-    @cached_property
-    def _curves(self) -> dict:
-        """The spec's plane curves: block prefix -> _Curve, or None, filled by _plan.
-
-        None marks a block whose D is not squarefree (see _count_curve).  A
-        _Curve keeps the character sums S_m summed so far, each exact, so
-        two threads that race there lose work, never a count.
+        Only for the n that reduce no exponent, where every n forms the same g.
         """
         return {}
 
     @cached_property
     def _jacobi(self) -> dict:
-        """The spec's character tables: L -> _Jacobi over F_{q^f}, filled by _count_diagonal.
+        """L -> the character tables of F_{q^f} (_Jacobi), filled by _count_diagonal.
 
         Keyed by L alone, since f is the order of q mod L: every diagonal
-        block with the same L shares one table.  A _Jacobi keeps the
-        Jacobi sums formed so far, each exact, so two threads that race
-        there lose work, never a count.
+        block with the same L shares one table.
         """
         return {}
 
@@ -497,7 +485,8 @@ def _plan(count: _Count, lo: int, hi: int):
     spec, n, order = count.spec, count.n, count.order
     tables = set(spec._jacobi)  # the class tables kept, or built by an earlier block
     for prefix, n_free, block_lo, block_hi, whole in _blocks(spec, order, lo, hi):
-        polys, parts, sides, diagonal = spec._block_plans[prefix]
+        polys, fibre, sides, diagonal = spec._block_plans[prefix]
+        parts, kept = fibre or (None, None)
         if not polys:
             yield 0, _count_known, 0 if polys is None else block_hi - block_lo
             continue
@@ -509,7 +498,7 @@ def _plan(count: _Count, lo: int, hi: int):
         # strategies.
         options = []
         if whole and n_free == 2 and parts is not None:
-            curve = _plane_curve(count, prefix, parts)
+            curve = _plane_curve(count, parts, kept)
             if curve is not None:
                 unkept = [m for m in range(1, curve.genus + 1) if m not in curve.sums]
                 points = sum(spec.q**m for m in unkept)
@@ -544,57 +533,52 @@ def _count_roots(count, polys) -> int:
     deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
     on F_order (g = 0 means every y is a point).  An exponent e >= order
     becomes ((e - 1) mod (order - 1)) + 1, which gives the same power of
-    every y in F_order, so g has degree below order.  Once order exceeds
-    every exponent, none is reduced, and g is formed once for all such n
-    (VarietySpec._gcds).
+    every y in F_order, so g has degree below order.
 
     F_order holds a root of an irreducible factor of g exactly when its
     degree d divides n, so N_n = sum over d | n of d c_d, with c_d the
-    number of distinct irreducible factors of g of degree d.  The spec
-    keeps, for each g, its distinct-degree factorization so far
-    (_Factorization, VarietySpec._factorizations), and reads N_n from it
-    where it reaches n or is complete.  It advances one q-th power per
-    degree, only where n is its next degree, as for the next term of a
-    series, or where it completes within n degrees.  Any other n, such as
-    a large g counted once at a large n, jumps: it takes y^order mod the
-    unfactored rest from the highest power of y kept below it, y^(q^m),
-    about 2 log2(order / q^m) products over F_q[y], and one gcd, where
-    factoring up to n would take n gcds at that degree.  A series whose
-    first terms reduce exponents reaches an unreduced g past n = 1, and
-    so goes on by jumps of one q-th power each.
+    number of distinct irreducible factors of g of degree d.  They are read
+    from g's distinct-degree factorization so far (_Factorization), whose
+    rest starts as g, where it reaches n or is complete, as it is at once
+    for a constant or linear g.  Once order exceeds every exponent, none is
+    reduced, and the spec keeps one record for all such n
+    (VarietySpec._roots, by polys); a g that a smaller n forms serves that
+    count alone.  The record advances one q-th power per degree, only
+    where n is its next degree, as for the next term of a series, or where
+    it completes within n degrees.  Any other n, such as a large g counted
+    once at a large n, jumps: it takes y^order mod the unfactored rest from
+    the highest power of y kept below it, y^(q^m), about
+    2 log2(order / q^m) products over F_q[y], and one gcd, where factoring
+    up to n would take n gcds at that degree.  A series whose first terms
+    reduce exponents reaches an unreduced g past n = 1, and so goes on by
+    jumps of one q-th power each.
     """
     spec, n, order = count.spec, count.n, count.order
     field = make_extension(spec.p, spec.k)
     unreduced = order > max((e for _, terms in polys for _, ((_, e),) in terms), default=0)
-    g = spec._gcds.get(polys) if unreduced else None
-    if g is None:
+    record = kept = spec._roots.get(polys) if unreduced else None
+    if record is None:
         g = []
         for poly in polys:
             g = _fq_gcd(g, _univariate(field, poly, order), field)
-        g = tuple(g)
-        if unreduced:
-            spec._gcds[polys] = g
-    if not g:
-        return order
-    if len(g) <= 2:  # a constant has no root, y - a its one in F_q
-        return len(g) - 1
-    record = spec._factorizations.get(g) or _Factorization((), g, (field.zero, field.one))
+        record = _Factorization((), tuple(g), (field.zero, field.one))
     done = len(record.counts)
-    if done < n and not record.complete and (n == done + 1 or (len(record.rest) - 1) // 2 <= n):
-        while done < n and not record.complete:
-            record = record.advance(field)
-            done += 1
-        spec._factorizations[g] = record
-    roots = sum(d * c for d, c in enumerate(record.counts, 1) if n % d == 0)
-    if n <= done:  # every factor of the rest has degree above n
-        return roots
+    while done < n and not record.complete and (n == done + 1 or (len(record.rest) - 1) // 2 <= n):
+        record = record.advance(field)
+        done += 1
+    if unreduced and record is not kept:
+        spec._roots[polys] = record
     rest, degree = record.rest, len(record.rest) - 1
-    if record.complete:  # the rest is 1 or irreducible
+    if not rest:  # g = 0: every y is a point
+        return order
+    roots = sum(d * c for d, c in enumerate(record.counts, 1) if n % d == 0) if done else 0
+    # The rest is 1 or irreducible, or each of its factors has degree above n.
+    if n <= done or record.complete:
         return roots + (degree if degree and n % degree == 0 else 0)
     m, power = record.lead if done < record.lead[0] <= n else (done, record.power)
     power = _fq_powmod(power, field.order ** (n - m), rest, field)
-    if n > record.lead[0]:
-        spec._factorizations[g] = replace(record, lead=(n, tuple(power)))
+    if unreduced and n > record.lead[0]:
+        spec._roots[polys] = replace(record, lead=(n, tuple(power)))
     return roots + len(_fq_frobenius_gcd(rest, power, field)) - 1
 
 
@@ -670,28 +654,29 @@ class _Curve:
     sums: dict
 
 
-def _plane_curve(count, prefix, parts):
-    """The block's _Curve (see _count_curve), kept with the spec, or None.
+def _plane_curve(count, parts, kept):
+    """The block's _Curve (see _count_curve), or None.
 
-    ``parts`` is the block's _fibre_split over its two free coordinates.
-    None where D is not squarefree, and where the block has no _Curve yet
-    and n is too small for one: with a, b, c the degrees of A, B, C read
-    from their exponents (-1 for a part that is absent), the bound
-    delta = max(2b, a + c, a, c) holds for deg D and for every part, and
-    no _Curve is built while ceil(delta / 2) - 1 exceeds n.  So neither D
-    nor a gcd is formed past degree 2n + 2, and y^2 = x^(10^12) + 1 stays
-    on fibres.  A _Curve once built serves every n.
+    ``parts`` is the block's _fibre_split over its two free coordinates,
+    and ``kept`` the list beside it in the block's plan that keeps its
+    _Curve, or None, once built.  None where D is not squarefree, and
+    where nothing is kept yet and n is too small for a _Curve: with a, b, c
+    the degrees of A, B, C read from their exponents (-1 for a part that
+    is absent), the bound delta = max(2b, a + c, a, c) holds for deg D and
+    for every part, and no _Curve is built while ceil(delta / 2) - 1
+    exceeds n.  So neither D nor a gcd is formed past degree 2n + 2, and
+    y^2 = x^(10^12) + 1 stays on fibres.  A _Curve once built serves every
+    n.
     """
-    curves = count.spec._curves
-    if prefix not in curves:
+    if not kept:
         c, b, a = (
             max((e for _, ((_, e),) in terms), default=0 if const else -1)
             for const, terms in parts
         )
         if max(2 * b, a + c, a, c) > 2 * count.n + 2:
             return None
-        curves[prefix] = _make_curve(make_extension(count.spec.p, count.spec.k), parts)
-    return curves[prefix]
+        kept.append(_make_curve(make_extension(count.spec.p, count.spec.k), parts))
+    return kept[0]
 
 
 def _make_curve(field, parts):
@@ -720,12 +705,11 @@ def _count_curve(count, data) -> int:
 
     ``data`` holds the parts C, B, -4A over the other coordinate z
     (_fibre_split) and the block's _Curve.  With r(f) the distinct roots
-    of f in F_Q, Q = count.order (_count_roots, on the spec's
-    factorizations) and S_n = sum over z in F_Q of chi(D(z)),
-    D = B^2 - 4AC, summing the fibres of _count_fibres gives
-    Q + S_n - r(A) + Q r(gcd(A, B, C)) points; where A vanishes
-    identically, as always for p = 2, Q - r(B) + Q r(gcd(B, C)).  Nothing
-    is evaluated over F_Q.
+    of f in F_Q, Q = count.order (_count_roots), and
+    S_n = sum over z in F_Q of chi(D(z)), D = B^2 - 4AC, summing the
+    fibres of _count_fibres gives Q + S_n - r(A) + Q r(gcd(A, B, C))
+    points; where A vanishes identically, as always for p = 2,
+    Q - r(B) + Q r(gcd(B, C)).  Nothing is evaluated over F_Q.
 
     S_n comes from the curve w^2 = D(z) (_Curve), D squarefree of degree
     delta.  For delta = 0, S_n = Q chi_q(D)^n.  Otherwise its smooth model

@@ -872,11 +872,9 @@ def _moebius(n):
 @given(_roots_specs())
 def test_roots_factorization_matches_oracle(case):
     # Counts over F_{q^n} taken as a series, out of order on one spec (twice),
-    # and each on a fresh spec, all against the pure counter; and the record's
-    # c_d against the roots of exact degree d, sum over e | d of
-    # mu(d / e) N_e by Moebius inversion of the pure counts.
-    from fqzeta.varieties import _Factorization
-
+    # and each on a fresh spec, all against the pure counter; and the kept
+    # record's c_d, once complete, against the roots of exact degree d, sum
+    # over e | d of mu(d / e) N_e by Moebius inversion of the pure counts.
     data, top = case
     pure = []
     for n in range(1, top + 1):
@@ -890,10 +888,7 @@ def test_roots_factorization_matches_oracle(case):
             assert count_points(spec, n) == pure[n - 1]
     assert [count_points(VarietySpec.from_dict(data), n) for n in range(1, top + 1)] == pure
     field = make_extension(spec.p, spec.k)
-    (g,) = spec._gcds.values()
-    if len(g) <= 2:
-        return
-    record = _Factorization((), g, (field.zero, field.one))
+    (record,) = spec._roots.values()
     while not record.complete:
         record = record.advance(field)
     last = len(record.rest) - 1
@@ -1200,9 +1195,9 @@ def test_each_block_is_planned_once(monkeypatch):
 def test_frobenius_chain_matches_the_oracle():
     # y^4 + y + 1 in A^1 over F_3: at n = 1 the exponent 4 enters g as y^2,
     # so g = y^2 + y + 1, and from n = 2 on g = y^4 + y + 1.  The series
-    # keeps one factorization for each g.  A fresh spec at n = 6 factors g
-    # whole, as that takes at most deg g / 2 = 2 degrees, and a smaller n
-    # after the series reads the kept factorization.
+    # keeps the factorization of the second g alone.  A fresh spec at n = 6
+    # factors g whole, as that takes at most deg g / 2 = 2 degrees, and a
+    # smaller n after the series reads the kept factorization.
     def spec():
         return VarietySpec.from_dict(
             {
@@ -1216,12 +1211,69 @@ def test_frobenius_chain_matches_the_oracle():
 
     series = spec()
     counts = count_series(series, 6).counts
-    assert counts == (1, 1, 4, 1, 1, 4) and len(series._factorizations) == 2
+    assert counts == (1, 1, 4, 1, 1, 4) and len(series._roots) == 1
     for n in (1, 2, 3):
         field = make_extension(3, n)
         assert counts[n - 1] == count_pure(series, field, embedded_equations(series, field), 0, 3**n)
     assert count_points(spec(), 6) == counts[5]
     assert count_points(series, 3) == counts[2]
+
+
+def test_roots_keep_no_record_for_a_reduced_g():
+    # y^2000 + 3 y^5 + 1 in A^1 over F_11: for n <= 3, q^n <= 2000, so the
+    # exponent 2000 is reduced mod q^n - 1, and each such n forms a g that
+    # no other n forms again.  From n = 4 on g is the polynomial itself, and
+    # the spec keeps its record alone.  The oracles: the pure counter where
+    # its table of 2000 powers per point is cheap, and for every n a span
+    # that cuts the block, so that it is evaluated point by point.
+    spec = _one_equation(11, 1, "affine", 1, [(1, (2000,)), (3, (5,)), (1, (0,))])
+    counts = count_series(spec, 4).counts
+    (record,) = spec._roots.values()
+    assert len(record.rest) - 1 == 2000
+    for n, got in enumerate(counts, start=1):
+        field = make_extension(11, n)
+        if n <= 2:
+            assert got == count_pure(spec, field, embedded_equations(spec, field), 0, field.order)
+        halves = ((0, field.order // 2), (field.order // 2, field.order))
+        assert got == sum(count_points(spec, n, span=span) for span in halves)
+
+
+def test_threads_sharing_specs_count_as_one_thread(fixtures_dir):
+    # Four threads take N_1..N_6 of the same three specs at once: curve and
+    # roots blocks, a roots block whose first terms reduce exponents, and
+    # Jacobi sums over F_4.  The maps that the specs keep fill as the
+    # threads race, with the GIL switched as often as it allows, and every
+    # count must equal a single-threaded run.  Each round starts from fresh
+    # specs, so that the threads meet on maps still being filled.
+    import threading
+
+    def specs():
+        return [
+            load_spec(fixtures_dir / "elliptic_f5.json"),
+            _one_equation(3, 1, "affine", 1, [(1, (40,)), (1, (1,)), (2, (0,))]),
+            _fermat(2, 3),
+        ]
+
+    def run(start, shared, results):
+        start.wait()
+        results.append([count_series(spec, 6, budget=10**12).counts for spec in shared])
+
+    expected = [count_series(spec, 6, budget=10**12).counts for spec in specs()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            results = []
+            args = threading.Barrier(4, timeout=60), specs(), results
+            threads = [threading.Thread(target=run, args=args) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_roots_count_jumps_where_factoring_costs_more(monkeypatch):
