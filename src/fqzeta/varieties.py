@@ -542,26 +542,30 @@ def _count_roots(count, polys) -> int:
     rest starts as g, where it reaches n or is complete, as it is at once
     for a constant or linear g.  Once order exceeds every exponent, none is
     reduced, and the spec keeps one record for all such n
-    (VarietySpec._roots, by polys); a g that a smaller n forms serves that
-    count alone.  The record advances one q-th power per degree, only
-    where n is its next degree, as for the next term of a series, or where
-    it completes within n degrees.  Any other n, such as a large g counted
-    once at a large n, jumps: it takes y^order mod the unfactored rest from
-    the highest power of y kept below it, y^(q^m), about
-    2 log2(order / q^m) products over F_q[y], and one gcd, where factoring
-    up to n would take n gcds at that degree.  A series whose first terms
-    reduce exponents reaches an unreduced g past n = 1, and so goes on by
-    jumps of one q-th power each.
+    (VarietySpec._roots, by polys), with the largest exponent, so that a
+    kept record says whether order reduces any; a g that a smaller n forms
+    serves that count alone.  The record advances one q-th power per
+    degree, only where n is its next degree, as for the next term of a
+    series, or where it completes within n degrees.  Any other n, such as
+    a large g counted once at a large n, jumps: it takes y^order mod the
+    unfactored rest from the highest power of y kept below it, y^(q^m),
+    about 2 log2(order / q^m) products over F_q[y], and one gcd, where
+    factoring up to n would take n gcds at that degree.  A series whose
+    first terms reduce exponents reaches an unreduced g past n = 1, and so
+    goes on by jumps of one q-th power each.
     """
     spec, n, order = count.spec, count.n, count.order
     field = make_extension(spec.p, spec.k)
-    unreduced = order > max((e for _, terms in polys for _, ((_, e),) in terms), default=0)
-    record = kept = spec._roots.get(polys) if unreduced else None
+    record = kept = spec._roots.get(polys)
+    top = kept.top if kept else max((e for _, terms in polys for _, ((_, e),) in terms), default=0)
+    unreduced = order > top
+    if not unreduced:  # this n forms a g of its own, not the kept record's
+        record = kept = None
     if record is None:
         g = []
         for poly in polys:
             g = _fq_gcd(g, _univariate(field, poly, order), field)
-        record = _Factorization((), tuple(g), (field.zero, field.one))
+        record = _Factorization(top, (), tuple(g), (field.zero, field.one))
     done = len(record.counts)
     while done < n and not record.complete and (n == done + 1 or (len(record.rest) - 1) // 2 <= n):
         record = record.advance(field)
@@ -586,11 +590,13 @@ def _count_roots(count, polys) -> int:
 class _Factorization:
     """The distinct-degree factorization of a monic g over F_q, degree by degree.
 
-    counts[d - 1] is c_d, the number of distinct irreducible factors of g
-    of degree d, for d = 1..len(counts).  rest is g with every factor of
-    those degrees divided out, multiplicity included, and power is
-    y^(q^d) mod rest for d = len(counts) (Cantor-Zassenhaus; von zur
-    Gathen and Gerhard, Modern Computer Algebra, section 14.2).  Every
+    top is the largest exponent of the polynomials whose gcd is g, kept so
+    that _count_roots reads whether q^n reduces any without a pass over
+    their terms.  counts[d - 1] is c_d, the number of distinct irreducible
+    factors of g of degree d, for d = 1..len(counts).  rest is g with
+    every factor of those degrees divided out, multiplicity included, and
+    power is y^(q^d) mod rest for d = len(counts) (Cantor-Zassenhaus; von
+    zur Gathen and Gerhard, Modern Computer Algebra, section 14.2).  Every
     factor of rest has degree above d, so once deg rest < 2(d + 1) it is
     1 or irreducible, and the record is complete.  lead is
     (m, y^(q^m) mod rest) for the largest m a count has jumped to, or
@@ -598,6 +604,7 @@ class _Factorization:
     power, so jumps along a series take one q-th power per term.
     """
 
+    top: int
     counts: tuple
     rest: tuple
     power: tuple
@@ -618,7 +625,9 @@ class _Factorization:
                 rest = _fq_divexact(rest, found, field)
                 found = _fq_gcd(rest, found, field)
             power, lead = _fq_mod(power, rest, field), _fq_mod(lead, rest, field)
-        return _Factorization(self.counts + (c_d,), tuple(rest), tuple(power), (m, tuple(lead)))
+        return _Factorization(
+            self.top, self.counts + (c_d,), tuple(rest), tuple(power), (m, tuple(lead))
+        )
 
 
 def _univariate(field, poly, order=None) -> list:

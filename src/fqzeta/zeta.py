@@ -339,11 +339,23 @@ def _is_weil(f, Q: int) -> bool:
     where T_j(x + Q/x) = x^j + (Q/x)^j: T_1 = y, T_2 = y^2 - 2Q,
     T_{j+1} = y T_j - Q T_{j-1}.  alpha lies on the circle exactly when
     y = alpha + Q/alpha is real with y^2 < 4Q, so every distinct root of R
-    must lie in (-2 sqrt(Q), 2 sqrt(Q)): a Sturm count, with each sign at the
-    ends taken exactly.  R(+-2 sqrt(Q)) != 0, since a root there would be an
-    inverse root +-sqrt(Q) of f, already divided out.  Each condition is
-    necessary as well as sufficient, so False means that some inverse root
-    has |alpha|^2 != Q.
+    must lie in (-2 sqrt(Q), 2 sqrt(Q)).  R(+-2 sqrt(Q)) != 0, since a root
+    there would be an inverse root +-sqrt(Q) of f, already divided out.
+    Each condition is necessary as well as sufficient, so False means that
+    some inverse root has |alpha|^2 != Q.
+
+    R is monic, as f_0 = 1, and for m <= 2 the condition is decided in
+    closed form; for m >= 3 it is a Sturm count (_sturm_certificate).  m = 0
+    leaves nothing to check.  For m = 1, R = y + f_1, whose root -f_1 lies
+    inside iff f_1^2 < 4Q.  For m = 2, R = y^2 + b y + c with b = f_1 and
+    c = f_2 - 2Q.  Both roots of a monic quadratic lie in (L, U) iff its
+    discriminant b^2 - 4c is >= 0 (they are real), its vertex -b/2 lies in
+    (L, U), and it is positive at L and at U.  Here the vertex condition is
+    b^2 < 16Q, and with e = 4Q + c, R(+-2 sqrt(Q)) = e +- 2b sqrt(Q) > 0
+    reads e > 0 and e^2 > 4 b^2 Q.  A double root, b^2 = 4c, counts once
+    and lies inside iff the vertex does, as in Sturm's count of distinct
+    roots, and the ends are never roots, so the strict signs there agree
+    with the Sturm count's exact ones.
 
     A real factor is divided out only once an evaluation has found its root,
     so no long division fails: 1 -+ r t divides f exactly when the reversal
@@ -364,6 +376,24 @@ def _is_weil(f, Q: int) -> bool:
     m, odd = divmod(len(f) - 1, 2)
     if odd or any(f[m + j] != Q**j * f[m - j] for j in range(1, m + 1)):
         return False
+    if m > 2:
+        return _sturm_certificate(f, Q)
+    if m < 2:
+        return not m or f[1] * f[1] < 4 * Q
+    b2, c = f[1] * f[1], f[2] - 2 * Q
+    e = 4 * Q + c
+    return 4 * c <= b2 < 16 * Q and e > 0 and e * e > 4 * b2 * Q
+
+
+def _sturm_certificate(f, Q: int) -> bool:
+    """True if every distinct root of f's fold R lies in (-2 sqrt(Q), 2 sqrt(Q)); see _is_weil.
+
+    f has even degree 2m, f_{m+j} = Q^j f_{m-j}, and no inverse root
+    +-sqrt(Q).  The Sturm sequence of R counts its distinct real roots
+    between the ends, each sign there taken exactly (_sign_at_sqrt), against
+    deg R - deg gcd(R, R'), the count of all its distinct roots.
+    """
+    m = (len(f) - 1) // 2
     folded, t_prev, t = (f[m],), (2,), (0, 1)
     for j in range(1, m + 1):
         folded = polys.add(folded, polys.scale(t, f[m - j]))

@@ -1,7 +1,10 @@
 """The pure-Python point counter: the tests' oracle for every counting strategy.
 
 count_pure evaluates every point of a span in the order varieties._blocks
-documents, one scalar at a time, with no numpy and no strategy.
+documents, one scalar at a time, with no numpy and no strategy.  Each point
+forms only the powers of a coordinate that the equations name, each from the
+one before times x^gap, x^gap by square-and-multiply (ExtensionField._pow),
+so a high exponent costs its bit length, not its size.
 """
 
 from __future__ import annotations
@@ -19,15 +22,25 @@ def embedded_equations(spec, field):
     )
 
 
+def _powers(field, x, exponents) -> dict:
+    """{e: x^e} for the increasing positive ``exponents``, each from the one before."""
+    powers, acc, prev = {}, field.one, 0
+    for e in exponents:
+        acc = field._mul(acc, x if e - prev == 1 else field._pow(x, e - prev))
+        powers[e], prev = acc, e
+    return powers
+
+
 def count_pure(spec, field, equations, lo, hi) -> int:
-    max_exp = [0] * spec.ambient.nvars
+    exponents = [set() for _ in range(spec.ambient.nvars)]
     for eq in equations:
         for _, exps in eq:
             for i, e in enumerate(exps):
-                max_exp[i] = max(max_exp[i], e)
-    one = field.one
+                if e:
+                    exponents[i].add(e)
+    exponents = [sorted(es) for es in exponents]
     count = 0
-    fixed = (field.zero, one)
+    fixed = (field.zero, field.one)
     for prefix, n_free, block_lo, block_hi, _ in _blocks(spec, field.order, lo, hi):
         prefix = tuple(fixed[c] for c in prefix)
         if n_free <= 1:
@@ -48,10 +61,7 @@ def count_pure(spec, field, equations, lo, hi) -> int:
                         if not e:
                             continue
                         if powers[i] is None:
-                            ps = [one]
-                            for _ in range(max_exp[i]):
-                                ps.append(field._mul(ps[-1], coords[i]))
-                            powers[i] = ps
+                            powers[i] = _powers(field, coords[i], exponents[i])
                         v = field._mul(v, powers[i][e])
                     acc = v if acc is None else field._add(acc, v)
                 if acc is not None and acc:

@@ -27,6 +27,7 @@ from fqzeta.zeta import (
     counts_from_zeta,
     factor_by_weights,
     _is_weil,
+    _sturm_certificate,
     _series_from_counts,
     traces_from_factorization,
     zeta_from_counts,
@@ -807,6 +808,52 @@ def test_weil_certificate_matches_construction(case, data):
     Q, f = case
     assert _is_weil(f, Q)
     assert not _is_weil(polys.mul(f, data.draw(off_circle_factor(Q))), Q)
+
+
+def _without_real_roots(f, Q):
+    """f with every real factor 1 -+ r t (Q = r^2) or 1 - Q t^2 divided out, by long division."""
+    r = math.isqrt(Q)
+    for factor in [(1, -r), (1, r)] if r * r == Q else [(1, 0, -Q)]:
+        while (rest := polys.quotient(f, factor)) is not None:
+            f = rest
+    return f
+
+
+def test_closed_form_certificate_matches_sturm():
+    # _is_weil decides a rest of degree 2m <= 4 in closed form; the oracle
+    # divides the real factors out by long division and decides every m by
+    # the Sturm count.  Quadratics, quartics palindromic or with the
+    # odd coefficients of opposite sign (1 - Q t^2 times a quadratic among
+    # them), and products of two quadratics, double roots, +-sqrt(Q) and
+    # a^2 = 4Q included; then Q = (2^31 - 1)^3, past 2^53.
+    seen = set()
+
+    def check(f, Q):
+        f = polys.to_ints(f)
+        rest = _without_real_roots(f, Q)
+        m, odd = divmod(len(rest) - 1, 2)
+        palindromic = not odd and all(rest[m + j] == Q**j * rest[m - j] for j in range(m + 1))
+        expected = palindromic and _sturm_certificate(rest, Q)
+        assert _is_weil(f, Q) == expected, (Q, f)
+        if palindromic:
+            seen.add((m, expected))
+
+    for Q in (1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        bound, c_bound = math.isqrt(4 * Q) + 2, 3 * Q + 3
+        for a in range(-bound, bound + 1):
+            for s in (1, -1):
+                check((1, a, s * Q), Q)
+                for c in range(-c_bound, c_bound + 1):
+                    check((1, a, c, s * Q * a, Q * Q), Q)
+            for a2 in range(-bound, bound + 1):
+                check(polys.mul((1, a, Q), (1, a2, Q)), Q)
+
+    Q = (2**31 - 1) ** 3
+    a = math.isqrt(4 * Q)
+    for f in [(1, a, Q), (1, a + 1, Q), polys.mul((1, a, Q), (1, 1 - a, Q)), (1, a, 3 * Q, Q * a, Q * Q)]:
+        assert max(map(abs, f)).bit_length() > 53
+        check(f, Q)
+    assert seen == {(0, True), (1, True), (1, False), (2, True), (2, False)}
 
 
 def test_product_variety_end_to_end():
