@@ -35,7 +35,8 @@ over budget.  Every field of at most _CHUNK elements, F_p included, also
 keeps a table of its quadratic character (quadratic_character), built from
 one kernel product, the squares of its nonzero elements; chi_sum reads a
 character sum from that table, or by Euler's criterion on the kernel in a
-larger field.  varieties._Count says which counting strategies run on this
+larger field; _prime_chi is chi of F_p as a list, for pure-Python sums over
+F_p.  varieties._Count says which counting strategies run on this
 kernel and which over the spec's own field, with the _fq_* polynomial
 helpers below.
 """
@@ -96,6 +97,15 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         primes.append(n)
     return primes
+
+
+def _prime_chi(p: int) -> list[int]:
+    """chi of F_p as a list: 0 at 0, 1 at a nonzero square and -1 elsewhere."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, p // 2 + 1):
+        chi[x * x % p] = 1
+    return chi
 
 
 def _chunks(lo: int, hi: int, k: int):

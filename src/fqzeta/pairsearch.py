@@ -5,7 +5,7 @@ discriminant) are swept exhaustively.  Models related by
 (a, b) -> (u^4 a, u^6 b) for u in F_p^* are the same curve (Silverman,
 The Arithmetic of Elliptic Curves, III.1), and each such class is
 represented by its smallest member in lex order, read off in closed form
-from the cosets of the 4th and 6th powers in F_p^*
+from the cosets of the 4th and 6th powers in F_p^*, named by power residues
 (_class_representatives).  j-invariant equality is deliberately not used:
 it ignores twists.
 
@@ -15,8 +15,8 @@ the number of y with y^2 = s is 1 + chi(s), so
 
     N_1 = p + 1 + sum_x chi(x^3 + ax + b),
 
-with chi the quadratic character of F_p as a table of length p.  In genus 1
-the trace a_p = p + 1 - N_1 fixes the zeta function,
+with chi the quadratic character of F_p as a list (fields._prime_chi).
+In genus 1 the trace a_p = p + 1 - N_1 fixes the zeta function,
 
     Z(t) = (1 - a_p t + p t^2) / ((1 - t)(1 - p t)),   N_2 = p^2 + 1 - (a_p^2 - 2p),
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import BudgetExceededError
-from .fields import _prime_factors, check_characteristic, is_prime
+from .fields import _prime_chi, check_characteristic, is_prime
 # The search builds no extension field; perfbench/tracer.py still wraps
 # pairsearch.make_extension by name, so the name stays importable here.
 from .fields import make_extension  # noqa: F401
@@ -110,15 +110,15 @@ def curve_zeta(p: int, trace: int) -> ZetaFunction:
     return ZetaFunction(p, num, den)
 
 
-def _coset_minima(p: int, d: int, logs: list[int]) -> list[int]:
+def _coset_minima(p: int, d: int) -> list[int]:
     """The least element of each coset of the d-th powers in F_p^*, ascending.
 
-    d divides p - 1, so the d-th powers are the g^t with d | t, and the coset
-    of b is fixed by log_g b mod d.  Each coset is met first at its least b.
+    d divides p - 1, so in the cyclic F_p^* the power residue b^((p-1)/d)
+    names the coset of b.  Each coset is met first at its least b.
     """
     first: dict[int, int] = {}
     for b in range(1, p):
-        first.setdefault(logs[b] % d, b)
+        first.setdefault(pow(b, (p - 1) // d, p), b)
         if len(first) == d:
             break
     return list(first.values())
@@ -136,16 +136,9 @@ def _class_representatives(p: int) -> list[tuple[int, int]]:
     p = 3 mod 4.  So the classes are (m, b) for b <= (p - 1)/2, or for every
     b, less the singular 4m^3 + 27b^2 = 0.
     """
-    n = p - 1
-    primes = _prime_factors(n)
-    g = next(g for g in range(2, p) if all(pow(g, n // r, p) != 1 for r in primes))
-    logs, u = [0] * p, 1
-    for t in range(n):
-        logs[u] = t
-        u = u * g % p
-    reps = [(0, b) for b in _coset_minima(p, math.gcd(6, n), logs)]
+    reps = [(0, b) for b in _coset_minima(p, math.gcd(6, p - 1))]
     top = (p + 1) // 2 if p % 4 == 1 else p
-    for m in _coset_minima(p, math.gcd(4, n), logs):
+    for m in _coset_minima(p, math.gcd(4, p - 1)):
         reps.extend((m, b) for b in range(top) if (4 * m * m * m + 27 * b * b) % p)
     return reps
 
@@ -182,10 +175,7 @@ def _class_counts(p: int) -> dict[tuple[int, int], int]:
     doubled to length 2p, shifted by b reads chi(v + b) at v, so no point
     is reduced mod p again.
     """
-    chi = [-1] * p  # the quadratic character of F_p
-    chi[0] = 0
-    for x in range(1, p):
-        chi[x * x % p] = 1
+    chi = _prime_chi(p)
     chi2 = chi + chi
     counts, cubics = {}, {}
     for a, b in _class_representatives(p):

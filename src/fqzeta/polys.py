@@ -173,7 +173,10 @@ def gcd(a, b) -> tuple[tuple, tuple, tuple]:
     integer gcd with a positive lead, and g abar and g bbar are the
     primitive parts of a and b; a zero input has the cofactor 0, so that
     gcd(0, 0) is (0, 0, 0).  GCDHEU: see the module docstring for why a
-    candidate that divides both is the gcd, and why one is found.
+    candidate that divides both is the gcd, and why one is found.  No
+    candidate needs a sign flip: int_gcd of the two values is positive, so
+    is the top symmetric digit of a positive integer, and primitive divides
+    by a positive content.
     """
     a, b = primitive(normalize(a)), primitive(normalize(b))
     if not a or not b:
@@ -183,8 +186,6 @@ def gcd(a, b) -> tuple[tuple, tuple, tuple]:
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
         g = primitive(_symmetric_digits(int_gcd(evaluate(a, xi), evaluate(b, xi)), xi))
-        if g[-1] < 0:
-            g = neg(g)
         if len(g) == 1:
             return g, a, b
         abar = quotient(a, g)

@@ -41,10 +41,10 @@ strategies:
   If D = B^2 - 4AC is squarefree, of degree delta, S_n is an integer
   function of S_1..S_g for the curve w^2 = D(z) of genus
   g = ceil(delta / 2) - 1 (Weil).  So this costs the q^m evaluations of
-  each S_m, m <= g, once per spec (kept with the block's plan), and none
-  after that.  A D that is not squarefree stays on fibres, and so does a
-  block while the degrees of A, B and C leave room for a genus past n
-  (_plane_curve).
+  each S_m, m <= g, once per spec (the block's plan keeps the curve's
+  L-polynomial), and none after that.  A D that is not squarefree stays
+  on fibres, and so does a block while the degrees of A, B and C leave
+  room for a genus past n (_plane_curve).
 * by Jacobi sums, for a block wholly inside ``span`` of a one-equation
   spec with two or more free coordinates whose polynomial reads
   c + sum a_i x_i^e_i, each term a power of its own coordinate
@@ -115,6 +115,7 @@ from .fields import (
     _fq_mod,
     _fq_powmod,
     _fq_trim,
+    _prime_chi,
     add_digits,
     check_characteristic,
     from_digits,
@@ -389,10 +390,10 @@ class _Count:
     _plan gives each block counter(count, data), data being the block's own
     part of the plan.  Blocks empty or wholly on the variety (_count_known),
     roots, curves and Jacobi sums are counted over F_q, so a line in P^1 or
-    the lone point of P^0 is counted over any F_{p^n}; a curve takes its
-    character sums S_1..S_g once per spec (_character_sum).  Fibres, halves
-    and direct evaluation, for blocks with two or more free coordinates or
-    cut by a span, run over F_Q: the first builds ``kernel``, F_Q with its
+    the lone point of P^0 is counted over any F_{p^n}; a curve forms its
+    L-polynomial once per spec (_character_sum).  Fibres, halves and
+    direct evaluation, for blocks with two or more free coordinates or cut
+    by a span, run over F_Q: the first builds ``kernel``, F_Q with its
     vectorized kernel (ExtensionField.vector_ops) and the embedding of F_q's
     scalars, by which _evaluator maps their polynomials.  That map is
     injective and additive, so every choice made over F_q holds over F_Q.
@@ -477,7 +478,7 @@ def _plan(count: _Count, lo: int, hi: int):
 
     counter(count, data) counts the block by evaluating ``points`` points
     (see _Count).  _count_known and _count_roots evaluate none, _count_curve
-    the points of the character sums it has yet to keep, _count_diagonal one
+    q + ... + q^g until its L-polynomial is kept, _count_diagonal one
     point per term it forms (_characters) and the points of a class table
     that no earlier block has built.  No field is built but F_q, and that
     only to form the discriminant of a plane curve (_plane_curve).
@@ -500,7 +501,7 @@ def _plan(count: _Count, lo: int, hi: int):
         if whole and n_free == 2 and parts is not None:
             curve = _plane_curve(count, parts, kept)
             if curve is not None:
-                unkept = [m for m in range(1, curve.genus + 1) if m not in curve.sums]
+                unkept = range(1, curve.genus + 1) if curve.lpoly is None else ()
                 points = sum(spec.q**m for m in unkept)
                 options.append((points, _count_curve, (parts, curve)))
         if whole and diagonal is not None:
@@ -653,14 +654,13 @@ class _Curve:
 
     disc is D over F_q, low degree first, or None where A vanishes
     identically; genus is ceil(deg D / 2) - 1, at least 0; eps is
-    chi_q(lead D) for even deg D, else 0; sums maps m to S_m for the
-    m <= genus summed so far.
+    chi_q(lead D) for even deg D, else 0; lpoly is L(t), once formed.
     """
 
     disc: list | None
     genus: int
     eps: int
-    sums: dict
+    lpoly: list | None = None
 
 
 def _plane_curve(count, parts, kept):
@@ -692,7 +692,7 @@ def _make_curve(field, parts):
     """The _Curve of [C, B, -4A] over F_q = field, or None if D is not squarefree."""
     c, b, minus_4a = (_univariate(field, part) for part in parts)
     if not minus_4a:
-        return _Curve(None, 0, 0, {})
+        return _Curve(None, 0, 0)
     disc = [field.zero] * max(2 * len(b) - 1, len(minus_4a) + len(c) - 1, 0)
     for u, v in ((b, b), (minus_4a, c)):
         for i, cu in enumerate(u):
@@ -706,7 +706,7 @@ def _make_curve(field, parts):
     eps = 0
     if degree % 2 == 0:
         eps = 1 if field._pow(disc[-1], (field.order - 1) // 2) == field.one else -1
-    return _Curve(disc, max((degree + 1) // 2 - 1, 0), eps, {})
+    return _Curve(disc, max((degree + 1) // 2 - 1, 0), eps)
 
 
 def _count_curve(count, data) -> int:
@@ -728,22 +728,21 @@ def _count_curve(count, data) -> int:
     have the power sums -S_m - eps^m (Weil).  S_1..S_g fix c_1..c_g
     (_series_from_counts), the functional equation c_(2g-j) = q^(g-j) c_j
     gives the rest, and S_n = -p_n(L) - eps^n (_power_sums), in ints, for
-    every n.  S_1..S_g are summed once per spec (_character_sum).
+    every n.  S_1..S_g are summed once per spec (_character_sum) and L kept.
     """
     (c, b, minus_4a), curve = data
     spec, n, order = count.spec, count.n, count.order
     if curve.disc is None:
         return order - _count_roots(count, (b,)) + order * _count_roots(count, (c, b))
-    disc, genus, eps, sums = curve.disc, curve.genus, curve.eps, curve.sums
+    disc, genus, eps = curve.disc, curve.genus, curve.eps
     if len(disc) == 1:
         s_n = order * eps**n
     else:
-        for m in range(1, genus + 1):
-            if m not in sums:
-                sums[m] = _character_sum(spec, disc, m)
-        half = _series_from_counts([sums[m] + eps**m for m in range(1, genus + 1)])
-        lpoly = half + [spec.q ** (genus - j) * half[j] for j in reversed(range(genus))]
-        s_n = -_power_sums(lpoly, n)[-1] - eps**n
+        if curve.lpoly is None:
+            sums = [_character_sum(spec, disc, m) + eps**m for m in range(1, genus + 1)]
+            half = _series_from_counts(sums)
+            curve.lpoly = half + [spec.q ** (genus - j) * half[j] for j in reversed(range(genus))]
+        s_n = -_power_sums(curve.lpoly, n)[-1] - eps**n
     r_a = _count_roots(count, (minus_4a,))
     return order + s_n - r_a + order * _count_roots(count, (c, b, minus_4a))
 
@@ -752,16 +751,14 @@ def _character_sum(spec, disc, m) -> int:
     """S_m = sum over z in F_{q^m} of chi(D(z)), for D = disc over F_q.
 
     Over a prime field of at most _CHUNK elements (m = 1, k = 1) it is
-    summed in pure Python, by Horner's rule mod p over a list of chi, so no
-    field is built and numpy is not imported.  Otherwise D is evaluated on
-    the kernel of F_{q^m} and chi summed by ExtensionField.chi_sum.
+    summed in pure Python, by Horner's rule mod p over fields._prime_chi,
+    so no field is built and numpy is not imported.  Otherwise D is
+    evaluated on the kernel of F_{q^m} and chi summed by
+    ExtensionField.chi_sum.
     """
     p = spec.p
     if m == 1 and spec.k == 1 and p <= _CHUNK:
-        chi = [-1] * p
-        chi[0] = 0
-        for x in range(1, p):
-            chi[x * x % p] = 1
+        chi = _prime_chi(p)
         coeffs = disc[::-1]
         total = 0
         for z in range(p):

@@ -753,6 +753,20 @@ def test_composite_p_exits_2_without_traceback(tmp_path):
     assert proc.stderr == "malformed spec: 6 is not prime\n"
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ([], "variety spec must be a JSON object"),
+        ({**_VALID_SPEC, "label": 5}, "label must be a string"),
+    ],
+    ids=["list", "label"],
+)
+def test_non_object_spec_or_label_exits_2_with_one_line(capsys, tmp_path, spec, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert run_cli(capsys, "count", str(bad), "-n", "1") == (2, "", f"malformed spec: {message}\n")
+
+
 _scalars = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4))
 _not_int = st.one_of(
     _scalars,

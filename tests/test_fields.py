@@ -6,6 +6,7 @@ import pytest
 from fqzeta.errors import NotPrimeError
 from fqzeta.fields import (
     _CHUNK,
+    _prime_chi,
     _prime_factors,
     add_digits,
     from_digits,
@@ -338,6 +339,17 @@ def test_index_tuple_round_trip():
         for j, u in enumerate(itertools.product(range(3), repeat=3)):
             assert add_digits(i, j, 3) == from_digits([a + b for a, b in zip(t, u)], 3)
             assert add_digits(i, j, 3, -1) == from_digits([a - b for a, b in zip(t, u)], 3)
+
+
+def test_extension_degree_must_be_positive():
+    with pytest.raises(ValueError, match="extension degree must be a positive integer, got 0"):
+        make_extension(5, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 101])
+def test_prime_chi_is_eulers_criterion(p):
+    euler = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    assert _prime_chi(p) == euler
 
 
 def test_element_int_coercion_and_pow():

@@ -320,6 +320,13 @@ def test_malformed_specs_rejected():
         VarietySpec.from_dict({**base, "k": 2, "equations": [[[[1, None], [1, 0]]]]})
 
 
+def test_spec_must_be_an_object_and_n_positive():
+    with pytest.raises(MalformedSpecError, match="variety spec must be a JSON object"):
+        VarietySpec.from_dict([])
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        count_points(_projective_space(3, 1, 1), 0)
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -336,6 +343,7 @@ def test_malformed_specs_rejected():
         ({"ambient": {"type": "affine", "dim": True}}, "dimension"),
         ({"equations": [[[True, [1, 0]]]]}, "int when k=1"),
         ({"equations": [[[1, [1, False]]]]}, "nonnegative integers"),
+        ({"label": 5}, "label must be a string"),
     ],
 )
 def test_spec_shape_errors_are_malformed(change, message):
@@ -1591,3 +1599,35 @@ def test_curve_series_to_n64_imports_no_numpy(monkeypatch):
     trace = p + 1 - n1
     expected = counts_from_zeta(ZetaFunction(p, (1, -trace, p), (1, -(p + 1), p)), 64).counts
     assert counts == expected
+
+
+def test_curve_keeps_its_l_polynomial(monkeypatch):
+    # y^2 = x^5 + 3x + 2 in A^2 over F_7: genus 2, with one point at
+    # infinity on its smooth model, so the affine counts plus 1 fit a zeta
+    # function of profile (1, 4, 1) whose numerator is the curve's L(t).
+    from fqzeta import varieties
+    from fqzeta.varieties import PointCountSeries
+    from fqzeta.zeta import connected_denominator, zeta_from_counts
+
+    calls = []
+    character_sum = varieties._character_sum
+    monkeypatch.setattr(
+        varieties,
+        "_character_sum",
+        lambda spec, disc, m: calls.append(m) or character_sum(spec, disc, m),
+    )
+    spec = _one_equation(7, 1, "affine", 2, [(1, (0, 2)), (-1, (5, 0)), (-3, (1, 0)), (-2, (0, 0))])
+    counts = count_series(spec, 4).counts
+    assert counts == (6, 48, 321, 2568)
+    curve = spec._block_plans[()][1][1][0]
+    assert curve.lpoly == [1, -1, 0, -7, 49]
+    fit = zeta_from_counts(
+        PointCountSeries(7, tuple(c + 1 for c in counts)),
+        4,
+        2,
+        known_denominator=connected_denominator(7, 1),
+    )
+    assert list(fit.num) == curve.lpoly
+    # S_1 and S_2 are summed once for both series; L serves every later n.
+    assert count_series(spec, 4).counts == counts
+    assert calls == [1, 2]

@@ -466,6 +466,23 @@ def test_factorization_degree_preconditions():
         )
 
 
+def test_factorization_and_fit_validation():
+    with pytest.raises(ValueError, match="expected 3 factors, got 2"):
+        WeilFactorization(5, 1, ((1, -1), (1, -5)))
+    with pytest.raises(ValueError, match="every factor must have constant term 1"):
+        WeilFactorization(5, 1, ((1, -1), (2, 1), (1, -5)))
+    series = PointCountSeries(5, (6, 26, 126))
+    with pytest.raises(ValueError, match="known denominator must have constant term 1"):
+        zeta_from_counts(series, 0, 2, known_denominator=(2, 1))
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        zeta_from_counts(series, -1, 2)
+    # P_2 has degree 2 and P_0 degree 1: degree 0 breaks the pairing.
+    w = WeilFactorization(5, 1, ((1, -1), (1, 2, 5), (1, -5, 7)))
+    with pytest.raises(DualityViolationError, match=r"degrees \[0\] violate") as exc:
+        check_functional_equation(w)
+    assert exc.value.degrees == (0,)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError, match="b_0"):
         CohomologyProfile(1, (2, 0, 2))
