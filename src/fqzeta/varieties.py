@@ -20,9 +20,15 @@ is empty or wholly on the variety, and every other block gets one of six
 strategies:
 
 * by roots, for a block wholly inside ``span`` with one free coordinate y,
-  whatever the number of equations.  With g the gcd of their polynomials
-  in y over F_q, the block holds deg gcd(g, y^(q^n) - y) points, since
-  y^(q^n) - y is squarefree and vanishes exactly on F_{q^n}.  That is
+  whatever the number of equations.  One polynomial of at most two terms
+  in distinct powers of y, a y^e, c + a y^e or y^e0 (c + a y^e) with
+  e0 > 0, is counted in closed form (_binomial_roots): the first has the
+  root 0 alone, the third has it too, and y^e = -c/a has
+  d = gcd(e, q^n - 1) roots in F_{q^n}^* or none, decided by one power
+  test in F_q where d > 1.  For any other block, g
+  being the gcd of its polynomials in y over F_q, the block holds
+  deg gcd(g, y^(q^n) - y) points, since y^(q^n) - y is squarefree and
+  vanishes exactly on F_{q^n}.  That is
   N_n = sum over d | n of d c_d, with c_d the number of distinct
   irreducible factors of g of degree d, so the spec keeps, for the
   block's polynomials, g's distinct-degree factorization so far
@@ -199,7 +205,9 @@ class VarietySpec:
     def _roots(self) -> dict:
         """polys -> the _Factorization of their gcd g so far, filled by _count_roots.
 
-        Only for the n that reduce no exponent, where every n forms the same g.
+        Only for the n that reduce no exponent, where every n forms the same
+        g, and never for a lone polynomial of at most two terms
+        (_binomial_roots).
         """
         return {}
 
@@ -530,7 +538,10 @@ def _count_roots(count, polys) -> int:
     """Points of a whole block with one free coordinate y, over F_order.
 
     ``polys`` are the block's polynomials over F_q, a subfield of F_order,
-    order = count.order = q^n.  With g their gcd in y, the count is
+    order = count.order = q^n.  A lone polynomial of at most two terms in
+    distinct powers of y (a y^e, c + a y^e or c y^e0 + a y^e1) is counted
+    in closed form, with no record (_binomial_roots).  Else, with g their
+    gcd in y, the count is
     deg gcd(g, y^order - y): y^order - y is squarefree and vanishes exactly
     on F_order (g = 0 means every y is a point).  An exponent e >= order
     becomes ((e - 1) mod (order - 1)) + 1, which gives the same power of
@@ -555,6 +566,10 @@ def _count_roots(count, polys) -> int:
     first terms reduce exponents reaches an unreduced g past n = 1, and so
     goes on by jumps of one q-th power each.
     """
+    if len(polys) == 1:
+        roots = _binomial_roots(count, polys[0])
+        if roots is not None:
+            return roots
     spec, n, order = count.spec, count.n, count.order
     field = make_extension(spec.p, spec.k)
     record = kept = spec._roots.get(polys)
@@ -585,6 +600,48 @@ def _count_roots(count, polys) -> int:
     if unreduced and n > record.lead[0]:
         spec._roots[polys] = replace(record, lead=(n, tuple(power)))
     return roots + len(_fq_frobenius_gcd(rest, power, field)) - 1
+
+
+def _binomial_roots(count, poly) -> int | None:
+    """The roots in F_order of a polynomial of at most two terms, or None.
+
+    The constant counts as a term, and the terms must lie in distinct
+    powers of y; any other poly is None.  a y^e has the one root 0.  Else
+    it reads y^e0 (c + a y^e), c and a nonzero, e >= 1: c is the constant
+    (e0 = 0), or the lower term's scalar and 0 a root too.  The other
+    roots solve y^e = u = -c/a in F_order^*, cyclic of order Q - 1,
+    Q = order, whose e-th powers form its subgroup of index
+    g = gcd(e, Q - 1), each reached g times: g roots if u^((Q-1)/g) = 1,
+    else none (Ireland and Rosen, A Classical Introduction to Modern Number
+    Theory, section 8.1).  This holds for every e >= 1, so no exponent is
+    reduced.  g = 1 is decided with no field operation.  Otherwise, as u
+    lies in F_q^*, u^t = 1 with t = ((Q-1)/g) mod (q - 1) is tested over
+    F_q as (-c)^t = a^t, which divides nothing.  Of two terms either may
+    be taken as the lower: u^t = 1 exactly where (1/u)^t = 1.
+    """
+    const, terms = poly
+    if const:
+        if len(terms) != 1:
+            return None
+        ((a, ((_, e),)),) = terms
+        c, at_zero = const, 0
+    elif len(terms) == 1:
+        return 1
+    elif len(terms) == 2:
+        (c, ((_, e0),)), (a, ((_, e),)) = terms
+        if e0 == e:
+            return None
+        e, at_zero = abs(e - e0), 1
+    else:
+        return None
+    spec, order = count.spec, count.order
+    g = math.gcd(e, order - 1)
+    if g > 1:
+        field = make_extension(spec.p, spec.k)
+        t = (order - 1) // g % (spec.q - 1)
+        if field._pow(field._sub(field.zero, c), t) != field._pow(a, t):
+            g = 0
+    return at_zero + g
 
 
 @dataclass(frozen=True)

@@ -683,10 +683,10 @@ def test_imports_no_numpy(case, fixtures_dir, tmp_path):
     #   F_p, and takes N_2 from the genus-1 recursion.
     # * A line in P^1 over F_4 and x_0^3 = 2 x_1^3 in P^1 over F_5, the two
     #   `count` jobs of the zeta_large_fields benchmark, have only blocks
-    #   counted by roots, over F_q with polynomial gcds.
+    #   counted by roots, each a binomial counted in closed form over F_q.
     # * A Weierstrass curve over F_p, the curve and compare jobs of the
     #   benchmark, counts every N_n from one character sum over F_p in pure
-    #   Python and gcds over F_p.
+    #   Python, and its roots over F_p in closed form or by gcds.
     # * The Fermat cubic surface over F_2 and a diagonal quadric surface over
     #   F_11, surface jobs of the benchmark, count their charts by Jacobi
     #   sums over F_4 and F_11, by a genus-0 curve and by roots.

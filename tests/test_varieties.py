@@ -825,6 +825,105 @@ def test_one_coordinate_count_matches_oracle(case):
 
 
 @st.composite
+def _two_term_specs(draw, kind, shape, reach):
+    """(spec, n): A^1 or P^1 over F_q, q^n <= 7^4, cut by one equation of at most two terms in y.
+
+    The shapes: c + a y^e; a lone monomial a y^e; c y^e0 + a y^(e0 + e)
+    with e0 >= 1, whose terms share the root 0; and c y^e + a y^e, two
+    terms in one power of y, which _block_plan does not merge (c + a may
+    vanish).  e is 1, 2 to 12, or q^n - 1 to 3 q^n, where it reaches past
+    the field.  In P^1 the form is x_0-homogenized, and x_0^extra makes
+    [0 : 1] a point when extra > 0.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, max(n for n in (1, 2, 3, 4) if p ** (k * n) <= 7**4)))
+    order = p ** (k * n)
+    if k == 1:
+        scalar = st.integers(1, p - 1)
+    else:
+        scalar = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).filter(any)
+    c, a = draw(scalar), draw(scalar)
+    e = draw({"one": st.just(1), "small": st.integers(2, 12), "past": st.integers(order - 1, 3 * order)}[reach])
+    e0 = draw(st.integers(1, 3))
+    monomials = {
+        "constant": [(c, 0), (a, e)],
+        "monomial": [(a, e)],
+        "zero root": [(c, e0), (a, e0 + e)],
+        "like terms": [(c, e), (a, e)],
+    }[shape]
+    monomials = draw(st.permutations(monomials))
+    extra = draw(st.integers(0, 2)) if kind == "projective" else 0
+    degree = max(m for _, m in monomials) + extra
+    terms = [(s, (m,) if kind == "affine" else (degree - m, m)) for s, m in monomials]
+    return _one_equation(p, k, kind, 1, terms), n
+
+
+@pytest.mark.parametrize("reach", ["one", "small", "past"])
+@pytest.mark.parametrize("shape", ["constant", "monomial", "zero root", "like terms"])
+@pytest.mark.parametrize("kind", ["affine", "projective"])
+def test_two_term_block_count_matches_oracle(kind, shape, reach):
+    # A lone polynomial of at most two terms in distinct powers of y is
+    # counted in closed form and keeps no record; like terms in one power
+    # take the record path (or, where they cancel, count every point).
+    @settings(max_examples=10)
+    @given(_two_term_specs(kind, shape, reach))
+    def check(case):
+        spec, n = case
+        field = make_extension(spec.p, spec.k * n)
+        pure = count_pure(spec, field, embedded_equations(spec, field), 0, domain_size(spec, n))
+        assert count_points(spec, n) == pure
+        (equation,) = spec.equations
+        powers = {exps[-1] for _, exps in equation}
+        if len(powers) == len(equation):
+            assert not spec._roots
+        elif field.order > max(powers):  # the record of an unreduced g is kept
+            assert len(spec._roots) == 1
+
+    check()
+
+
+def test_two_term_block_counts_at_chosen_exponents():
+    # e = 10^12 over F_{5^3}, e = 1 over F_{9^4} and like terms that cancel
+    # (3 y^5 + 4 y^5 over F_7), each against the pure counter.
+    for spec, n in (
+        (_one_equation(5, 1, "projective", 1, [(1, (10**12, 0)), (-1, (0, 10**12))]), 3),
+        (_one_equation(3, 2, "affine", 1, [([1, 0], (1,)), ([0, 1], (0,))]), 4),
+        (_one_equation(7, 1, "affine", 1, [(3, (5,)), (4, (5,))]), 2),
+    ):
+        field = make_extension(spec.p, spec.k * n)
+        assert count_points(spec, n) == count_pure(
+            spec, field, embedded_equations(spec, field), 0, domain_size(spec, n)
+        )
+
+
+def test_binomials_take_no_polynomial_power(monkeypatch):
+    # x_0^e = x_1^e in P^1 holds at [1 : y] for the gcd(e, Q - 1) e-th roots
+    # of unity y in F_Q, and not at [0 : 1].  The record path would form g
+    # densely up to degree e and take y^Q mod it, seconds for e = 10^6 over
+    # F_{7^8}; a binomial takes no polynomial power at all.  The pure
+    # counter checks each exponent over the fields of at most 7^4 elements;
+    # over F_{7^8} and F_{5^7} it would take minutes, so the oracle there is
+    # the number of discrete logs i mod Q - 1 with e i = 0, which rests on
+    # F_Q^* being cyclic alone.
+    from fqzeta import varieties
+
+    def refuse(*args):
+        raise AssertionError("polynomial power taken")
+
+    monkeypatch.setattr(varieties, "_fq_powmod", refuse)
+    for p, e, large in ((7, 10**6, 8), (5, 10**12, 7)):
+        spec = _binary_form_p1(p, [[1, [e, 0]], [-1, [0, e]]])
+        for n in range(1, 5):
+            field = make_extension(p, n)
+            pure = count_pure(spec, field, embedded_equations(spec, field), 0, p**n + 1)
+            assert count_points(spec, n) == pure
+        m = p**large - 1
+        assert count_points(spec, large) == sum(1 for i in range(m) if e * i % m == 0)
+        assert not spec._roots
+
+
+@st.composite
 def _repeated_factors(draw, field, max_degree):
     """A nonzero scalar times random factors over F_q, each repeated 1 to 3 times."""
     elem = st.integers(0, field.order - 1)
@@ -883,6 +982,9 @@ def test_roots_factorization_matches_oracle(case):
     # and each on a fresh spec, all against the pure counter; and the kept
     # record's c_d, once complete, against the roots of exact degree d, sum
     # over e | d of mu(d / e) N_e by Moebius inversion of the pure counts.
+    # A lone polynomial of at most two terms is counted in closed form and
+    # keeps no record, so its record is read from the same equation taken
+    # twice, which has the same gcd g but takes the record path.
     data, top = case
     pure = []
     for n in range(1, top + 1):
@@ -895,6 +997,11 @@ def test_roots_factorization_matches_oracle(case):
         if n <= top:
             assert count_points(spec, n) == pure[n - 1]
     assert [count_points(VarietySpec.from_dict(data), n) for n in range(1, top + 1)] == pure
+    equations = data["equations"]
+    if len(equations) == 1 and len(equations[0]) <= 2:
+        assert not spec._roots
+        spec = VarietySpec.from_dict({**data, "equations": equations * 2})
+        assert count_series(spec, top).counts == tuple(pure)
     field = make_extension(spec.p, spec.k)
     (record,) = spec._roots.values()
     while not record.complete:
@@ -1186,18 +1293,26 @@ def test_each_block_is_planned_once(monkeypatch):
     counts = count_series(spec, 3).counts
     assert counts[:2] == (n1, p**2 + 1 - (trace**2 - 2 * p))
     assert [prefix for _, _, prefix in calls] == [(1,), (0, 1), (0, 0, 1)]
-    # A roots block factors g by degree once for the whole series: x_0^3 = 2 x_1^3
-    # over F_5 has one point for odd n, where cubing permutes F_{5^n}, and
-    # three for even n, where 2 is a cube.  g = y^3 - 3 has one root in F_5
-    # and an irreducible quadratic cofactor, so one q-th power completes it.
+    # A roots block factors g by degree once for the whole series:
+    # (x_1 - x_0)(x_1^2 - 2 x_0^2) over F_5 has one point for odd n and
+    # three for even n, where 2 is a square.  g = (y - 1)(y^2 - 2) has one
+    # root in F_5 and an irreducible quadratic cofactor, so one q-th power
+    # completes it.
     exponents = []
     powmod = varieties._fq_powmod
     monkeypatch.setattr(
         varieties, "_fq_powmod", lambda base, e, *rest: exponents.append(e) or powmod(base, e, *rest)
     )
+    cubic = _binary_form_p1(5, [[1, [0, 3]], [-1, [1, 2]], [-2, [2, 1]], [2, [3, 0]]])
+    assert count_series(cubic, 7).counts == (1, 3, 1, 3, 1, 3, 1)
+    assert exponents == [5] and len(cubic._roots) == 1
+    # x_0^3 = 2 x_1^3 has the same counts, one for odd n, where cubing
+    # permutes F_{5^n}, and three for even n, where 2 is a cube; a binomial
+    # is counted in closed form, with no q-th power and no record.
+    exponents.clear()
     binomial = _binary_form_p1(5, [[1, [3, 0]], [-2, [0, 3]]])
     assert count_series(binomial, 7).counts == (1, 3, 1, 3, 1, 3, 1)
-    assert exponents == [5]
+    assert exponents == [] and not binomial._roots
 
 
 def test_frobenius_chain_matches_the_oracle():
@@ -1305,17 +1420,27 @@ def test_roots_count_jumps_where_factoring_costs_more(monkeypatch):
             }
         )
 
-    # y^300 - 1 = (y^75 - 1)^4 over F_2 at n = 12: factoring g by degree
-    # would take 12 q-th powers and gcds at degree 300, so a lone count
-    # takes y^4096 mod g from y, one power.  Its roots are the 75th roots
-    # of unity in F_4096, gcd(75, 4095) = 15 of them.
+    # y^300 + y^150 + 1 = (y^150 + y^75 + 1)^2 over F_2 at n = 12:
+    # factoring g by degree would take 12 q-th powers and gcds at degree
+    # 300, so a lone count takes y^4096 mod g from y, one power.  Its roots
+    # are the y with y^75 a primitive cube root of unity, the 225th roots
+    # of unity in F_4096 that are not 75th roots: gcd(225, 4095) = 45 less
+    # gcd(75, 4095) = 15, 30 of them.
+    spec = line("y^300 + y^150 + 1", 2, [[1, [300]], [1, [150]], [1, [0]]])
+    assert count_points(spec, 12) == 30
+    assert exponents == [2**12]
+    # n = 13 jumps on from y^4096 by one q-th power; as gcd(225, 8191) = 1,
+    # F_8192 holds no root.
+    assert count_points(spec, 13) == 0
+    assert exponents == [2**12, 2]
+    # y^300 - 1 = (y^75 - 1)^4 is counted in closed form, with no power of
+    # y and no record: its roots are the 75th roots of unity, gcd(75, 4095)
+    # = 15 of them in F_4096 and gcd(75, 8191) = 1 in F_8192.
+    exponents.clear()
     spec = line("y^300 - 1", 2, [[1, [300]], [-1, [0]]])
     assert count_points(spec, 12) == 15
-    assert exponents == [2**12]
-    # n = 13 jumps on from y^4096 by one q-th power; 1 is the one 75th root
-    # of unity in F_8192, as gcd(75, 8191) = 1.
     assert count_points(spec, 13) == 1
-    assert exponents == [2**12, 2]
+    assert exponents == [] and not spec._roots
     # y^10 + y + 2 over F_11: n = 1 factors degree 1 (one root) and leaves
     # a rest of degree 9, so n = 3 jumps from y^11, not from y.
     exponents.clear()
